@@ -25,7 +25,6 @@ from .density import (
     asymptotic_limit,
     convergence_report,
     density_series,
-    lower_bound_density,
     prime_series,
 )
 from .errors import CertificateError, ResourceLimitError, SearchExhausted

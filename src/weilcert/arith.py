@@ -156,25 +156,6 @@ def legendre_symbol(a: int, p: int) -> int:
     return t
 
 
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (intended for small inputs)."""
-    factors: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                n //= p
-        f += 6
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
 def multiplicative_order(a: int, n: int) -> int:
     """Least k >= 1 with a^k = 1 (mod n).
 
@@ -187,10 +168,11 @@ def multiplicative_order(a: int, n: int) -> int:
     if math.gcd(a, n) != 1:
         raise ValueError(f"gcd({a}, {n}) != 1, order undefined")
     phi = 1
-    for p, e in _factorize(n).items():
+    # bound = n never binds (a factor f <= sqrt(n) <= n), so no residual
+    for p, e in _trial_factor(n, n).items():
         phi *= (p - 1) * p ** (e - 1)
     order = phi
-    for q in _factorize(phi):
+    for q in _trial_factor(phi, phi):
         while order % q == 0 and pow(a, order // q, n) == 1:
             order //= q
     return order

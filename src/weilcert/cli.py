@@ -159,6 +159,26 @@ def cmd_classnum(args) -> int:
     return 0
 
 
+def _exact_strs(*values: int) -> list[str]:
+    """Decimal strings of the values, however many digits they have.
+
+    CPython caps int->str at 4300 digits by default (q = p^g passes it from
+    g = 1229 on). The cap is raised only as far as these values need and
+    restored afterwards, so a caller of `main` keeps its own setting.
+    """
+    getter = getattr(sys, "get_int_max_str_digits", None)  # CPython >= 3.10.7
+    old = getter() if getter else 0
+    # a b-bit integer has at most floor(b*log10(2)) + 1 digits; 0.30103 > log10(2)
+    need = max(abs(v).bit_length() for v in values) * 30103 // 100000 + 1
+    if old == 0 or need <= old:
+        return [str(v) for v in values]
+    sys.set_int_max_str_digits(need)
+    try:
+        return [str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def cmd_certify(args) -> int:
     g = DimensionParam(args.g)
     run = run_certificate_checks(g, args.p)
@@ -184,7 +204,7 @@ def cmd_certify(args) -> int:
         "degree_d", "center_degree_e", "dimension", "aut_order",
     ]
     row: list = [
-        g.g, w.p, w.a, w.s, str(poly.q), str(poly.b), str(poly.c),
+        g.g, w.p, w.a, w.s, *_exact_strs(poly.q, poly.b, poly.c),
         cert.cm_discriminant, cert.splitting_order,
         inv_low.place, inv_low.value.numerator, inv_low.value.denominator,
         inv_high.place, inv_high.value.numerator, inv_high.value.denominator,

@@ -1,11 +1,12 @@
 """The prime-density experiment.
 
 Sieve all primes up to a bound, classify each prime p by whether it is
-representable as x^2 + (2g+1)*y^2, and split the representable ones by the
-congruence p = 1 (mod 2g+1): those failing it form the target set, those
-satisfying it are exactly the primes splitting completely one field higher
-up. The counting function f(x) = |members <= x| / pi(x) is tracked as an
-exact rational and compared with its limit
+representable as x^2 + (2g+1)*y^2 (one form-value sieve over the same
+range, `kernels.representable_flags`), and split the representable ones by
+the congruence p = 1 (mod 2g+1): those failing it form the target set,
+those satisfying it are exactly the primes splitting completely one field
+higher up. The counting function f(x) = |members <= x| / pi(x) is tracked
+as an exact rational and compared with its limit
 
     1/(2*h(-8g-4)) * (1 - 1/g),
 
@@ -59,32 +60,10 @@ def asymptotic_limit(g: DimensionParam) -> Fraction:
     return Fraction(1, 2 * h) * (1 - Fraction(1, g.g))
 
 
-def lower_bound_density(g: DimensionParam) -> Fraction:
-    """Same value as asymptotic_limit, read as a density lower bound for
-    the full set of realizable primes (which contains the counted set)."""
-    return asymptotic_limit(g)
-
-
-def classify_primes(
-    primes: np.ndarray,
-    n: int,
-    backend: str | None = None,
-    chunk_size: int | None = None,
-) -> np.ndarray:
-    """Representability flags for an ascending prime array."""
-    if chunk_size is None:
-        return kernels.representable_flags(primes, n, backend=backend)
-    return kernels.representable_flags_chunked(
-        primes, n, chunk_size=chunk_size, backend=backend
-    )
-
-
 def density_series(
     g: DimensionParam,
     checkpoints: tuple[int, ...] | list[int] = DEFAULT_CHECKPOINTS,
     budget: int = DEFAULT_SIEVE_BUDGET,
-    backend: str | None = None,
-    chunk_size: int | None = None,
 ) -> DensitySeries:
     """One DensityRecord per checkpoint, from a single sieve pass."""
     checkpoints = tuple(int(x) for x in checkpoints)
@@ -97,7 +76,7 @@ def density_series(
 
     sieve = sieve_primes(checkpoints[-1], budget=budget)
     primes = sieve.primes
-    flags = classify_primes(primes, g.n, backend=backend, chunk_size=chunk_size)
+    flags = kernels.representable_flags(primes, g.n, budget=budget)
     cong1 = primes % g.n == 1
     cum_pg = np.cumsum(flags & ~cong1)
     cum_split = np.cumsum(flags & cong1)
@@ -128,7 +107,6 @@ def prime_series(
     g: DimensionParam,
     x_max: int,
     budget: int = DEFAULT_SIEVE_BUDGET,
-    backend: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-prime running counts for plotting.
 
@@ -138,7 +116,7 @@ def prime_series(
     """
     sieve = sieve_primes(x_max, budget=budget)
     primes = sieve.primes
-    flags = classify_primes(primes, g.n, backend=backend)
+    flags = kernels.representable_flags(primes, g.n, budget=budget)
     members = flags & (primes % g.n != 1)
     return primes, np.cumsum(members)
 

@@ -1,137 +1,58 @@
-"""Hot kernels for the prime-classification experiment.
+"""The batch classification kernel: a form-value sieve for x^2 + n*y^2.
 
-The density harness asks, for every prime p up to the sieve bound, whether
-p - n*y^2 is a perfect square for some y >= 1 with n*y^2 < p; that costs
-O(sqrt(p/n)) perfect-square checks per prime. Two interchangeable
-implementations are provided: a numba-compiled per-prime loop and a
-vectorized pure-numpy path. Selection is controlled by the
-WEILCERT_BACKEND environment variable:
+The density harness and `scan` ask, for every prime p up to a bound,
+whether p = x^2 + n*y^2 with x, y >= 1. Rather than testing each prime,
+`form_witnesses` marks every form value up to the bound at once: for each
+y, one numpy scatter writes y at x^2 + n*y^2 for all x >= 1 in range. The
+work is the number of lattice points, about pi*limit/(4*sqrt(n)), and the
+arithmetic is integer-only (the quadratic-form sieve idea of Atkin and
+Bernstein, "Prime sieves using binary quadratic forms", Math. Comp. 73,
+2004).
 
-    WEILCERT_BACKEND=numba   force the compiled kernel (error if missing)
-    WEILCERT_BACKEND=numpy   force the vectorized fallback
-    unset / auto             numba when importable, else numpy
-
-Both paths are exact: square roots are taken in float64 (inputs stay far
-below 2^53) and corrected to the true integer floor before comparing.
+For a prime p and n >= 2 the representation with x, y >= 1 is unique, so
+the stored y is the witness `quadforms.represent_x2_ny2` finds.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-ENV_BACKEND = "WEILCERT_BACKEND"
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    HAVE_NUMBA = False
-
-DEFAULT_CHUNK = 1 << 16
+from .arith import DEFAULT_SIEVE_BUDGET
+from .errors import ResourceLimitError
 
 
-def representable_flags_numpy(primes: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized scan: flags[i] iff primes[i] = x^2 + n*y^2 for some y >= 1."""
-    primes = np.ascontiguousarray(primes, dtype=np.int64)
-    flags = np.zeros(primes.shape[0], dtype=np.bool_)
-    if primes.shape[0] == 0:
-        return flags
-    p_max = int(primes[-1])
-    y = 1
-    while n * y * y < p_max:
-        rem = primes - n * y * y
-        live = rem > 0
-        r = rem[live]
-        t = np.sqrt(r.astype(np.float64)).astype(np.int64)
-        t = np.where((t + 1) * (t + 1) <= r, t + 1, t)
-        t = np.where(t * t > r, t - 1, t)
-        flags[live] |= t * t == r
-        y += 1
-    return flags
+def form_witnesses(
+    limit: int, n: int, budget: int = DEFAULT_SIEVE_BUDGET
+) -> np.ndarray:
+    """y_of[v] = some y >= 1 with v = x^2 + n*y^2 (x >= 1), 0 if none.
 
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _representable_flags_jit(primes, n):  # pragma: no cover - compiled
-        out = np.zeros(primes.shape[0], dtype=np.bool_)
-        for i in range(primes.shape[0]):
-            p = primes[i]
-            y = np.int64(1)
-            while n * y * y < p:
-                r = p - n * y * y
-                t = np.int64(math.sqrt(np.float64(r)))
-                if (t + 1) * (t + 1) <= r:
-                    t += 1
-                if t * t > r:
-                    t -= 1
-                if t * t == r:
-                    out[i] = True
-                    break
-                y += 1
-        return out
-
-
-def representable_flags_numba(primes: np.ndarray, n: int) -> np.ndarray:
-    """Compiled per-prime scan; same contract as the numpy path."""
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba is not available; use the numpy backend")
-    primes = np.ascontiguousarray(primes, dtype=np.int64)
-    return _representable_flags_jit(primes, np.int64(n))
-
-
-def active_backend() -> str:
-    """Resolve the backend name from WEILCERT_BACKEND."""
-    choice = os.environ.get(ENV_BACKEND, "auto").lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError(
-                "WEILCERT_BACKEND=numba but numba failed to import"
-            )
-        return "numba"
-    if choice == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    raise ValueError(f"unknown backend {choice!r} (use numba, numpy, or auto)")
+    Covers 0 <= v <= limit. The dtype is the smallest unsigned type that
+    holds the largest y (uint16 for any limit up to the default budget).
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if limit > budget:
+        raise ResourceLimitError(
+            f"form sieve limit {limit} exceeds memory budget {budget}"
+        )
+    # x >= 1 forces n*y^2 <= limit - 1
+    y_max = math.isqrt(max(limit - 1, 0) // n)
+    y_of = np.zeros(limit + 1, dtype=np.min_scalar_type(y_max))
+    squares = np.arange(1, math.isqrt(limit) + 1, dtype=np.int64) ** 2
+    for y in range(1, y_max + 1):
+        base = n * y * y
+        y_of[squares[: math.isqrt(limit - base)] + base] = y
+    return y_of
 
 
 def representable_flags(
-    primes: np.ndarray, n: int, backend: str | None = None
+    primes: np.ndarray, n: int, budget: int = DEFAULT_SIEVE_BUDGET
 ) -> np.ndarray:
-    """Dispatch the representability scan to the selected backend."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    b = backend or active_backend()
-    if b == "numpy":
-        return representable_flags_numpy(primes, n)
-    if b == "numba":
-        return representable_flags_numba(primes, n)
-    raise ValueError(f"unknown backend {b!r}")
+    """flags[i] iff primes[i] = x^2 + n*y^2 for some x, y >= 1.
 
-
-def representable_flags_chunked(
-    primes: np.ndarray,
-    n: int,
-    chunk_size: int = DEFAULT_CHUNK,
-    backend: str | None = None,
-) -> np.ndarray:
-    """Chunked evaluation over disjoint prime ranges.
-
-    Each prime is classified independently, so any chunking produces the
-    same flags; this entry point bounds peak memory and is the merge point
-    for range-parallel runs.
+    `primes` must be ascending; the sieve runs up to its last entry.
     """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    parts = [
-        representable_flags(primes[i : i + chunk_size], n, backend=backend)
-        for i in range(0, len(primes), chunk_size)
-    ]
-    if not parts:
-        return np.zeros(0, dtype=np.bool_)
-    return np.concatenate(parts)
+    limit = int(primes[-1]) if len(primes) else 0
+    return form_witnesses(limit, n, budget=budget)[primes] != 0

@@ -31,6 +31,7 @@ from .arith import (
     squarefree_kernel,
 )
 from .errors import CertificateError, SearchExhausted
+from .kernels import form_witnesses
 from .quadforms import Representation, represent_x2_ny2
 
 DEFAULT_GENERAL_S_BOUND = 1_000_000
@@ -152,31 +153,34 @@ def build_quadruple(g: DimensionParam, p: int) -> WeilQuadruple | None:
     return WeilQuadruple(g=g, p=p, a=2 * rep.x, s=2 * rep.y)
 
 
-def find_smallest(g: DimensionParam, p_max: int) -> WeilQuadruple | None:
-    """Quadruple for the least prime p <= p_max passing (P1) and (P2)."""
+def _sieved_witnesses(g: DimensionParam, p_max: int) -> tuple[list[int], list[int]]:
+    """Primes p <= p_max passing (P1) and (P2), ascending, with their y.
+
+    The (P1) witnesses come from one form-value sieve; for prime p they
+    are the unique, hence smallest-y, representations.
+    """
     if p_max < 2:
         raise ValueError(f"p_max must be >= 2, got {p_max}")
-    for p in sieve_primes(max(p_max, 2)):
-        if p > p_max:
-            break
-        w = build_quadruple(g, p)
-        if w is not None:
-            return w
-    return None
+    n = g.n
+    primes = sieve_primes(p_max).primes
+    ys = form_witnesses(p_max, n)[primes]
+    keep = (ys != 0) & (primes % n != 1)
+    return primes[keep].tolist(), ys[keep].tolist()
+
+
+def _quadruple(g: DimensionParam, p: int, y: int) -> WeilQuadruple:
+    return WeilQuadruple(g=g, p=p, a=2 * math.isqrt(p - g.n * y * y), s=2 * y)
+
+
+def find_smallest(g: DimensionParam, p_max: int) -> WeilQuadruple | None:
+    """Quadruple for the least prime p <= p_max passing (P1) and (P2)."""
+    ps, ys = _sieved_witnesses(g, p_max)
+    return _quadruple(g, ps[0], ys[0]) if ps else None
 
 
 def scan_quadruples(g: DimensionParam, p_max: int) -> list[WeilQuadruple]:
-    """All quadruples with p <= p_max, ascending p, first-hit (a, s)."""
-    if p_max < 2:
-        raise ValueError(f"p_max must be >= 2, got {p_max}")
-    out = []
-    for p in sieve_primes(max(p_max, 2)):
-        if p > p_max:
-            break
-        w = build_quadruple(g, p)
-        if w is not None:
-            out.append(w)
-    return out
+    """All quadruples with p <= p_max, ascending p."""
+    return [_quadruple(g, p, y) for p, y in zip(*_sieved_witnesses(g, p_max))]
 
 
 def weil_polynomial(w: WeilQuadruple) -> WeilPolynomial:

@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 
 import pytest
 
@@ -168,6 +170,23 @@ class TestCertify:
         obj = json.loads(out)[0]
         assert obj["aut_order"] == 46
         assert obj["dimension"] == 11
+
+    def test_q_past_int_str_digit_limit(self, capsys):
+        # q = 3359^1229 has 4334 digits, past CPython's default 4300-digit
+        # int-to-str limit
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            rc, out, err = run(capsys, "certify", "--g", "1229", "--p", "3359")
+            # the interpreter-wide cap is back where it was
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert rc == 0, err
+        header, row = out.strip().split("\n")
+        q = dict(zip(header.split(","), row.split(",")))["q"]
+        assert len(q) == math.floor(1229 * math.log10(3359)) + 1 == 4334
+        assert int(q[-40:]) == pow(3359, 1229, 10**40)
 
     def test_composite_p_is_argument_error(self, capsys):
         rc, _, err = run(capsys, "certify", "--g", "5", "--p", "15")

@@ -9,13 +9,12 @@ from weilcert import (
     asymptotic_limit,
     convergence_report,
     density_series,
-    lower_bound_density,
     membership_Pg,
     prime_series,
     sieve_primes,
     sophie_germain_list,
 )
-from weilcert.density import classify_primes
+from weilcert.kernels import representable_flags
 from conftest import CHECKPOINTS, TABLE4
 
 G5 = DimensionParam(5)
@@ -31,14 +30,11 @@ class TestLimit:
     def test_g5(self):
         assert asymptotic_limit(G5) == Fraction(2, 15)
 
-    def test_lower_bound_alias(self):
-        assert lower_bound_density(G11) == asymptotic_limit(G11)
-
     def test_below_half(self):
         for g in sophie_germain_list(509):
             if g < 5:
                 continue
-            assert lower_bound_density(DimensionParam(g)) < Fraction(1, 2)
+            assert asymptotic_limit(DimensionParam(g)) < Fraction(1, 2)
 
 
 class TestSeries:
@@ -86,11 +82,6 @@ class TestSeries:
         with pytest.raises(ResourceLimitError):
             density_series(G11, (10**6,), budget=10**4)
 
-    def test_chunking_invariance(self):
-        base = density_series(G11, (100, 10**4))
-        for chunk in (64, 1000, 4096):
-            assert density_series(G11, (100, 10**4), chunk_size=chunk) == base
-
 
 class TestConvergenceReport:
     def test_g11_decimals(self, series_g11):
@@ -109,7 +100,7 @@ class TestClassificationConsistency:
         sieve = sieve_primes(3000)
         primes = sieve.primes
         for g in (G5, G11):
-            flags = classify_primes(primes, g.n)
+            flags = representable_flags(primes, g.n)
             member = flags & (primes % g.n != 1)
             for p, is_member in zip(primes, member):
                 assert bool(is_member) == membership_Pg(g, int(p)), (g.g, p)

@@ -1,22 +1,13 @@
 import math
-import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from weilcert import sieve_primes
+from weilcert import ResourceLimitError, sieve_primes
 from weilcert import kernels
-
-
-def python_flag(v: int, n: int) -> bool:
-    y = 1
-    while n * y * y < v:
-        x2 = v - n * y * y
-        x = math.isqrt(x2)
-        if x * x == x2:
-            return True
-        y += 1
-    return False
+from weilcert.arith import DEFAULT_SIEVE_BUDGET
+from oracles import early_break_rep_exists, full_scan_min_y
 
 
 @pytest.fixture(scope="module")
@@ -25,80 +16,80 @@ def primes_1e5():
 
 
 class TestBackends:
+    """The numpy form-value sieve against per-value Python scans."""
+
     def test_numpy_matches_python(self, primes_1e5):
-        sample = primes_1e5[::97]
-        for n in (11, 23):
-            flags = kernels.representable_flags_numpy(sample, n)
-            for v, f in zip(sample, flags):
-                assert bool(f) == python_flag(int(v), n)
-
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-    def test_numba_matches_numpy(self, primes_1e5):
-        for n in (11, 23, 47, 59):
-            a = kernels.representable_flags_numba(primes_1e5, n)
-            b = kernels.representable_flags_numpy(primes_1e5, n)
-            assert np.array_equal(a, b)
-
-    def test_exact_at_large_values(self):
-        # values near 1e10: float sqrt needs the +-1 correction to stay exact
-        rng = random.Random(20240811)
-        values = np.array(
-            sorted(rng.randrange(10**9, 10**10) | 1 for _ in range(40)),
-            dtype=np.int64,
-        )
-        for n in (11, 23):
-            flags = kernels.representable_flags_numpy(values, n)
-            for v, f in zip(values, flags):
-                assert bool(f) == python_flag(int(v), n)
-        # forced hit: v = x^2 + n with x large
-        x = 10**5 + 3
-        v = np.array([x * x + 23], dtype=np.int64)
-        assert kernels.representable_flags_numpy(v, 23)[0]
+        for n in (7, 11, 23, 47, 59):
+            flags = kernels.representable_flags(primes_1e5, n)
+            assert flags.dtype == np.bool_
+            want = [early_break_rep_exists(p, n) for p in primes_1e5.tolist()]
+            assert flags.tolist() == want, n
 
     def test_empty_input(self):
         empty = np.zeros(0, dtype=np.int64)
-        assert kernels.representable_flags(empty, 23).shape == (0,)
-        assert kernels.representable_flags_chunked(empty, 23).shape == (0,)
+        flags = kernels.representable_flags(empty, 23)
+        assert flags.shape == (0,) and flags.dtype == np.bool_
 
     def test_rejects_bad_n(self, primes_1e5):
         with pytest.raises(ValueError):
             kernels.representable_flags(primes_1e5[:10], 0)
-
-
-class TestChunking:
-    def test_chunked_equals_whole(self, primes_1e5):
-        whole = kernels.representable_flags(primes_1e5, 23)
-        for chunk in (1, 7, 1000, 10**6):
-            got = kernels.representable_flags_chunked(primes_1e5, 23, chunk_size=chunk)
-            assert np.array_equal(got, whole)
-
-    def test_bad_chunk_size(self, primes_1e5):
         with pytest.raises(ValueError):
-            kernels.representable_flags_chunked(primes_1e5, 23, chunk_size=0)
+            kernels.form_witnesses(100, 0)
 
 
-class TestEnvSelection:
-    def test_numpy_forced(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_BACKEND, "numpy")
-        assert kernels.active_backend() == "numpy"
+class TestFormWitnesses:
+    def test_every_value_below_3000(self):
+        # composites included: any stored y must be a genuine witness
+        for n in (1, 2, 7, 23):
+            y_of = kernels.form_witnesses(3000, n)
+            for v in range(3001):
+                y = int(y_of[v])
+                assert (y != 0) == early_break_rep_exists(v, n), (n, v)
+                if y:
+                    x2 = v - n * y * y
+                    assert x2 > 0 and math.isqrt(x2) ** 2 == x2
 
-    def test_auto_default(self, monkeypatch):
-        monkeypatch.delenv(kernels.ENV_BACKEND, raising=False)
-        expected = "numba" if kernels.HAVE_NUMBA else "numpy"
-        assert kernels.active_backend() == expected
+    def test_prime_witness_is_smallest_y(self, primes_1e5):
+        for n in (7, 23, 59):
+            y_of = kernels.form_witnesses(10**5, n)
+            for p in primes_1e5[::7].tolist():
+                rep = full_scan_min_y(p, n)
+                assert int(y_of[p]) == (0 if rep is None else rep[1]), (n, p)
 
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-    def test_numba_forced(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_BACKEND, "numba")
-        assert kernels.active_backend() == "numba"
+    def test_p_equal_n_not_representable(self):
+        # 23 = 0^2 + 23*1^2 needs x = 0
+        assert kernels.representable_flags(np.array([2, 3, 23]), 23).tolist() == [
+            False,
+            False,
+            False,
+        ]
 
-    def test_unknown_rejected(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_BACKEND, "cuda")
-        with pytest.raises(ValueError):
-            kernels.active_backend()
+    def test_n1_p2(self):
+        assert kernels.representable_flags(np.array([2]), 1).tolist() == [True]
 
-    def test_dispatch_respects_env(self, monkeypatch, primes_1e5):
-        monkeypatch.setenv(kernels.ENV_BACKEND, "numpy")
-        got = kernels.representable_flags(primes_1e5[:100], 23)
-        want = kernels.representable_flags_numpy(primes_1e5[:100], 23)
-        assert np.array_equal(got, want)
+    def test_limit_is_a_form_value(self):
+        # 24 = 1 + 23*1^2 and 59 = 6^2 + 23*1^2 sit exactly at the limit
+        assert kernels.form_witnesses(24, 23)[24] == 1
+        assert kernels.form_witnesses(59, 23)[59] == 1
+        assert not kernels.form_witnesses(23, 23).any()
+        flags = kernels.representable_flags(np.array([2, 3, 5, 59]), 23)
+        assert flags.tolist() == [False, False, False, True]
+
+    def test_dtype_from_largest_y(self):
+        assert kernels.form_witnesses(1000, 23).dtype == np.uint8
+        assert kernels.form_witnesses(10**5, 1).dtype == np.uint16
+        # y < sqrt(limit / n) <= sqrt(budget) keeps uint16 up to the budget
+        assert math.isqrt(DEFAULT_SIEVE_BUDGET) < 2**16
+
+    def test_over_budget_raises_before_allocating(self):
+        assert kernels.form_witnesses(10**4, 23, budget=10**4).shape == (10**4 + 1,)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                kernels.form_witnesses(10**6 + 1, 23, budget=10**6)
+            with pytest.raises(ResourceLimitError):
+                kernels.representable_flags(np.array([2, 10**6 + 3]), 23, budget=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # the array would take 2 MB

@@ -109,6 +109,14 @@ class TestQuadruples:
         got = [(w.p, w.a, w.s) for w in scan_quadruples(G11, 1117)]
         assert got == list(TABLE3)
 
+    def test_scan_matches_per_prime(self):
+        primes = sieve_primes(10**5)
+        for g_val in (3, 5, 11, 23):
+            g = DimensionParam(g_val)
+            want = [w for p in primes if (w := build_quadruple(g, p)) is not None]
+            assert scan_quadruples(g, 10**5) == want, g_val
+            assert find_smallest(g, 10**5) == want[0], g_val
+
     def test_table2_rows(self):
         for g_val, p, a, s in TABLE2:
             w = find_smallest(DimensionParam(g_val), 2000)
