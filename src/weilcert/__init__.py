@@ -23,9 +23,7 @@ from .density import (
     DensityRecord,
     DensitySeries,
     asymptotic_limit,
-    convergence_report,
     density_series,
-    prime_series,
 )
 from .errors import CertificateError, ResourceLimitError, SearchExhausted
 from .quadforms import (

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -129,18 +128,28 @@ def cmd_density(args) -> int:
     header = ["x", "count_pg", "count_p", "f_num", "f_den", "f_decimal", "diff_decimal"]
     _write(report.emit_table(header, rows, args.format), args.out)
     if args.series:
-        primes, counts = density_mod.prime_series(g, checkpoints[-1])
-        srows = []
-        for i in range(len(primes)):
-            f = Fraction(int(counts[i]), i + 1)
-            srows.append(
-                [int(primes[i]), f.numerator, f.denominator, report.decimal_string(f)]
-            )
         stext = report.emit_table(
-            ["p", "f_num", "f_den", "f_decimal"], srows, args.format
+            ["p", "f_num", "f_den", "f_decimal"], _stream_rows(series), args.format
         )
         _write(stext, args.series)
     return 0
+
+
+def _stream_rows(series: density_mod.DensitySeries) -> list[tuple[int, int, int, str]]:
+    """(p, f_num, f_den, f_decimal) at every prime p of the series, with
+    f(p) = members / (primes <= p) in lowest terms. The numpy columns die
+    on return, before the table is rendered."""
+    count = np.arange(1, len(series.primes) + 1)
+    common = np.gcd(series.members, count)
+    f_num, f_den = series.members // common, count // common
+    return list(
+        zip(
+            series.primes.tolist(),
+            f_num.tolist(),
+            f_den.tolist(),
+            report.decimal_strings(f_num, f_den),
+        )
+    )
 
 
 def cmd_limit(args) -> int:
@@ -225,14 +234,10 @@ def cmd_certify(args) -> int:
 
 def cmd_plot(args) -> int:
     g = DimensionParam(args.g)
-    primes, counts = density_mod.prime_series(g, args.x_max)
-    fs = counts / np.arange(1, len(primes) + 1, dtype=np.float64)
+    series = density_mod.density_series(g, (args.x_max,))
+    fs = series.members / np.arange(1, len(series.primes) + 1, dtype=np.float64)
     svg = report.emit_svg(
-        [int(p) for p in primes],
-        [float(v) for v in fs],
-        density_mod.asymptotic_limit(g),
-        g.g,
-        args.x_max,
+        series.primes.tolist(), fs.tolist(), series.limit, g.g, args.x_max
     )
     _write(svg, args.out)
     return 0

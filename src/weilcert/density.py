@@ -1,12 +1,15 @@
 """The prime-density experiment.
 
-Sieve all primes up to a bound, classify each prime p by whether it is
-representable as x^2 + (2g+1)*y^2 (one form-value sieve over the same
-range, `kernels.representable_flags`), and split the representable ones by
-the congruence p = 1 (mod 2g+1): those failing it form the target set,
-those satisfying it are exactly the primes splitting completely one field
-higher up. The counting function f(x) = |members <= x| / pi(x) is tracked
-as an exact rational and compared with its limit
+One pass sieves all primes up to the largest checkpoint, classifies each
+prime p by whether it is representable as x^2 + (2g+1)*y^2 (one form-value
+sieve over the same range, `kernels.representable_flags`), and splits the
+representable ones by the congruence p = 1 (mod 2g+1): those failing it form
+the target set, those satisfying it are exactly the primes splitting
+completely one field higher up. The resulting `DensitySeries` carries the
+running member count at every prime, so the checkpoint table, the per-prime
+`--series` stream and the plot all read the same arrays. The counting
+function f(x) = |members <= x| / pi(x) is tracked as an exact rational and
+compared with its limit
 
     1/(2*h(-8g-4)) * (1 - 1/g),
 
@@ -23,7 +26,6 @@ import numpy as np
 from . import kernels
 from .arith import DEFAULT_SIEVE_BUDGET, sieve_primes
 from .quadforms import class_number
-from .report import decimal_string
 from .weil import DimensionParam
 
 #: Checkpoints used by the convergence tables.
@@ -46,12 +48,22 @@ class DensityRecord:
     diff: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensitySeries:
+    """One sieve-and-classify pass up to checkpoints[-1].
+
+    primes holds every prime <= checkpoints[-1] in ascending order and
+    members[i] counts the target primes among primes[0..i], so
+    f(primes[i]) = members[i] / (i+1); records holds the exact counts at
+    each checkpoint. Compared by identity, since it holds arrays.
+    """
+
     g: DimensionParam
     checkpoints: tuple[int, ...]
     records: tuple[DensityRecord, ...]
     limit: Fraction
+    primes: np.ndarray
+    members: np.ndarray
 
 
 def asymptotic_limit(g: DimensionParam) -> Fraction:
@@ -65,7 +77,8 @@ def density_series(
     checkpoints: tuple[int, ...] | list[int] = DEFAULT_CHECKPOINTS,
     budget: int = DEFAULT_SIEVE_BUDGET,
 ) -> DensitySeries:
-    """One DensityRecord per checkpoint, from a single sieve pass."""
+    """Sieve and classify once up to checkpoints[-1]; one DensityRecord per
+    checkpoint plus the per-prime running member counts."""
     checkpoints = tuple(int(x) for x in checkpoints)
     if not checkpoints:
         raise ValueError("checkpoints must be nonempty")
@@ -78,14 +91,14 @@ def density_series(
     primes = sieve.primes
     flags = kernels.representable_flags(primes, g.n, budget=budget)
     cong1 = primes % g.n == 1
-    cum_pg = np.cumsum(flags & ~cong1)
+    members = np.cumsum(flags & ~cong1)
     cum_split = np.cumsum(flags & cong1)
 
     limit = asymptotic_limit(g)
     records = []
     for x in checkpoints:
         count_p = sieve.count(x)
-        count_pg = int(cum_pg[count_p - 1]) if count_p else 0
+        count_pg = int(members[count_p - 1]) if count_p else 0
         count_split = int(cum_split[count_p - 1]) if count_p else 0
         f = Fraction(count_pg, count_p) if count_p else Fraction(0, 1)
         records.append(
@@ -99,31 +112,10 @@ def density_series(
             )
         )
     return DensitySeries(
-        g=g, checkpoints=checkpoints, records=tuple(records), limit=limit
+        g=g,
+        checkpoints=checkpoints,
+        records=tuple(records),
+        limit=limit,
+        primes=primes,
+        members=members,
     )
-
-
-def prime_series(
-    g: DimensionParam,
-    x_max: int,
-    budget: int = DEFAULT_SIEVE_BUDGET,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-prime running counts for plotting.
-
-    Returns (primes, member_counts) where member_counts[i] is the number
-    of counted primes among primes[0..i]; f at primes[i] is
-    member_counts[i] / (i+1).
-    """
-    sieve = sieve_primes(x_max, budget=budget)
-    primes = sieve.primes
-    flags = kernels.representable_flags(primes, g.n, budget=budget)
-    members = flags & (primes % g.n != 1)
-    return primes, np.cumsum(members)
-
-
-def convergence_report(series: DensitySeries) -> list[tuple[int, str, str]]:
-    """(x, f, limit - f) per checkpoint, decimals to 8 places."""
-    return [
-        (rec.x, decimal_string(rec.f), decimal_string(rec.diff))
-        for rec in series.records
-    ]

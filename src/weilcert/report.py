@@ -11,6 +11,8 @@ import json
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 Cell = int | str
 
 FORMATS = ("csv", "json", "markdown")
@@ -19,16 +21,46 @@ DECIMAL_PLACES = 8
 SVG_MAX_POINTS = 5000
 
 
+def _half_up(n, d, places: int):
+    """n/d scaled by 10**places, rounded half up, for n >= 0 and d > 0.
+
+    The one rounding rule of the package: it runs on Python ints and,
+    elementwise, on int64 arrays (where rem < d keeps d - rem in range).
+    """
+    quo, rem = divmod(n * 10**places, d)
+    return quo + (rem >= d - rem)
+
+
+def _fixed_point(scaled: int, places: int) -> str:
+    whole, frac = divmod(scaled, 10**places)
+    return f"{whole}.{frac:0{places}d}"
+
+
 def decimal_string(q: Fraction, places: int = DECIMAL_PLACES) -> str:
     """Fixed-point decimal of an exact rational, round-half-up at the
     digit after the last kept place (half away from zero for negatives)."""
     sign = "-" if q < 0 else ""
-    n, d = abs(q.numerator), q.denominator
-    quo, rem = divmod(n * 10**places, d)
-    if 2 * rem >= d:
-        quo += 1
-    whole, frac = divmod(quo, 10**places)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    scaled = _half_up(abs(q.numerator), q.denominator, places)
+    return sign + _fixed_point(scaled, places)
+
+
+def decimal_strings(num: np.ndarray, den: np.ndarray) -> list[str]:
+    """decimal_string(Fraction(num[i], den[i])) for every i, computed on
+    int64 columns; num must be nonnegative and den positive.
+
+    Raises ValueError instead of wrapping when num * 10**DECIMAL_PLACES
+    could exceed int64.
+    """
+    places = DECIMAL_PLACES
+    num = np.asarray(num, dtype=np.int64)
+    den = np.asarray(den, dtype=np.int64)
+    top = np.iinfo(np.int64).max // 10**places
+    if num.size and (num.min() < 0 or num.max() > top or den.min() < 1):
+        raise ValueError(
+            f"decimal_strings needs 0 <= num <= {top} and den >= 1 "
+            "to stay exact in int64"
+        )
+    return [_fixed_point(v, places) for v in _half_up(num, den, places).tolist()]
 
 
 def emit_table(header: Sequence[str], rows: Sequence[Sequence[Cell]], fmt: str) -> str:

@@ -1,10 +1,15 @@
+import collections
 import json
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 
+from weilcert import density, kernels
 from weilcert.cli import main
+from weilcert.report import FORMATS, decimal_string, emit_table
+import oracles
 from conftest import TABLE3
 
 
@@ -99,6 +104,49 @@ class TestDensity:
         assert lines[0] == "p,f_num,f_den,f_decimal"
         assert len(lines) == 26  # header + pi(100) rows
         assert lines[-1].startswith("97,")
+
+    def test_series_sieves_and_classifies_once(self, capsys, tmp_path, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            density, "sieve_primes", counted("sieve", density.sieve_primes)
+        )
+        monkeypatch.setattr(
+            density.kernels, "representable_flags",
+            counted("flags", kernels.representable_flags),
+        )
+        rc, _, _ = run(
+            capsys, "density", "--g", "11", "--checkpoints", "1000",
+            "--series", str(tmp_path / "series.csv"),
+        )
+        assert rc == 0
+        assert calls == {"sieve": 1, "flags": 1}
+
+    def test_series_matches_per_prime_fractions(self, capsys, tmp_path):
+        # the stream as one Fraction and one decimal_string per prime, each
+        # prime classified by the definition-direct oracle
+        primes = oracles.primes_upto(10**5)
+        for g in (5, 11):
+            rows, count = [], 0
+            for i, p in enumerate(primes):
+                count += oracles.classify_prime(p, g) == "pg"
+                f = Fraction(count, i + 1)
+                rows.append([p, f.numerator, f.denominator, decimal_string(f)])
+            for fmt in FORMATS:
+                path = tmp_path / f"series.{fmt}"
+                rc, _, _ = run(
+                    capsys, "density", "--g", str(g), "--checkpoints", "100000",
+                    "--format", fmt, "--series", str(path),
+                )
+                assert rc == 0
+                want = emit_table(["p", "f_num", "f_den", "f_decimal"], rows, fmt)
+                assert path.read_text() == want, (g, fmt)
 
     def test_bad_checkpoints(self, capsys):
         rc, _, err = run(capsys, "density", "--g", "11", "--checkpoints", "10,abc")

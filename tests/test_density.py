@@ -7,14 +7,13 @@ from weilcert import (
     DimensionParam,
     ResourceLimitError,
     asymptotic_limit,
-    convergence_report,
     density_series,
     membership_Pg,
-    prime_series,
     sieve_primes,
     sophie_germain_list,
 )
 from weilcert.kernels import representable_flags
+from weilcert.report import decimal_string
 from conftest import CHECKPOINTS, TABLE4
 
 G5 = DimensionParam(5)
@@ -40,12 +39,15 @@ class TestLimit:
 class TestSeries:
     def test_g11_matches_reference(self, series_g11):
         assert series_g11.limit == Fraction(5, 33)
+        assert [rec.x for rec in series_g11.records] == list(CHECKPOINTS)
         for rec in series_g11.records:
             npg, nsplit, pi, fn, fd, diff = TABLE4[rec.x]
             assert rec.count_pg == npg
             assert rec.count_split_all == nsplit
             assert rec.count_p == pi
             assert rec.f == Fraction(fn, fd)
+            assert decimal_string(rec.diff) == diff
+        assert decimal_string(series_g11.records[0].f) == "0.04000000"  # f(100) = 1/25
 
     def test_record_invariants(self, series_g11, series_g5):
         for series in (series_g11, series_g5):
@@ -84,12 +86,6 @@ class TestSeries:
 
 
 class TestConvergenceReport:
-    def test_g11_decimals(self, series_g11):
-        rows = convergence_report(series_g11)
-        assert [x for x, _, _ in rows] == list(CHECKPOINTS)
-        assert [d for _, _, d in rows] == [TABLE4[x][5] for x in CHECKPOINTS]
-        assert rows[0][1] == "0.04000000"  # f(100) = 1/25
-
     def test_all_diffs_positive_at_reference_checkpoints(self, series_g11):
         for rec in series_g11.records:
             assert rec.diff > 0
@@ -105,8 +101,9 @@ class TestClassificationConsistency:
             for p, is_member in zip(primes, member):
                 assert bool(is_member) == membership_Pg(g, int(p)), (g.g, p)
 
-    def test_prime_series_counts(self, series_g11):
-        primes, counts = prime_series(G11, 10**4)
+    def test_member_counts(self):
+        series = density_series(G11, (10**4,))
+        primes, counts = series.primes, series.members
         assert len(primes) == len(counts) == 1229
         assert int(counts[-1]) == 175
         # running count is nondecreasing and steps by at most one

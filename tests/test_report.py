@@ -5,6 +5,7 @@ import pytest
 
 from weilcert.report import (
     decimal_string,
+    decimal_strings,
     emit_svg,
     emit_table,
     parse_csv,
@@ -18,11 +19,17 @@ class TestDecimalString:
         assert decimal_string(Fraction(0, 1)) == "0.00000000"
         assert decimal_string(Fraction(1, 25)) == "0.04000000"
         assert decimal_string(Fraction(57, 95942)) == "0.00059411"
+        assert decimal_strings([5, 92, 0, 1, 57], [33, 825, 1, 25, 95942]) == [
+            "0.15151515", "0.11151515", "0.00000000", "0.04000000", "0.00059411",
+        ]
 
     def test_round_half_up_at_ninth_place(self):
         assert decimal_string(Fraction(1, 2 * 10**8)) == "0.00000001"
         assert decimal_string(Fraction(1, 2 * 10**8 + 1)) == "0.00000000"
         assert decimal_string(Fraction(3, 2 * 10**8)) == "0.00000002"
+        assert decimal_strings([1, 1, 3], [2 * 10**8, 2 * 10**8 + 1, 2 * 10**8]) == [
+            "0.00000001", "0.00000000", "0.00000002",
+        ]
 
     def test_negative_half_away_from_zero(self):
         assert decimal_string(Fraction(-1, 3)) == "-0.33333333"
@@ -32,10 +39,20 @@ class TestDecimalString:
         assert decimal_string(Fraction(7, 1)) == "7.00000000"
         assert decimal_string(Fraction(10**8 * 2 - 1, 10**8)) == "1.99999999"
         assert decimal_string(Fraction(4 * 10**8 - 1, 2 * 10**8)) == "2.00000000"
+        assert decimal_strings(
+            [7, 25, 10**8 * 2 - 1, 4 * 10**8 - 1], [1, 25, 10**8, 2 * 10**8]
+        ) == ["7.00000000", "1.00000000", "1.99999999", "2.00000000"]
 
     def test_places_parameter(self):
         assert decimal_string(Fraction(1, 3), places=3) == "0.333"
         assert decimal_string(Fraction(2, 3), places=3) == "0.667"
+
+    def test_array_int64_guard(self):
+        top = (2**63 - 1) // 10**8  # largest num whose num * 10**8 fits int64
+        assert decimal_strings([top], [top]) == ["1.00000000"]
+        for num, den in (([top + 1], [1]), ([-1], [3]), ([1], [0])):
+            with pytest.raises(ValueError):
+                decimal_strings(num, den)
 
 
 HEADER = ["x", "f_num", "f_den", "f_decimal"]
