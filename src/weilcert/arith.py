@@ -8,6 +8,7 @@ Rationals are `fractions.Fraction` throughout the package.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from typing import Iterator
@@ -16,11 +17,26 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-# Miller-Rabin with this fixed witness set is deterministic below the
-# Sorenson-Webster bound; everything the toolkit searches over lives far
-# below it.
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# A014233: psi_k is the smallest odd composite that passes Miller-Rabin to
+# each of the first k prime bases, so those k bases decide every n < psi_k
+# (Jaeschke 1993; Sorenson and Webster 2017 for k = 12, 13). is_prime uses
+# the fewest bases that n allows: 2 and 3 below 1373653, all 13 primes up
+# to 41 below psi_13 ~ 3.3e24.
+_MR_PSI = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
 
 # Above the deterministic bound: fixed-round strong-probable-prime test,
 # bases drawn from an RNG seeded by the input (deterministic per input).
@@ -64,8 +80,9 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    if n < _MR_DETERMINISTIC_BOUND:
-        bases = _MR_WITNESSES
+    k = bisect.bisect_right(_MR_PSI, n)  # psi_1 .. psi_k are <= n
+    if k < len(_MR_PSI):
+        bases = _SMALL_PRIMES[: k + 1]
     else:
         rng = random.Random(n)
         bases = [rng.randrange(2, n - 1) for _ in range(_MR_LARGE_ROUNDS)]

@@ -10,7 +10,9 @@ csv, json, or markdown; exit codes are 0 (success), 1 (check failure),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+from typing import Iterator
 
 import numpy as np
 
@@ -32,12 +34,14 @@ DEFAULT_G_MAX = 509
 DEFAULT_PLOT_XMAX = 10**6
 
 
-def _write(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+def _output(path: str | None):
+    """The stream a command writes to: stdout, or the file at path."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w")
+
+
+def _write_table(header, rows, fmt: str, path: str | None) -> None:
+    with _output(path) as fh:
+        report.write_table(header, rows, fmt, fh)
 
 
 def _parse_checkpoints(text: str) -> tuple[int, ...]:
@@ -63,26 +67,23 @@ def cmd_find(args) -> int:
             )
             return 1
         a, s = sol
-        text = report.emit_table(
-            ["g", "p", "m", "a", "s"], [[g.g, args.p, args.m, a, s]], args.format
+        _write_table(
+            ["g", "p", "m", "a", "s"], [[g.g, args.p, args.m, a, s]], args.format,
+            args.out,
         )
-        _write(text, args.out)
         return 0
     w = find_smallest(g, args.p_max)
     if w is None:
         print(f"no prime found with p <= {args.p_max} for g = {g.g}", file=sys.stderr)
         return 1
-    text = report.emit_table(
-        ["g", "p", "a", "s"], [[w.g.g, w.p, w.a, w.s]], args.format
-    )
-    _write(text, args.out)
+    _write_table(["g", "p", "a", "s"], [[w.g.g, w.p, w.a, w.s]], args.format, args.out)
     return 0
 
 
 def cmd_scan(args) -> int:
     g = DimensionParam(args.g)
     rows = [[w.p, w.a, w.s] for w in scan_quadruples(g, args.p_max)]
-    _write(report.emit_table(["p", "a", "s"], rows, args.format), args.out)
+    _write_table(["p", "a", "s"], rows, args.format, args.out)
     return 0
 
 
@@ -101,7 +102,7 @@ def cmd_table2(args) -> int:
             )
             return 1
         rows.append([w.g.g, w.p, w.a, w.s])
-    _write(report.emit_table(["g", "p", "a", "s"], rows, args.format), args.out)
+    _write_table(["g", "p", "a", "s"], rows, args.format, args.out)
     return 0
 
 
@@ -126,29 +127,27 @@ def cmd_density(args) -> int:
         for rec in series.records
     ]
     header = ["x", "count_pg", "count_p", "f_num", "f_den", "f_decimal", "diff_decimal"]
-    _write(report.emit_table(header, rows, args.format), args.out)
+    _write_table(header, rows, args.format, args.out)
     if args.series:
-        stext = report.emit_table(
-            ["p", "f_num", "f_den", "f_decimal"], _stream_rows(series), args.format
+        _write_table(
+            ["p", "f_num", "f_den", "f_decimal"], _stream_rows(series), args.format,
+            args.series,
         )
-        _write(stext, args.series)
     return 0
 
 
-def _stream_rows(series: density_mod.DensitySeries) -> list[tuple[int, int, int, str]]:
+def _stream_rows(series: density_mod.DensitySeries) -> Iterator[tuple[int, int, int, str]]:
     """(p, f_num, f_den, f_decimal) at every prime p of the series, with
-    f(p) = members / (primes <= p) in lowest terms. The numpy columns die
-    on return, before the table is rendered."""
+    f(p) = members / (primes <= p) in lowest terms, as a lazy zip over the
+    columns. The numpy columns die on return, before the table is written."""
     count = np.arange(1, len(series.primes) + 1)
     common = np.gcd(series.members, count)
     f_num, f_den = series.members // common, count // common
-    return list(
-        zip(
-            series.primes.tolist(),
-            f_num.tolist(),
-            f_den.tolist(),
-            report.decimal_strings(f_num, f_den),
-        )
+    return zip(
+        series.primes.tolist(),
+        f_num.tolist(),
+        f_den.tolist(),
+        report.decimal_strings(f_num, f_den),
     )
 
 
@@ -158,13 +157,13 @@ def cmd_limit(args) -> int:
     lim = density_mod.asymptotic_limit(g)
     rows = [[g.g, h, lim.numerator, lim.denominator, report.decimal_string(lim)]]
     header = ["g", "h", "limit_num", "limit_den", "limit_decimal"]
-    _write(report.emit_table(header, rows, args.format), args.out)
+    _write_table(header, rows, args.format, args.out)
     return 0
 
 
 def cmd_classnum(args) -> int:
     rows = [[args.disc, class_number(args.disc)]]
-    _write(report.emit_table(["disc", "h"], rows, args.format), args.out)
+    _write_table(["disc", "h"], rows, args.format, args.out)
     return 0
 
 
@@ -198,7 +197,7 @@ def cmd_certify(args) -> int:
             [n, "pass" if ok else "fail", d.replace(",", ";")]
             for n, ok, d in run.checks
         ]
-        _write(report.emit_table(header, rows, args.format), args.out)
+        _write_table(header, rows, args.format, args.out)
         print(f"certificate failed [{name}]: {detail}", file=sys.stderr)
         return 1
     cert = run.certificate
@@ -224,11 +223,9 @@ def cmd_certify(args) -> int:
         header.append("check_" + name.replace("-", "_"))
         row.append("pass" if ok else "fail")
     if args.format == "markdown":
-        rows = [[k, v] for k, v in zip(header, row)]
-        text = report.emit_table(["field", "value"], rows, "markdown")
+        _write_table(["field", "value"], zip(header, row), "markdown", args.out)
     else:
-        text = report.emit_table(header, [row], args.format)
-    _write(text, args.out)
+        _write_table(header, [row], args.format, args.out)
     return 0
 
 
@@ -239,7 +236,8 @@ def cmd_plot(args) -> int:
     svg = report.emit_svg(
         series.primes.tolist(), fs.tolist(), series.limit, g.g, args.x_max
     )
-    _write(svg, args.out)
+    with _output(args.out) as fh:
+        fh.write(svg)
     return 0
 
 

@@ -7,9 +7,11 @@ floating point only ever appears in SVG coordinates.
 
 from __future__ import annotations
 
-import json
+import io
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -19,6 +21,7 @@ FORMATS = ("csv", "json", "markdown")
 
 DECIMAL_PLACES = 8
 SVG_MAX_POINTS = 5000
+CHUNK_ROWS = 8192
 
 
 def _half_up(n, d, places: int):
@@ -60,31 +63,61 @@ def decimal_strings(num: np.ndarray, den: np.ndarray) -> list[str]:
             f"decimal_strings needs 0 <= num <= {top} and den >= 1 "
             "to stay exact in int64"
         )
-    return [_fixed_point(v, places) for v in _half_up(num, den, places).tolist()]
+    whole, frac = np.divmod(_half_up(num, den, places), 10**places)
+    return list(map(f"%d.%0{places}d".__mod__, zip(whole.tolist(), frac.tolist())))
 
 
-def emit_table(header: Sequence[str], rows: Sequence[Sequence[Cell]], fmt: str) -> str:
-    """Render rows under a header as csv, json, or markdown.
+def _layout(header: Sequence[str], fmt: str) -> tuple[str, str, str, str, str]:
+    """(head, row, separator, tail, empty) of one table: the text is head,
+    then the rows joined by separator, then tail; with no rows it is empty.
+
+    row is a %-template with one %s per column. JSON follows
+    json.dumps(indent=2) with its default ensure_ascii, so the keys are
+    encoded here and the string cells by write_table.
+    """
+    k = len(header)
+    if fmt == "csv":
+        head = ",".join(header) + "\n"
+        return head, ",".join(["%s"] * k), "\n", "\n", head
+    if fmt == "json":
+        fields = ",\n".join(
+            "    " + _json_str(key).replace("%", "%%") + ": %s" for key in header
+        )
+        return "[\n", "  {\n" + fields + "\n  }", ",\n", "\n]\n", "[]\n"
+    if fmt == "markdown":
+        head = "| " + " | ".join(header) + " |\n|" + "|".join([" --- "] * k) + "|\n"
+        return head, "| " + " | ".join(["%s"] * k) + " |", "\n", "\n", head
+    raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
+
+
+def write_table(
+    header: Sequence[str], rows: Iterable[Sequence[Cell]], fmt: str, fh: TextIO
+) -> None:
+    """Write rows under a header to fh as csv, json, or markdown.
 
     Cells are ints or already-canonical strings; JSON keeps ints as
     numbers and everything else as strings, so no float ever appears.
+    rows may be any iterable: it is read CHUNK_ROWS rows at a time and
+    each chunk is rendered by one % format and written before the next is
+    read, so at most one chunk of text is ever held.
     """
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(str(c) for c in row) for row in rows]
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        objs = [
-            {k: c for k, c in zip(header, row)}
-            for row in rows
-        ]
-        return json.dumps(objs, indent=2) + "\n"
-    if fmt == "markdown":
-        lines = ["| " + " | ".join(header) + " |"]
-        lines.append("|" + "|".join(" --- " for _ in header) + "|")
-        lines += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
+    head, row, sep, tail, empty = _layout(header, fmt)
+    rows = iter(rows)
+    written = 0
+    while chunk := list(islice(rows, CHUNK_ROWS)):
+        cells = chain.from_iterable(chunk)
+        if fmt == "json":
+            cells = [_json_str(c) if isinstance(c, str) else c for c in cells]
+        fh.write((sep if written else head) + sep.join([row] * len(chunk)) % tuple(cells))
+        written += len(chunk)
+    fh.write(tail if written else empty)
+
+
+def emit_table(header: Sequence[str], rows: Iterable[Sequence[Cell]], fmt: str) -> str:
+    """write_table's output as one string."""
+    buf = io.StringIO()
+    write_table(header, rows, fmt, buf)
+    return buf.getvalue()
 
 
 def parse_csv(text: str) -> tuple[list[str], list[list[str]]]:

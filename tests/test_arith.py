@@ -21,6 +21,22 @@ from oracles import brute_sqrt_roots, euler_criterion, trial_division_is_prime
 
 ODD_PRIMES = [p for p in range(3, 500) if trial_division_is_prime(p)]
 
+# OEIS A014233: psi_k, the smallest odd composite that is a strong
+# pseudoprime to each of the first k prime bases.
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+# The largest prime below each psi_k.
+PRIME_BELOW_PSI = (
+    2039, 1373639, 25325981, 3215031749, 2152302898729, 3474749660329,
+    341550071728289, 341550071728289, 3825123056546412979,
+    3825123056546412979, 3825123056546412979, 318665857834031151167441,
+    3317044064679887385961813,
+)
+
 
 class TestIsPrime:
     def test_small_examples(self):
@@ -31,6 +47,22 @@ class TestIsPrime:
     def test_matches_trial_division_to_1e5(self):
         for n in range(10**5 + 1):
             assert is_prime(n) == trial_division_is_prime(n), n
+
+    def test_matches_sieve_to_2e6(self):
+        # every base tier up to psi_2 = 1373653 and the first steps of the third
+        limit = 2 * 10**6
+        assert [n for n in range(limit + 1) if is_prime(n)] == list(sieve_primes(limit))
+
+    def test_rejects_each_psi(self):
+        # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to every
+        # prime base up to 37, so 41 must be a base from psi_12 on
+        assert 399165290221 * 798330580441 == PSI[11]
+        for k, psi in enumerate(PSI, 1):
+            assert not is_prime(psi), (k, psi)
+
+    def test_accepts_prime_below_each_psi(self):
+        for k, (p, psi) in enumerate(zip(PRIME_BELOW_PSI, PSI), 1):
+            assert p < psi and is_prime(p), (k, p)
 
     def test_large_path(self):
         m89 = 2**89 - 1  # Mersenne prime, above the deterministic bound

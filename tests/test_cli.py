@@ -1,14 +1,17 @@
 import collections
 import json
 import math
+import os
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import weilcert
 from weilcert import density, kernels
 from weilcert.cli import main
-from weilcert.report import FORMATS, decimal_string, emit_table
+from weilcert.report import FORMATS, decimal_string
 import oracles
 from conftest import TABLE3
 
@@ -130,14 +133,26 @@ class TestDensity:
 
     def test_series_matches_per_prime_fractions(self, capsys, tmp_path):
         # the stream as one Fraction and one decimal_string per prime, each
-        # prime classified by the definition-direct oracle
+        # prime classified by the definition-direct oracle, rendered by
+        # json.dumps and by hand-joined csv and markdown lines
         primes = oracles.primes_upto(10**5)
+        header = ["p", "f_num", "f_den", "f_decimal"]
         for g in (5, 11):
             rows, count = [], 0
             for i, p in enumerate(primes):
                 count += oracles.classify_prime(p, g) == "pg"
                 f = Fraction(count, i + 1)
                 rows.append([p, f.numerator, f.denominator, decimal_string(f)])
+            want = {
+                "csv": "\n".join(
+                    ["p,f_num,f_den,f_decimal"] + [",".join(map(str, r)) for r in rows]
+                ) + "\n",
+                "json": json.dumps([dict(zip(header, r)) for r in rows], indent=2) + "\n",
+                "markdown": "\n".join(
+                    ["| p | f_num | f_den | f_decimal |", "| --- | --- | --- | --- |"]
+                    + ["| " + " | ".join(map(str, r)) + " |" for r in rows]
+                ) + "\n",
+            }
             for fmt in FORMATS:
                 path = tmp_path / f"series.{fmt}"
                 rc, _, _ = run(
@@ -145,8 +160,23 @@ class TestDensity:
                     "--format", fmt, "--series", str(path),
                 )
                 assert rc == 0
-                want = emit_table(["p", "f_num", "f_den", "f_decimal"], rows, fmt)
-                assert path.read_text() == want, (g, fmt)
+                assert path.read_text() == want[fmt], (g, fmt)
+
+    def test_json_series_peak_rss(self, tmp_path):
+        # the 7.4 MB json stream to 10^6 is written in chunks: rendered as one
+        # string it peaked near 142 MB
+        src = str(Path(weilcert.__file__).resolve().parents[1])
+        argv = [
+            sys.executable, "-m", "weilcert.cli", "density", "--g", "5",
+            "--format", "json", "--checkpoints", "1000000",
+            "--series", str(tmp_path / "series.json"), "--out", str(tmp_path / "t.json"),
+        ]
+        env = dict(os.environ, PYTHONPATH=src)
+        pid = os.posix_spawn(sys.executable, argv, env)
+        _, status, usage = os.wait4(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert json.loads((tmp_path / "series.json").read_text())[-1]["p"] == 999983
+        assert usage.ru_maxrss / 1024 < 100  # ru_maxrss is in KiB on Linux
 
     def test_bad_checkpoints(self, capsys):
         rc, _, err = run(capsys, "density", "--g", "11", "--checkpoints", "10,abc")

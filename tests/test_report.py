@@ -1,14 +1,20 @@
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weilcert.report import (
+    CHUNK_ROWS,
+    FORMATS,
     decimal_string,
     decimal_strings,
     emit_svg,
     emit_table,
     parse_csv,
+    write_table,
 )
 
 
@@ -91,6 +97,87 @@ class TestEmitTable:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_table(HEADER, ROWS, "xml")
+
+
+def joined_table(header, rows, fmt):
+    """Reference rendering that write_table must match byte for byte:
+    json.dumps over a list of dicts, or csv/markdown lines joined at the end."""
+    if fmt == "json":
+        return json.dumps([dict(zip(header, r)) for r in rows], indent=2) + "\n"
+    if fmt == "csv":
+        lines = [",".join(header)] + [",".join(str(c) for c in r) for r in rows]
+    else:
+        lines = ["| " + " | ".join(header) + " |"]
+        lines.append("|" + "|".join(" --- " for _ in header) + "|")
+        lines += ["| " + " | ".join(str(c) for c in r) + " |" for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def written(header, rows, fmt):
+    fh = io.StringIO()
+    write_table(header, rows, fmt, fh)
+    return fh.getvalue()
+
+
+# quotes, backslashes, control characters, percent signs and non-ASCII
+ODD_TEXT = st.text(st.sampled_from('ab%"\\\x00\x1f\t\n\x7f\u00e9\u2212\U0001f600,'))
+CELLS = st.one_of(st.integers(min_value=-(2**70), max_value=2**70), ODD_TEXT)
+
+
+@st.composite
+def tables(draw, cells=CELLS):
+    header = draw(st.lists(ODD_TEXT, min_size=1, max_size=5, unique=True))
+    row = st.lists(cells, min_size=len(header), max_size=len(header))
+    return header, draw(st.lists(row, max_size=20))
+
+
+class TestWriteTable:
+    @given(tables())
+    def test_json_matches_json_dumps(self, table):
+        header, rows = table
+        assert written(header, rows, "json") == joined_table(header, rows, "json")
+
+    @given(tables(CELLS.filter(lambda c: "," not in str(c))))
+    def test_csv_matches_joined_lines(self, table):
+        header, rows = table
+        assert written(header, rows, "csv") == joined_table(header, rows, "csv")
+
+    @given(tables())
+    def test_markdown_matches_joined_lines(self, table):
+        header, rows = table
+        assert written(header, rows, "markdown") == joined_table(header, rows, "markdown")
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_chunk_boundaries(self, fmt, n):
+        header = ["p", "f_num", "f_decimal"]
+        rows = [(i, -(2**64) * i, f"0.{i:08d}") for i in range(n)]
+        assert written(header, iter(rows), fmt) == joined_table(header, rows, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_generator_read_lazily(self, fmt):
+        total = 3 * CHUNK_ROWS
+        pulled = []
+
+        def gen():
+            for i in range(total):
+                pulled.append(i)
+                yield (i, str(i))
+
+        class Probe(io.StringIO):
+            pulled_at_first_write = None
+
+            def write(self, text):
+                if self.pulled_at_first_write is None:
+                    self.pulled_at_first_write = len(pulled)
+                return super().write(text)
+
+        fh = Probe()
+        write_table(["a", "b"], gen(), fmt, fh)
+        assert fh.pulled_at_first_write is not None
+        assert fh.pulled_at_first_write < total
+        rows = [(i, str(i)) for i in range(total)]
+        assert fh.getvalue() == joined_table(["a", "b"], rows, fmt)
 
 
 class TestEmitSvg:
