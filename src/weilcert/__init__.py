@@ -7,7 +7,6 @@ exact rational limit.
 """
 
 from .arith import (
-    PrimeSieve,
     hensel_sqrt,
     integer_sqrt,
     is_perfect_square,

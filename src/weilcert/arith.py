@@ -11,7 +11,6 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from typing import Iterator
 
 import numpy as np
 
@@ -89,64 +88,25 @@ def is_prime(n: int) -> bool:
     return not any(_mr_composite_witness(n, a, d, r) for a in bases)
 
 
-class PrimeSieve:
-    """Primality flags for the odd integers up to `limit` (2 kept aside).
+def sieve_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> np.ndarray:
+    """All primes <= limit as an ascending int64 array (sieve of Eratosthenes).
 
-    Supports O(1) membership tests, ordered iteration, and prefix counts.
+    Raises ResourceLimitError before allocating when limit > budget.
     """
-
-    __slots__ = ("limit", "_odd_flags", "_prime_array")
-
-    def __init__(self, limit: int, budget: int = DEFAULT_SIEVE_BUDGET):
-        if limit < 2:
-            raise ValueError(f"sieve limit must be >= 2, got {limit}")
-        if limit > budget:
-            raise ResourceLimitError(
-                f"sieve limit {limit} exceeds memory budget {budget}"
-            )
-        self.limit = limit
-        # flags[i] covers the odd integer 2i+1; 1 is not prime
-        flags = np.ones((limit + 1) // 2, dtype=bool)
-        flags[0] = False
-        for p in range(3, math.isqrt(limit) + 1, 2):
-            if flags[p // 2]:
-                flags[p * p // 2 :: p] = False
-        self._odd_flags = flags
-        self._prime_array: np.ndarray | None = None
-
-    @property
-    def primes(self) -> np.ndarray:
-        """All primes <= limit as an ascending int64 array."""
-        if self._prime_array is None:
-            odd = 2 * np.flatnonzero(self._odd_flags).astype(np.int64) + 1
-            self._prime_array = np.concatenate(([np.int64(2)], odd))
-        return self._prime_array
-
-    def __contains__(self, n: int) -> bool:
-        if not 0 <= n <= self.limit:
-            raise ValueError(f"{n} outside sieve range [0, {self.limit}]")
-        if n % 2 == 0:
-            return n == 2
-        return bool(self._odd_flags[n // 2])
-
-    def __iter__(self) -> Iterator[int]:
-        return (int(p) for p in self.primes)
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
-    def count(self, x: int) -> int:
-        """Number of primes <= x (x must not exceed the sieve limit)."""
-        if x > self.limit:
-            raise ValueError(f"count({x}) beyond sieve limit {self.limit}")
-        if x < 2:
-            return 0
-        return int(np.searchsorted(self.primes, x, side="right"))
-
-
-def sieve_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeSieve:
-    """Sieve of Eratosthenes up to `limit` inclusive."""
-    return PrimeSieve(limit, budget=budget)
+    if limit < 2:
+        raise ValueError(f"sieve limit must be >= 2, got {limit}")
+    if limit > budget:
+        raise ResourceLimitError(
+            f"sieve limit {limit} exceeds memory budget {budget}"
+        )
+    # flags[i] covers the odd integer 2i+1; 1 is not prime
+    flags = np.ones((limit + 1) // 2, dtype=bool)
+    flags[0] = False
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if flags[p // 2]:
+            flags[p * p // 2 :: p] = False
+    odd = 2 * np.flatnonzero(flags).astype(np.int64) + 1
+    return np.concatenate(([np.int64(2)], odd))
 
 
 def integer_sqrt(n: int) -> int:

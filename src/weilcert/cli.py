@@ -138,17 +138,20 @@ def cmd_density(args) -> int:
 
 def _stream_rows(series: density_mod.DensitySeries) -> Iterator[tuple[int, int, int, str]]:
     """(p, f_num, f_den, f_decimal) at every prime p of the series, with
-    f(p) = members / (primes <= p) in lowest terms, as a lazy zip over the
-    columns. The numpy columns die on return, before the table is written."""
-    count = np.arange(1, len(series.primes) + 1)
-    common = np.gcd(series.members, count)
-    f_num, f_den = series.members // common, count // common
-    return zip(
-        series.primes.tolist(),
-        f_num.tolist(),
-        f_den.tolist(),
-        report.decimal_strings(f_num, f_den),
-    )
+    f(p) = members / (primes <= p) in lowest terms, computed one
+    `report.CHUNK_ROWS` slice of the columns at a time."""
+    for start in range(0, len(series.primes), report.CHUNK_ROWS):
+        stop = start + report.CHUNK_ROWS
+        members = series.members[start:stop]
+        count = np.arange(start + 1, start + len(members) + 1)
+        common = np.gcd(members, count)
+        f_num, f_den = members // common, count // common
+        yield from zip(
+            series.primes[start:stop].tolist(),
+            f_num.tolist(),
+            f_den.tolist(),
+            report.decimal_strings(f_num, f_den),
+        )
 
 
 def cmd_limit(args) -> int:
@@ -319,6 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "p_max", 2) < 2:  # find, scan and table2 sieve up to it
+            raise ValueError(f"--p-max must be >= 2, got {args.p_max}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,15 +1,14 @@
 """The prime-density experiment.
 
-One pass sieves all primes up to the largest checkpoint, classifies each
-prime p by whether it is representable as x^2 + (2g+1)*y^2 (one form-value
-sieve over the same range, `kernels.representable_flags`), and splits the
-representable ones by the congruence p = 1 (mod 2g+1): those failing it form
-the target set, those satisfying it are exactly the primes splitting
-completely one field higher up. The resulting `DensitySeries` carries the
-running member count at every prime, so the checkpoint table, the per-prime
-`--series` stream and the plot all read the same arrays. The counting
-function f(x) = |members <= x| / pi(x) is tracked as an exact rational and
-compared with its limit
+One pass (`kernels.classified_primes`) sieves all primes up to the largest
+checkpoint and classifies each prime p by whether it is representable as
+x^2 + (2g+1)*y^2 and whether p = 1 (mod 2g+1): the representable primes
+failing the congruence form the target set, those satisfying it are
+exactly the primes splitting completely one field higher up. The resulting
+`DensitySeries` carries the running member count at every prime, so the
+checkpoint table, the per-prime `--series` stream and the plot all read
+the same arrays. The counting function f(x) = |members <= x| / pi(x) is
+tracked as an exact rational and compared with its limit
 
     1/(2*h(-8g-4)) * (1 - 1/g),
 
@@ -24,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .arith import DEFAULT_SIEVE_BUDGET, sieve_primes
+from .arith import DEFAULT_SIEVE_BUDGET
 from .quadforms import class_number
 from .weil import DimensionParam
 
@@ -87,20 +86,18 @@ def density_series(
     if checkpoints[0] < 2:
         raise ValueError("checkpoints must be >= 2")
 
-    sieve = sieve_primes(checkpoints[-1], budget=budget)
-    primes = sieve.primes
-    flags = kernels.representable_flags(primes, g.n, budget=budget)
-    cong1 = primes % g.n == 1
-    members = np.cumsum(flags & ~cong1)
-    cum_split = np.cumsum(flags & cong1)
+    primes, y, member = kernels.classified_primes(checkpoints[-1], g.n, budget=budget)
+    members = np.cumsum(member)
+    cum_split = np.cumsum((y != 0) & ~member)
+    counts_p = np.searchsorted(primes, checkpoints, side="right").tolist()
 
     limit = asymptotic_limit(g)
     records = []
-    for x in checkpoints:
-        count_p = sieve.count(x)
-        count_pg = int(members[count_p - 1]) if count_p else 0
-        count_split = int(cum_split[count_p - 1]) if count_p else 0
-        f = Fraction(count_pg, count_p) if count_p else Fraction(0, 1)
+    for x, count_p in zip(checkpoints, counts_p):
+        # every checkpoint is >= 2, so count_p >= 1
+        count_pg = int(members[count_p - 1])
+        count_split = int(cum_split[count_p - 1])
+        f = Fraction(count_pg, count_p)
         records.append(
             DensityRecord(
                 x=x,

@@ -1,13 +1,15 @@
-"""The batch classification kernel: a form-value sieve for x^2 + n*y^2.
+"""The batch classification kernel: primes sieved and sorted by the paper's
+conditions (P1) p = x^2 + n*y^2 and (P2) p != 1 (mod n), with n = 2g+1.
 
-The density harness and `scan` ask, for every prime p up to a bound,
-whether p = x^2 + n*y^2 with x, y >= 1. Rather than testing each prime,
-`form_witnesses` marks every form value up to the bound at once: for each
-y, one numpy scatter writes y at x^2 + n*y^2 for all x >= 1 in range. The
-work is the number of lattice points, about pi*limit/(4*sqrt(n)), and the
-arithmetic is integer-only (the quadratic-form sieve idea of Atkin and
-Bernstein, "Prime sieves using binary quadratic forms", Math. Comp. 73,
-2004).
+`classified_primes` is the one pass every command covering many primes
+reads (`density`, `plot`, `scan`, `find`, `table2`): it sieves the primes
+up to a bound and reads each prime's (P1) witness off `form_witnesses`.
+Rather than testing each prime, that form-value sieve marks every form
+value up to the bound at once: for each y, one numpy scatter writes y at
+x^2 + n*y^2 for all x >= 1 in range. The work is the number of lattice
+points, about pi*limit/(4*sqrt(n)), and the arithmetic is integer-only (the
+quadratic-form sieve idea of Atkin and Bernstein, "Prime sieves using
+binary quadratic forms", Math. Comp. 73, 2004).
 
 For a prime p and n >= 2 the representation with x, y >= 1 is unique, so
 the stored y is the witness `quadforms.represent_x2_ny2` finds.
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 
-from .arith import DEFAULT_SIEVE_BUDGET
+from .arith import DEFAULT_SIEVE_BUDGET, sieve_primes
 from .errors import ResourceLimitError
 
 
@@ -47,12 +49,17 @@ def form_witnesses(
     return y_of
 
 
-def representable_flags(
-    primes: np.ndarray, n: int, budget: int = DEFAULT_SIEVE_BUDGET
-) -> np.ndarray:
-    """flags[i] iff primes[i] = x^2 + n*y^2 for some x, y >= 1.
+def classified_primes(
+    limit: int, n: int, budget: int = DEFAULT_SIEVE_BUDGET
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(primes, y, member) for every prime <= limit, ascending.
 
-    `primes` must be ascending; the sieve runs up to its last entry.
+    primes is int64; y[i] is the (P1) witness of primes[i] (0 if none) and
+    member[i] says primes[i] passes (P1) and (P2). Both sieves obey the
+    same budget. Convert with `.tolist()` before big-integer arithmetic:
+    numpy int64 wraps silently.
     """
-    limit = int(primes[-1]) if len(primes) else 0
-    return form_witnesses(limit, n, budget=budget)[primes] != 0
+    primes = sieve_primes(limit, budget=budget)
+    y = form_witnesses(limit, n, budget=budget)[primes]
+    member = (y != 0) & (primes % n != 1)
+    return primes, y, member

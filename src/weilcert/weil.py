@@ -20,6 +20,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
+from . import kernels
 from .arith import (
     hensel_sqrt,
     is_perfect_square,
@@ -31,7 +34,6 @@ from .arith import (
     squarefree_kernel,
 )
 from .errors import CertificateError, SearchExhausted
-from .kernels import form_witnesses
 from .quadforms import Representation, represent_x2_ny2
 
 DEFAULT_GENERAL_S_BOUND = 1_000_000
@@ -46,8 +48,9 @@ def sophie_germain_list(max_g: int) -> list[int]:
     """All Sophie Germain primes <= max_g, ascending."""
     if max_g < 2:
         return []
-    sieve = sieve_primes(2 * max_g + 1)
-    return [int(g) for g in sieve.primes if g <= max_g and (2 * g + 1) in sieve]
+    primes = sieve_primes(2 * max_g + 1)
+    gs = primes[primes <= max_g]
+    return gs[np.isin(2 * gs + 1, primes)].tolist()
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,6 @@ class WeilQuadruple:
     p: int
     a: int
     s: int
-    p2_certified: bool = True
 
     def __post_init__(self):
         n = self.g.n
@@ -106,7 +108,7 @@ class WeilQuadruple:
             )
         if math.gcd(self.a, self.p) != 1:
             raise ValueError(f"gcd(a, p) = gcd({self.a}, {self.p}) != 1")
-        if self.p2_certified and self.p % n == 1:
+        if self.p % n == 1:
             raise ValueError(f"p = {self.p} is 1 mod {n}")
 
 
@@ -153,34 +155,24 @@ def build_quadruple(g: DimensionParam, p: int) -> WeilQuadruple | None:
     return WeilQuadruple(g=g, p=p, a=2 * rep.x, s=2 * rep.y)
 
 
-def _sieved_witnesses(g: DimensionParam, p_max: int) -> tuple[list[int], list[int]]:
-    """Primes p <= p_max passing (P1) and (P2), ascending, with their y.
-
-    The (P1) witnesses come from one form-value sieve; for prime p they
-    are the unique, hence smallest-y, representations.
-    """
-    if p_max < 2:
-        raise ValueError(f"p_max must be >= 2, got {p_max}")
-    n = g.n
-    primes = sieve_primes(p_max).primes
-    ys = form_witnesses(p_max, n)[primes]
-    keep = (ys != 0) & (primes % n != 1)
-    return primes[keep].tolist(), ys[keep].tolist()
-
-
 def _quadruple(g: DimensionParam, p: int, y: int) -> WeilQuadruple:
     return WeilQuadruple(g=g, p=p, a=2 * math.isqrt(p - g.n * y * y), s=2 * y)
 
 
 def find_smallest(g: DimensionParam, p_max: int) -> WeilQuadruple | None:
     """Quadruple for the least prime p <= p_max passing (P1) and (P2)."""
-    ps, ys = _sieved_witnesses(g, p_max)
-    return _quadruple(g, ps[0], ys[0]) if ps else None
+    primes, y, member = kernels.classified_primes(p_max, g.n)
+    ps, ys = primes[member], y[member]
+    return _quadruple(g, int(ps[0]), int(ys[0])) if len(ps) else None
 
 
 def scan_quadruples(g: DimensionParam, p_max: int) -> list[WeilQuadruple]:
     """All quadruples with p <= p_max, ascending p."""
-    return [_quadruple(g, p, y) for p, y in zip(*_sieved_witnesses(g, p_max))]
+    primes, y, member = kernels.classified_primes(p_max, g.n)
+    return [
+        _quadruple(g, p, yp)
+        for p, yp in zip(primes[member].tolist(), y[member].tolist())
+    ]
 
 
 def weil_polynomial(w: WeilQuadruple) -> WeilPolynomial:
@@ -289,7 +281,13 @@ class EndAlgebraCertificate:
     aut_order: int
 
 
-#: Ordered identity names checked by `certify`.
+#: Ordered identity names checked by `certify`. Three kinds only restate
+#: earlier work and cannot fail on their own: "quadruple-equation" repeats
+#: the checks of `WeilQuadruple.__post_init__`, which raises before the
+#: identity could record a failure; "automorphism-order" compares
+#: `aut_order` with its own definition 4g+2; "dimension" and
+#: "invariant-sum-integral" follow from the identities before them. They
+#: stay as certificate columns, restating the paper's chain in full.
 CHECK_NAMES = (
     "p2-congruence",
     "p1-representation",

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,7 +52,7 @@ class TestIsPrime:
     def test_matches_sieve_to_2e6(self):
         # every base tier up to psi_2 = 1373653 and the first steps of the third
         limit = 2 * 10**6
-        assert [n for n in range(limit + 1) if is_prime(n)] == list(sieve_primes(limit))
+        assert [n for n in range(limit + 1) if is_prime(n)] == sieve_primes(limit).tolist()
 
     def test_rejects_each_psi(self):
         # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to every
@@ -74,22 +75,22 @@ class TestIsPrime:
 class TestSieve:
     def test_counts(self, sieve_1e6):
         assert len(sieve_1e6) == 78498  # = 3 * 26166
-        assert sieve_1e6.count(100) == 25
-        assert sieve_1e6.count(10**4) == 1229
-        assert sieve_1e6.count(10**5) == 9592
+        # pi(x) is a binary search over the ascending array
+        for x, pi in ((100, 25), (10**4, 1229), (10**5, 9592)):
+            assert np.searchsorted(sieve_1e6, x, side="right") == pi, x
 
     def test_limit_2(self):
         s = sieve_primes(2)
-        assert list(s) == [2]
-        assert 2 in s
+        assert s.tolist() == [2]
+        assert s.dtype == np.int64
 
     def test_membership_matches_trial_division(self):
-        s = sieve_primes(10**4)
+        s = set(sieve_primes(10**4).tolist())
         for n in range(10**4 + 1):
             assert (n in s) == trial_division_is_prime(n), n
 
     def test_iteration_ascending(self):
-        got = list(sieve_primes(100))
+        got = sieve_primes(100).tolist()
         assert got == [n for n in range(101) if trial_division_is_prime(n)]
 
     def test_budget(self):
@@ -99,8 +100,11 @@ class TestSieve:
             sieve_primes(1)
 
     def test_count_beyond_limit(self):
-        with pytest.raises(ValueError):
-            sieve_primes(100).count(101)
+        # the array stops exactly at the limit, so a count past it must
+        # sieve further: pi(101) is not readable from sieve_primes(100)
+        assert sieve_primes(100)[-1] == 97
+        assert sieve_primes(101)[-1] == 101
+        assert len(sieve_primes(100)) + 1 == len(sieve_primes(101))
 
 
 class TestIntegerSqrt:

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import weilcert
-from weilcert import density, kernels
+from weilcert import cli, kernels, report
 from weilcert.cli import main
-from weilcert.report import FORMATS, decimal_string
+from weilcert.report import FORMATS, decimal_string, decimal_strings
 import oracles
 from conftest import TABLE3
 
@@ -66,6 +66,17 @@ class TestScan:
         assert rows == want
 
 
+class TestPMax:
+    @pytest.mark.parametrize(
+        "command", [["find", "--g", "5"], ["scan", "--g", "5"], ["table2"]]
+    )
+    def test_below_2_is_argument_error(self, capsys, command):
+        rc, out, err = run(capsys, *command, "--p-max", "1")
+        assert rc == 2
+        assert out == ""
+        assert "--p-max must be >= 2, got 1" in err
+
+
 class TestTable2:
     def test_small_bound(self, capsys):
         rc, out, _ = run(capsys, "table2", "--g-max", "29")
@@ -117,19 +128,37 @@ class TestDensity:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(
-            density, "sieve_primes", counted("sieve", density.sieve_primes)
+        for name in ("classified_primes", "sieve_primes", "form_witnesses"):
+            monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
+        commands = (
+            (["density", "--g", "11", "--checkpoints", "1000",
+              "--series", str(tmp_path / "series.csv")], 1),
+            (["scan", "--g", "11", "--p-max", "1000"], 1),
+            (["find", "--g", "11"], 1),
+            (["plot", "--g", "11", "--x-max", "1000", "--out", str(tmp_path / "f.svg")], 1),
+            (["table2", "--g-max", "29"], 4),  # one pass per g in 5, 11, 23, 29
         )
-        monkeypatch.setattr(
-            density.kernels, "representable_flags",
-            counted("flags", kernels.representable_flags),
-        )
-        rc, _, _ = run(
-            capsys, "density", "--g", "11", "--checkpoints", "1000",
-            "--series", str(tmp_path / "series.csv"),
-        )
-        assert rc == 0
-        assert calls == {"sieve": 1, "flags": 1}
+        for argv, passes in commands:
+            calls.clear()
+            rc, _, _ = run(capsys, *argv)
+            assert rc == 0, argv
+            assert calls == {
+                "classified_primes": passes, "sieve_primes": passes, "form_witnesses": passes,
+            }, argv
+
+    def test_stream_rows_one_chunk_at_a_time(self, series_g11, monkeypatch):
+        # the per-prime columns are built per CHUNK_ROWS slice, not for the
+        # whole series before the first row
+        sizes = []
+
+        def spy(num, den):
+            sizes.append(len(num))
+            return decimal_strings(num, den)
+
+        monkeypatch.setattr(report, "decimal_strings", spy)
+        rows = cli._stream_rows(series_g11)
+        assert next(rows) == (2, 0, 1, "0.00000000")
+        assert len(sizes) == 1 and sizes[0] <= report.CHUNK_ROWS
 
     def test_series_matches_per_prime_fractions(self, capsys, tmp_path):
         # the stream as one Fraction and one decimal_string per prime, each

@@ -9,10 +9,9 @@ from weilcert import (
     asymptotic_limit,
     density_series,
     membership_Pg,
-    sieve_primes,
     sophie_germain_list,
 )
-from weilcert.kernels import representable_flags
+from weilcert.kernels import classified_primes
 from weilcert.report import decimal_string
 from conftest import CHECKPOINTS, TABLE4
 
@@ -93,13 +92,10 @@ class TestConvergenceReport:
 
 class TestClassificationConsistency:
     def test_flags_match_membership(self):
-        sieve = sieve_primes(3000)
-        primes = sieve.primes
         for g in (G5, G11):
-            flags = representable_flags(primes, g.n)
-            member = flags & (primes % g.n != 1)
-            for p, is_member in zip(primes, member):
-                assert bool(is_member) == membership_Pg(g, int(p)), (g.g, p)
+            primes, _, member = classified_primes(3000, g.n)
+            for p, is_member in zip(primes.tolist(), member.tolist()):
+                assert is_member == membership_Pg(g, p), (g.g, p)
 
     def test_member_counts(self):
         series = density_series(G11, (10**4,))

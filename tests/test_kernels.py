@@ -7,12 +7,17 @@ import pytest
 from weilcert import ResourceLimitError, sieve_primes
 from weilcert import kernels
 from weilcert.arith import DEFAULT_SIEVE_BUDGET
-from oracles import early_break_rep_exists, full_scan_min_y
+from oracles import (
+    classify_prime,
+    early_break_rep_exists,
+    full_scan_min_y,
+    primes_upto,
+)
 
 
 @pytest.fixture(scope="module")
 def primes_1e5():
-    return sieve_primes(10**5).primes
+    return sieve_primes(10**5)
 
 
 class TestBackends:
@@ -20,21 +25,56 @@ class TestBackends:
 
     def test_numpy_matches_python(self, primes_1e5):
         for n in (7, 11, 23, 47, 59):
-            flags = kernels.representable_flags(primes_1e5, n)
-            assert flags.dtype == np.bool_
+            primes, y, _ = kernels.classified_primes(10**5, n)
+            assert primes.tolist() == primes_1e5.tolist()
             want = [early_break_rep_exists(p, n) for p in primes_1e5.tolist()]
-            assert flags.tolist() == want, n
+            assert (y != 0).tolist() == want, n
 
     def test_empty_input(self):
-        empty = np.zeros(0, dtype=np.int64)
-        flags = kernels.representable_flags(empty, 23)
-        assert flags.shape == (0,) and flags.dtype == np.bool_
-
-    def test_rejects_bad_n(self, primes_1e5):
+        # no form value below 2, and no prime: an error, not empty arrays
+        assert not kernels.form_witnesses(0, 23).any()
+        assert kernels.form_witnesses(1, 23).shape == (2,)
         with pytest.raises(ValueError):
-            kernels.representable_flags(primes_1e5[:10], 0)
+            kernels.classified_primes(1, 23)
+
+    def test_rejects_bad_n(self):
+        with pytest.raises(ValueError):
+            kernels.classified_primes(100, 0)
         with pytest.raises(ValueError):
             kernels.form_witnesses(100, 0)
+
+
+class TestClassifiedPrimes:
+    """(primes, y, member) against the definition-direct oracles."""
+
+    def test_matches_oracles_to_1e5(self):
+        want_primes = primes_upto(10**5)
+        for g in (3, 5, 11, 23):
+            n = 2 * g + 1
+            primes, y, member = kernels.classified_primes(10**5, n)
+            assert primes.tolist() == want_primes
+            for p, yp, m in zip(want_primes, y.tolist(), member.tolist()):
+                kind = classify_prime(p, g)
+                assert m == (kind == "pg"), (g, p)
+                rep = full_scan_min_y(p, n)
+                assert yp == (0 if rep is None or p == n else rep[1]), (g, p)
+
+    def test_small_limits(self):
+        for g in (3, 5, 11, 23):
+            n = 2 * g + 1
+            for limit in (2, n, n + 1):
+                primes, y, member = kernels.classified_primes(limit, n)
+                want = primes_upto(limit)
+                assert primes.tolist() == want, (g, limit)
+                # every form value x^2 + n*y^2 with x, y >= 1 exceeds n
+                assert not y.any() and not member.any(), (g, limit)
+
+    def test_dtypes(self):
+        primes, y, member = kernels.classified_primes(1000, 23)
+        assert primes.dtype == np.int64
+        assert y.dtype == np.uint8
+        assert member.dtype == np.bool_
+        assert len(primes) == len(y) == len(member) == 168
 
 
 class TestFormWitnesses:
@@ -58,22 +98,22 @@ class TestFormWitnesses:
 
     def test_p_equal_n_not_representable(self):
         # 23 = 0^2 + 23*1^2 needs x = 0
-        assert kernels.representable_flags(np.array([2, 3, 23]), 23).tolist() == [
-            False,
-            False,
-            False,
-        ]
+        primes, y, member = kernels.classified_primes(23, 23)
+        assert primes[-1] == 23
+        assert not y.any() and not member.any()
 
     def test_n1_p2(self):
-        assert kernels.representable_flags(np.array([2]), 1).tolist() == [True]
+        # 2 = 1^2 + 1*1^2
+        primes, y, member = kernels.classified_primes(2, 1)
+        assert (primes.tolist(), y.tolist(), member.tolist()) == ([2], [1], [True])
 
     def test_limit_is_a_form_value(self):
         # 24 = 1 + 23*1^2 and 59 = 6^2 + 23*1^2 sit exactly at the limit
         assert kernels.form_witnesses(24, 23)[24] == 1
         assert kernels.form_witnesses(59, 23)[59] == 1
         assert not kernels.form_witnesses(23, 23).any()
-        flags = kernels.representable_flags(np.array([2, 3, 5, 59]), 23)
-        assert flags.tolist() == [False, False, False, True]
+        primes, y, member = kernels.classified_primes(59, 23)
+        assert primes[y != 0].tolist() == primes[member].tolist() == [59]
 
     def test_dtype_from_largest_y(self):
         assert kernels.form_witnesses(1000, 23).dtype == np.uint8
@@ -88,8 +128,10 @@ class TestFormWitnesses:
             with pytest.raises(ResourceLimitError):
                 kernels.form_witnesses(10**6 + 1, 23, budget=10**6)
             with pytest.raises(ResourceLimitError):
-                kernels.representable_flags(np.array([2, 10**6 + 3]), 23, budget=10**6)
+                sieve_primes(10**6 + 1, budget=10**6)
+            with pytest.raises(ResourceLimitError):
+                kernels.classified_primes(10**6 + 1, 23, budget=10**6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 1024  # the array would take 2 MB
+        assert peak < 64 * 1024  # the sieves would allocate 0.5 MB and 1 MB
