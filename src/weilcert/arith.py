@@ -1,6 +1,6 @@
 """Exact integer arithmetic primitives shared by the whole toolkit.
 
-Primality, sieving, integer square roots, Legendre symbols, multiplicative
+Primality, sieving, perfect squares, Legendre symbols, multiplicative
 orders, squarefree kernels, and Hensel lifting of square roots. Every
 operation here is exact: no floating point enters any arithmetic path.
 Rationals are `fractions.Fraction` throughout the package.
@@ -107,13 +107,6 @@ def sieve_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> np.ndarray:
             flags[p * p // 2 :: p] = False
     odd = 2 * np.flatnonzero(flags).astype(np.int64) + 1
     return np.concatenate(([np.int64(2)], odd))
-
-
-def integer_sqrt(n: int) -> int:
-    """Floor square root of a nonnegative integer, exact at any size."""
-    if n < 0:
-        raise ValueError(f"integer_sqrt of negative {n}")
-    return math.isqrt(n)
 
 
 def is_perfect_square(n: int) -> bool:

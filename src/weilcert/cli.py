@@ -4,7 +4,8 @@ Subcommands cover the whole toolkit: quadruple searches (`find`, `scan`,
 `table2`), the density experiment (`density`, `plot`), scalar reports
 (`limit`, `classnum`), and certificate verification (`certify`). Output is
 csv, json, or markdown; exit codes are 0 (success), 1 (check failure),
-2 (argument error), 3 (resource limit or I/O failure).
+2 (argument error), 3 (resource limit, such as a sieve budget or the
+s-bound of `find --m`, or I/O failure).
 """
 
 from __future__ import annotations

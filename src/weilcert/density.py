@@ -49,16 +49,15 @@ class DensityRecord:
 
 @dataclass(frozen=True, eq=False)
 class DensitySeries:
-    """One sieve-and-classify pass up to checkpoints[-1].
+    """One sieve-and-classify pass up to the last checkpoint.
 
-    primes holds every prime <= checkpoints[-1] in ascending order and
+    primes holds every prime <= the last checkpoint in ascending order and
     members[i] counts the target primes among primes[0..i], so
     f(primes[i]) = members[i] / (i+1); records holds the exact counts at
     each checkpoint. Compared by identity, since it holds arrays.
     """
 
     g: DimensionParam
-    checkpoints: tuple[int, ...]
     records: tuple[DensityRecord, ...]
     limit: Fraction
     primes: np.ndarray
@@ -110,7 +109,6 @@ def density_series(
         )
     return DensitySeries(
         g=g,
-        checkpoints=checkpoints,
         records=tuple(records),
         limit=limit,
         primes=primes,

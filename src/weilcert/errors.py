@@ -1,30 +1,11 @@
 """Exception types shared across the toolkit.
 
-Plain argument errors raise ValueError; the classes here cover the cases
-a caller may want to handle separately: resource ceilings, failed
-certificate identities, and search bounds hit before a scan completed.
+Plain argument errors raise ValueError; ResourceLimitError covers the one
+case a caller may want to handle separately: a configured budget or bound
+(sieve memory, factoring bound, `find --m`'s s-bound) reached before an
+operation could finish.
 """
 
 
 class ResourceLimitError(RuntimeError):
     """An operation would exceed a configured memory or scan budget."""
-
-
-class CertificateError(RuntimeError):
-    """A certificate identity failed verification.
-
-    `identity` names the check that failed, e.g. "p2-congruence".
-    """
-
-    def __init__(self, identity: str, detail: str):
-        super().__init__(f"{identity}: {detail}")
-        self.identity = identity
-        self.detail = detail
-
-
-class SearchExhausted(RuntimeError):
-    """A bounded scan hit its cap before reaching a natural conclusion.
-
-    Distinct from "no solution exists": the scan was cut off while
-    candidates remained.
-    """

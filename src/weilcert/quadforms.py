@@ -10,10 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import integer_sqrt, is_perfect_square
-from .errors import ResourceLimitError
-
-DEFAULT_RESIDUE_SCAN_BOUND = 10_000_000
+from .arith import is_perfect_square
 
 
 @dataclass(frozen=True)
@@ -27,10 +24,6 @@ class QuadForm:
     @property
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
-
-    @property
-    def is_positive_definite(self) -> bool:
-        return self.discriminant < 0 and self.a > 0
 
     @property
     def is_primitive(self) -> bool:
@@ -53,17 +46,6 @@ class Representation:
             raise ValueError("representation requires x >= 0 and y >= 1")
 
 
-def is_reduced(f: QuadForm) -> bool:
-    """Gauss-reduced: |b| <= a <= c, with b >= 0 on either boundary."""
-    if not f.is_positive_definite:
-        raise ValueError(f"{f} is not positive definite")
-    if not abs(f.b) <= f.a <= f.c:
-        return False
-    if (abs(f.b) == f.a or f.a == f.c) and f.b < 0:
-        return False
-    return True
-
-
 def _check_discriminant(d: int) -> None:
     if d >= 0:
         raise ValueError(f"discriminant must be negative, got {d}")
@@ -71,15 +53,15 @@ def _check_discriminant(d: int) -> None:
         raise ValueError(f"discriminant must be 0 or 1 mod 4, got {d}")
 
 
-def reduced_forms(d: int, primitive_only: bool = True) -> list[QuadForm]:
-    """All reduced positive definite forms of discriminant d < 0.
+def reduced_forms(d: int) -> list[QuadForm]:
+    """All reduced primitive positive definite forms of discriminant d < 0.
 
     One form per equivalence class: a runs up to sqrt(|d|/3) and b over
     (-a, a] with the matching parity, which hits each reduced form once.
     """
     _check_discriminant(d)
     forms = []
-    for a in range(1, integer_sqrt(abs(d) // 3) + 1):
+    for a in range(1, math.isqrt(abs(d) // 3) + 1):
         for b in range(-a + 1, a + 1):
             if (b - d) % 2:
                 continue
@@ -92,7 +74,7 @@ def reduced_forms(d: int, primitive_only: bool = True) -> list[QuadForm]:
             if a == c and b < 0:
                 continue
             f = QuadForm(a, b, c)
-            if primitive_only and not f.is_primitive:
+            if not f.is_primitive:
                 continue
             forms.append(f)
     return forms
@@ -100,7 +82,7 @@ def reduced_forms(d: int, primitive_only: bool = True) -> list[QuadForm]:
 
 def class_number(d: int) -> int:
     """h(d): number of classes of primitive positive definite forms."""
-    return len(reduced_forms(d, primitive_only=True))
+    return len(reduced_forms(d))
 
 
 def represent_x2_ny2(p: int, n: int) -> Representation | None:
@@ -115,24 +97,7 @@ def represent_x2_ny2(p: int, n: int) -> Representation | None:
     while n * y * y < p:
         x2 = p - n * y * y
         if is_perfect_square(x2):
-            return Representation(n=n, p=p, x=integer_sqrt(x2), y=y)
+            return Representation(n=n, p=p, x=math.isqrt(x2), y=y)
         y += 1
     return None
 
-
-def properly_representable(
-    m: int, d: int, scan_bound: int = DEFAULT_RESIDUE_SCAN_BOUND
-) -> bool:
-    """Whether some primitive form of discriminant d properly represents m.
-
-    Equivalent to d being a square mod 4m; decided by scanning residues
-    t in [0, 2m] (t and 4m-t square to the same class).
-    """
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    if d % 4 not in (0, 1):
-        raise ValueError(f"discriminant must be 0 or 1 mod 4, got {d}")
-    if 4 * m > scan_bound:
-        raise ResourceLimitError(f"modulus 4*{m} exceeds scan bound {scan_bound}")
-    mod = 4 * m
-    return any((t * t - d) % mod == 0 for t in range(2 * m + 1))

@@ -7,7 +7,6 @@ floating point only ever appears in SVG coordinates.
 
 from __future__ import annotations
 
-import io
 from fractions import Fraction
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _json_str
@@ -24,27 +23,23 @@ SVG_MAX_POINTS = 5000
 CHUNK_ROWS = 8192
 
 
-def _half_up(n, d, places: int):
-    """n/d scaled by 10**places, rounded half up, for n >= 0 and d > 0.
+def _half_up(n, d):
+    """n/d scaled by 10**DECIMAL_PLACES, rounded half up, for n >= 0 and d > 0.
 
     The one rounding rule of the package: it runs on Python ints and,
     elementwise, on int64 arrays (where rem < d keeps d - rem in range).
     """
-    quo, rem = divmod(n * 10**places, d)
+    quo, rem = divmod(n * 10**DECIMAL_PLACES, d)
     return quo + (rem >= d - rem)
 
 
-def _fixed_point(scaled: int, places: int) -> str:
-    whole, frac = divmod(scaled, 10**places)
-    return f"{whole}.{frac:0{places}d}"
-
-
-def decimal_string(q: Fraction, places: int = DECIMAL_PLACES) -> str:
-    """Fixed-point decimal of an exact rational, round-half-up at the
-    digit after the last kept place (half away from zero for negatives)."""
+def decimal_string(q: Fraction) -> str:
+    """DECIMAL_PLACES-digit fixed-point decimal of an exact rational,
+    round-half-up at the next digit (half away from zero for negatives)."""
     sign = "-" if q < 0 else ""
-    scaled = _half_up(abs(q.numerator), q.denominator, places)
-    return sign + _fixed_point(scaled, places)
+    scaled = _half_up(abs(q.numerator), q.denominator)
+    whole, frac = divmod(scaled, 10**DECIMAL_PLACES)
+    return f"{sign}{whole}.{frac:0{DECIMAL_PLACES}d}"
 
 
 def decimal_strings(num: np.ndarray, den: np.ndarray) -> list[str]:
@@ -63,7 +58,7 @@ def decimal_strings(num: np.ndarray, den: np.ndarray) -> list[str]:
             f"decimal_strings needs 0 <= num <= {top} and den >= 1 "
             "to stay exact in int64"
         )
-    whole, frac = np.divmod(_half_up(num, den, places), 10**places)
+    whole, frac = np.divmod(_half_up(num, den), 10**places)
     return list(map(f"%d.%0{places}d".__mod__, zip(whole.tolist(), frac.tolist())))
 
 
@@ -113,28 +108,8 @@ def write_table(
     fh.write(tail if written else empty)
 
 
-def emit_table(header: Sequence[str], rows: Iterable[Sequence[Cell]], fmt: str) -> str:
-    """write_table's output as one string."""
-    buf = io.StringIO()
-    write_table(header, rows, fmt, buf)
-    return buf.getvalue()
-
-
-def parse_csv(text: str) -> tuple[list[str], list[list[str]]]:
-    """Inverse of the csv emitter (fields never contain commas)."""
-    lines = [ln for ln in text.split("\n") if ln != ""]
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
-
-
 def emit_svg(
-    xs: Sequence[int],
-    fs: Sequence[float],
-    limit: Fraction,
-    g: int,
-    x_max: int,
-    width: int = 840,
-    height: int = 520,
+    xs: Sequence[int], fs: Sequence[float], limit: Fraction, g: int, x_max: int
 ) -> str:
     """Scatter of (x, f) points with a single dashed horizontal limit line.
 
@@ -149,6 +124,7 @@ def emit_svg(
     xs_kept = list(xs[::step])
     fs_kept = list(fs[::step])
 
+    width, height = 840, 520
     margin_l, margin_r, margin_t, margin_b = 70, 20, 20, 50
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b

@@ -7,11 +7,11 @@ For a Sophie Germain prime g (g and 2g+1 both prime), a prime p with
 
 yields the quadruple (g, p, a, s) = (g, p, 2x, 2y) solving
 a^2 - 4p = -(2g+1)*s^2, and from it the quadratic t^2 + a*p^((g-1)/2)*t + p^g
-whose roots have modulus p^(g/2). `certify` checks the full chain of exact
-identities that pin down the associated division algebra: CM discriminant
--(2g+1), splitting order g, Brauer local invariants ((g-1)/2)/g and
-((g+1)/2)/g (closed form against an independent p-adic oracle), degree g,
-dimension g, and automorphism order 4g+2.
+whose roots have modulus p^(g/2). `run_certificate_checks` checks the full
+chain of exact identities that pin down the associated division algebra:
+CM discriminant -(2g+1), splitting order g, Brauer local invariants
+((g-1)/2)/g and ((g+1)/2)/g (closed form against an independent p-adic
+oracle), degree g, dimension g, and automorphism order 4g+2.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .arith import (
     sieve_primes,
     squarefree_kernel,
 )
-from .errors import CertificateError, SearchExhausted
+from .errors import ResourceLimitError
 from .quadforms import Representation, represent_x2_ny2
 
 DEFAULT_GENERAL_S_BOUND = 1_000_000
@@ -71,18 +71,8 @@ class DimensionParam:
         return 2 * self.g + 1
 
     @property
-    def half_exponent(self) -> int:
-        """(g-1)/2, the power of p in the linear Weil coefficient."""
-        return (self.g - 1) // 2
-
-    @property
     def aut_order(self) -> int:
         return 4 * self.g + 2
-
-    @property
-    def below_main_range(self) -> bool:
-        """g = 3 is admitted but sits below the usual g >= 5 range."""
-        return self.g == 3
 
 
 @dataclass(frozen=True)
@@ -135,24 +125,6 @@ def check_p1(g: DimensionParam, p: int) -> Representation | None:
 def check_p2(g: DimensionParam, p: int) -> bool:
     """(P2): p is not 1 mod 2g+1."""
     return p % g.n != 1
-
-
-def membership_Pg(g: DimensionParam, p: int) -> bool:
-    """Whether prime p satisfies both (P1) and (P2)."""
-    return check_p2(g, p) and check_p1(g, p) is not None
-
-
-def build_quadruple(g: DimensionParam, p: int) -> WeilQuadruple | None:
-    """Quadruple (g, p, 2x, 2y) from the smallest-y (P1) witness.
-
-    None when p fails (P1) or (P2).
-    """
-    if not check_p2(g, p):
-        return None
-    rep = check_p1(g, p)
-    if rep is None:
-        return None
-    return WeilQuadruple(g=g, p=p, a=2 * rep.x, s=2 * rep.y)
 
 
 def _quadruple(g: DimensionParam, p: int, y: int) -> WeilQuadruple:
@@ -281,28 +253,6 @@ class EndAlgebraCertificate:
     aut_order: int
 
 
-#: Ordered identity names checked by `certify`. Three kinds only restate
-#: earlier work and cannot fail on their own: "quadruple-equation" repeats
-#: the checks of `WeilQuadruple.__post_init__`, which raises before the
-#: identity could record a failure; "automorphism-order" compares
-#: `aut_order` with its own definition 4g+2; "dimension" and
-#: "invariant-sum-integral" follow from the identities before them. They
-#: stay as certificate columns, restating the paper's chain in full.
-CHECK_NAMES = (
-    "p2-congruence",
-    "p1-representation",
-    "quadruple-equation",
-    "weil-modulus",
-    "cm-discriminant",
-    "splitting-order",
-    "invariant-formula-vs-oracle",
-    "invariant-sum-integral",
-    "degree-identity",
-    "dimension",
-    "automorphism-order",
-)
-
-
 @dataclass
 class CertificateRun:
     """Outcome of a certification attempt: per-identity results plus the
@@ -329,7 +279,16 @@ class CertificateRun:
 
 def run_certificate_checks(g: DimensionParam, p: int) -> CertificateRun:
     """Run every certificate identity for (g, p), stopping at the first
-    failure (later identities depend on earlier artifacts)."""
+    failure (later identities depend on earlier artifacts).
+
+    Three kinds of check only restate earlier work and cannot fail on
+    their own: "quadruple-equation" repeats the checks of
+    `WeilQuadruple.__post_init__`, which raises before the identity could
+    record a failure; "automorphism-order" compares `aut_order` with its
+    own definition 4g+2; "dimension" and "invariant-sum-integral" follow
+    from the identities before them. They stay as certificate columns,
+    restating the paper's chain in full.
+    """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     run = CertificateRun(g=g, p=p)
@@ -426,16 +385,6 @@ def run_certificate_checks(g: DimensionParam, p: int) -> CertificateRun:
     return run
 
 
-def certify(g: DimensionParam, p: int) -> EndAlgebraCertificate:
-    """Full certificate for (g, p); raises CertificateError naming the
-    first identity that fails."""
-    run = run_certificate_checks(g, p)
-    if run.certificate is None:
-        name, detail = run.failure()
-        raise CertificateError(name, detail)
-    return run.certificate
-
-
 def solve_general_p1m(
     g: DimensionParam,
     p: int,
@@ -445,8 +394,8 @@ def solve_general_p1m(
     """Smallest-s solution of a^2 - 4*p^(g-2m) = -(2g+1)*s^2, gcd(a, p) = 1.
 
     Scans s = 1, 2, 3, ... (both parities). Returns None once
-    (2g+1)*s^2 exceeds 4*p^(g-2m) with no hit; raises SearchExhausted if
-    s_bound cuts the scan short, which is a different outcome.
+    (2g+1)*s^2 exceeds 4*p^(g-2m) with no hit; raises ResourceLimitError
+    if s_bound cuts the scan short, which is a different outcome.
     """
     if not 1 <= m <= (g.g - 1) // 2:
         raise ValueError(f"m must lie in [1, {(g.g - 1) // 2}], got {m}")
@@ -455,7 +404,7 @@ def solve_general_p1m(
     s = 1
     while n * s * s <= rhs:
         if s > s_bound:
-            raise SearchExhausted(
+            raise ResourceLimitError(
                 f"no solution with s <= {s_bound}; scan incomplete"
             )
         a2 = rhs - n * s * s

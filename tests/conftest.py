@@ -1,6 +1,8 @@
 import pytest
 
-from weilcert import DimensionParam, density_series, sieve_primes
+from weilcert.arith import sieve_primes
+from weilcert.density import density_series
+from weilcert.weil import DimensionParam
 
 # Reference quadruples (g, p, a, s): smallest prime p per dimension g.
 TABLE2 = (

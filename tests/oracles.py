@@ -50,6 +50,17 @@ def full_scan_min_y(p: int, n: int) -> tuple[int, int] | None:
     return min(hits, key=lambda h: h[1]) if hits else None
 
 
+def is_reduced_form(a: int, b: int, c: int) -> bool:
+    """Whether a*X^2 + b*X*Y + c*Y^2 is a Gauss-reduced positive definite
+    form: b^2 - 4ac < 0 and a > 0, |b| <= a <= c, and b >= 0 when |b| = a
+    or a = c."""
+    if b * b - 4 * a * c >= 0 or a <= 0:
+        return False
+    if not abs(b) <= a <= c:
+        return False
+    return b >= 0 or (abs(b) != a and a != c)
+
+
 def early_break_rep_exists(p: int, n: int) -> bool:
     """Whether p = x^2 + n*y^2 for some y >= 1 (early exit on first hit)."""
     y = 1
@@ -103,6 +114,15 @@ def classify_prime(p: int, g: int) -> str:
     if p == n or not early_break_rep_exists(p, n):
         return "out"
     return "split" if p % n == 1 else "pg"
+
+
+def weil_quadruple(p: int, g: int) -> tuple[int, int] | None:
+    """(a, s) = (2x, 2y) from the smallest-y p = x^2 + (2g+1)*y^2 when p
+    passes (P1) and (P2), else None."""
+    if classify_prime(p, g) != "pg":
+        return None
+    x, y = full_scan_min_y(p, 2 * g + 1)
+    return 2 * x, 2 * y
 
 
 def density_counts(

@@ -8,9 +8,11 @@ values are exact; decimal fields are compared at all 8 digits.
 import time
 from fractions import Fraction
 
-from weilcert import DimensionParam, certify, run_certificate_checks
+from weilcert.arith import legendre_symbol
 from weilcert.cli import main
+from weilcert.quadforms import class_number, represent_x2_ny2
 from weilcert.report import decimal_string
+from weilcert.weil import DimensionParam, run_certificate_checks
 
 import oracles
 from conftest import CHECKPOINTS, TABLE2, TABLE3, TABLE4
@@ -149,8 +151,6 @@ def test_6_disjoint_union(capsys, series_g11, series_g5):
 
 
 def test_7_oracle_equivalence(capsys):
-    from weilcert import class_number, legendre_symbol, represent_x2_ny2
-
     primes = oracles.primes_upto(10**5)
     for n in (11, 23, 47, 59):
         for p in primes:

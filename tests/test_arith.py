@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilcert import (
-    ResourceLimitError,
+from weilcert.arith import (
     hensel_sqrt,
-    integer_sqrt,
     is_perfect_square,
     is_prime,
     legendre_symbol,
@@ -18,6 +16,7 @@ from weilcert import (
     sqrt_mod_prime,
     squarefree_kernel,
 )
+from weilcert.errors import ResourceLimitError
 from oracles import brute_sqrt_roots, euler_criterion, trial_division_is_prime
 
 ODD_PRIMES = [p for p in range(3, 500) if trial_division_is_prime(p)]
@@ -108,20 +107,26 @@ class TestSieve:
 
 
 class TestIntegerSqrt:
+    """Integer square roots: the package takes floor roots from math.isqrt
+    and decides squares with is_perfect_square."""
+
     def test_examples(self):
-        assert integer_sqrt(36) == 6 and is_perfect_square(36)
-        assert integer_sqrt(0) == 0 and is_perfect_square(0)
-        assert integer_sqrt(78) == 8 and not is_perfect_square(78)
+        assert math.isqrt(36) == 6 and is_perfect_square(36)
+        assert math.isqrt(0) == 0 and is_perfect_square(0)
+        assert math.isqrt(78) == 8 and not is_perfect_square(78)
 
     def test_negative(self):
         with pytest.raises(ValueError):
-            integer_sqrt(-1)
+            math.isqrt(-1)
         assert not is_perfect_square(-4)
 
     @given(st.integers(min_value=0, max_value=10**40))
     def test_floor_property(self, n):
-        r = integer_sqrt(n)
+        r = math.isqrt(n)
         assert r * r <= n < (r + 1) * (r + 1)
+        assert is_perfect_square(n * n)
+        # n^2 < n^2 + k < (n+1)^2 for n >= 1 and k in {1, n, 2n}
+        assert n == 0 or not any(is_perfect_square(n * n + k) for k in (1, n, 2 * n))
 
 
 class TestLegendre:

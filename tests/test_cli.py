@@ -2,6 +2,7 @@ import collections
 import json
 import math
 import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -42,6 +43,21 @@ class TestFind:
         rc, out, _ = run(capsys, "find", "--g", "5", "--p", "47", "--m", "1")
         assert rc == 0
         assert out == "g,p,m,a,s\n5,47,1,36,194\n"
+
+    def test_general_equation_s_bound_is_resource_error(self):
+        # 4*15013^3 leaves s up to about 1.1e6, past the default bound of 1e6;
+        # run as a process so an escaping exception shows as a traceback
+        src = str(Path(weilcert.__file__).resolve().parents[1])
+        child = subprocess.run(
+            [sys.executable, "-m", "weilcert.cli", "find", "--g", "5", "--p", "15013",
+             "--m", "1"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=300,
+        )
+        assert child.returncode == 3
+        assert "Traceback" not in child.stderr
+        assert child.stderr == "resource error: no solution with s <= 1000000; scan incomplete\n"
+        assert child.stdout == ""
 
     def test_m_requires_p(self, capsys):
         rc, _, err = run(capsys, "find", "--g", "5", "--m", "1")

@@ -3,17 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from weilcert import (
-    DimensionParam,
-    ResourceLimitError,
-    asymptotic_limit,
-    density_series,
-    membership_Pg,
-    sophie_germain_list,
-)
+from weilcert.density import asymptotic_limit, density_series
+from weilcert.errors import ResourceLimitError
 from weilcert.kernels import classified_primes
 from weilcert.report import decimal_string
+from weilcert.weil import DimensionParam, sophie_germain_list
 from conftest import CHECKPOINTS, TABLE4
+from oracles import classify_prime
 
 G5 = DimensionParam(5)
 G11 = DimensionParam(11)
@@ -95,7 +91,7 @@ class TestClassificationConsistency:
         for g in (G5, G11):
             primes, _, member = classified_primes(3000, g.n)
             for p, is_member in zip(primes.tolist(), member.tolist()):
-                assert is_member == membership_Pg(g, p), (g.g, p)
+                assert is_member == (classify_prime(p, g.g) == "pg"), (g.g, p)
 
     def test_member_counts(self):
         series = density_series(G11, (10**4,))

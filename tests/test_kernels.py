@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from weilcert import ResourceLimitError, sieve_primes
 from weilcert import kernels
-from weilcert.arith import DEFAULT_SIEVE_BUDGET
+from weilcert.arith import DEFAULT_SIEVE_BUDGET, sieve_primes
+from weilcert.errors import ResourceLimitError
 from oracles import (
     classify_prime,
     early_break_rep_exists,

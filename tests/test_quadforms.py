@@ -1,40 +1,30 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from weilcert import (
-    QuadForm,
-    ResourceLimitError,
-    class_number,
-    is_reduced,
-    legendre_symbol,
-    properly_representable,
-    reduced_forms,
-    represent_x2_ny2,
-)
-from oracles import full_scan_min_y, naive_class_number, primes_upto
+from weilcert.arith import legendre_symbol
+from weilcert.quadforms import QuadForm, class_number, reduced_forms, represent_x2_ny2
+from oracles import full_scan_min_y, is_reduced_form, naive_class_number, primes_upto
 
 
 class TestIsReduced:
+    """The definition-direct reduction oracle that checks reduced_forms."""
+
     def test_examples(self):
-        assert is_reduced(QuadForm(1, 0, 23))
-        assert is_reduced(QuadForm(3, -2, 4))
+        assert is_reduced_form(1, 0, 23)
+        assert is_reduced_form(3, -2, 4)
         # reduced but imprimitive: counted nowhere
-        f = QuadForm(2, 2, 6)
-        assert is_reduced(f) and not f.is_primitive
+        assert is_reduced_form(2, 2, 6) and not QuadForm(2, 2, 6).is_primitive
 
     def test_boundary_sign_rules(self):
-        assert not is_reduced(QuadForm(3, -3, 5))  # |b| = a needs b >= 0
-        assert is_reduced(QuadForm(3, 3, 5))
-        assert not is_reduced(QuadForm(2, -1, 2))  # a = c needs b >= 0
-        assert is_reduced(QuadForm(2, 1, 2))
-        assert not is_reduced(QuadForm(5, 1, 3))  # a > c
+        assert not is_reduced_form(3, -3, 5)  # |b| = a needs b >= 0
+        assert is_reduced_form(3, 3, 5)
+        assert not is_reduced_form(2, -1, 2)  # a = c needs b >= 0
+        assert is_reduced_form(2, 1, 2)
+        assert not is_reduced_form(5, 1, 3)  # a > c
 
     def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            is_reduced(QuadForm(1, 5, 1))
-        with pytest.raises(ValueError):
-            is_reduced(QuadForm(-1, 0, -3))
+        assert not is_reduced_form(1, 5, 1)
+        assert not is_reduced_form(-1, 0, -3)
+        assert not is_reduced_form(0, 0, 1)  # |b| <= a <= c, but b^2 - 4ac = 0
 
 
 class TestClassNumber:
@@ -54,9 +44,8 @@ class TestClassNumber:
                 continue
             for f in reduced_forms(d):
                 assert f.discriminant == d
-                assert f.is_positive_definite
                 assert f.is_primitive
-                assert is_reduced(f)
+                assert is_reduced_form(f.a, f.b, f.c)  # reduced and positive definite
 
     def test_rejects_bad_discriminant(self):
         for d in (0, 4, -6, -1, -2):
@@ -111,42 +100,3 @@ class TestRepresent:
                     assert r.x**2 + n * r.y**2 == p
                     assert legendre_symbol(-n, p) == 1
 
-
-class TestProperlyRepresentable:
-    def test_examples(self):
-        assert properly_representable(47, -44)
-        assert not properly_representable(61, -92)
-        assert represent_x2_ny2(61, 23) is None  # consistent with the above
-
-    def test_m_1_always(self):
-        for d in (-3, -4, -44, -92, -163):
-            assert properly_representable(1, d)
-
-    def test_principal_form_direction(self):
-        # primes represented by x^2 + n*y^2 are properly represented by
-        # some form of discriminant -4n
-        for n in (11, 23):
-            for p in primes_upto(1500):
-                if p % (4 * n) == 0:
-                    continue
-                if represent_x2_ny2(p, n) is not None:
-                    assert properly_representable(p, -4 * n)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            properly_representable(0, -44)
-        with pytest.raises(ValueError):
-            properly_representable(5, -45)
-        with pytest.raises(ResourceLimitError):
-            properly_representable(10**9, -44)
-
-    @settings(max_examples=60)
-    @given(
-        st.integers(min_value=1, max_value=300),
-        st.integers(min_value=1, max_value=150),
-    )
-    def test_scan_symmetric_half_suffices(self, m, k):
-        # full-residue scan agrees with the half scan the implementation uses
-        d = -4 * k
-        full = any((t * t - d) % (4 * m) == 0 for t in range(4 * m))
-        assert properly_representable(m, d) == full

@@ -4,14 +4,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from weilcert import (
-    CertificateError,
+from weilcert.arith import sieve_primes
+from weilcert.errors import ResourceLimitError
+from weilcert.weil import (
     DimensionParam,
-    SearchExhausted,
     WeilPolynomial,
     WeilQuadruple,
-    build_quadruple,
-    certify,
     check_p1,
     check_p2,
     cm_field_discriminant,
@@ -19,9 +17,8 @@ from weilcert import (
     find_smallest,
     is_sophie_germain,
     local_invariants,
-    membership_Pg,
+    run_certificate_checks,
     scan_quadruples,
-    sieve_primes,
     solve_general_p1m,
     sophie_germain_list,
     splitting_order,
@@ -30,9 +27,16 @@ from weilcert import (
     weil_polynomial,
 )
 from conftest import TABLE2, TABLE3
+from oracles import classify_prime, weil_quadruple
 
 G5 = DimensionParam(5)
 G11 = DimensionParam(11)
+
+
+def quadruple(g: DimensionParam, p: int) -> WeilQuadruple | None:
+    """The quadruple for (g, p) built from the definition-direct oracle."""
+    qs = weil_quadruple(p, g.g)
+    return None if qs is None else WeilQuadruple(g=g, p=p, a=qs[0], s=qs[1])
 
 
 class TestSophieGermain:
@@ -49,9 +53,8 @@ class TestSophieGermain:
         assert not is_sophie_germain(13)
 
     def test_dimension_param(self):
-        assert DimensionParam(3).below_main_range
-        assert not G5.below_main_range
-        assert G11.n == 23 and G11.aut_order == 46 and G11.half_exponent == 5
+        assert DimensionParam(3).n == 7  # admitted below the usual g >= 5 range
+        assert G11.n == 23 and G11.aut_order == 46
         for bad in (2, 4, 7, 13):
             with pytest.raises(ValueError):
                 DimensionParam(bad)
@@ -71,21 +74,24 @@ class TestConditions:
         assert not check_p2(G11, 24 * 23 + 1)
 
     def test_membership(self):
-        assert membership_Pg(G11, 59)
-        assert not membership_Pg(G11, 47)  # fails (P2)
-        assert not membership_Pg(G11, 61)  # fails (P1)
+        # (P1) and (P2) together against the definition-direct classification;
+        # 47 fails (P2) and 61 fails (P1)
+        for p, member in ((59, True), (47, False), (61, False)):
+            assert (check_p2(G11, p) and check_p1(G11, p) is not None) == member
+            assert (classify_prime(p, 11) == "pg") == member
 
 
 class TestQuadruples:
     def test_build(self):
-        w = build_quadruple(G5, 47)
-        assert (w.g.g, w.p, w.a, w.s) == (5, 47, 12, 2)
-        w = build_quadruple(G11, 853)
-        assert (w.a, w.s) == (10, 12)
-        w = build_quadruple(DimensionParam(239), 1997)
-        assert (w.a, w.s) == (18, 4)
-        assert build_quadruple(G11, 47) is None
-        assert build_quadruple(G11, 61) is None
+        # the certificate chain builds the quadruple the oracle builds
+        rows = ((G5, 47, 12, 2), (G11, 853, 10, 12), (DimensionParam(239), 1997, 18, 4))
+        for g, p, a, s in rows:
+            w = run_certificate_checks(g, p).quadruple
+            assert (w.g, w.p, w.a, w.s) == (g, p, a, s)
+            assert w == quadruple(g, p)
+        for p in (47, 61):
+            assert run_certificate_checks(G11, p).quadruple is None
+            assert quadruple(G11, p) is None
 
     def test_invariant_validation(self):
         with pytest.raises(ValueError):
@@ -110,7 +116,7 @@ class TestQuadruples:
         primes = sieve_primes(10**5).tolist()  # Python ints: p**g needs bignums
         for g_val in (3, 5, 11, 23):
             g = DimensionParam(g_val)
-            want = [w for p in primes if (w := build_quadruple(g, p)) is not None]
+            want = [w for p in primes if (w := quadruple(g, p)) is not None]
             assert scan_quadruples(g, 10**5) == want, g_val
             assert find_smallest(g, 10**5) == want[0], g_val
 
@@ -126,14 +132,14 @@ class TestQuadruples:
 
 class TestWeilPolynomial:
     def test_g5_example(self):
-        poly = weil_polynomial(build_quadruple(G5, 47))
+        poly = weil_polynomial(quadruple(G5, 47))
         assert poly.b == 12 * 47**2
         assert poly.c == poly.q == 47**5
         assert poly.discriminant == -11 * 4 * 47**4
         assert verify_weil_number(poly)
 
     def test_g11_example(self):
-        poly = weil_polynomial(build_quadruple(G11, 59))
+        poly = weil_polynomial(quadruple(G11, 59))
         assert poly.b == 12 * 59**5 and poly.c == 59**11
 
     def test_verify_edges(self):
@@ -146,16 +152,16 @@ class TestWeilPolynomial:
 
     def test_modulus_strict_for_table_rows(self):
         for g_val, p, _, _ in TABLE2:
-            poly = weil_polynomial(build_quadruple(DimensionParam(g_val), p))
+            poly = weil_polynomial(quadruple(DimensionParam(g_val), p))
             assert poly.b**2 < 4 * poly.c
             assert verify_weil_number(poly)
 
 
 class TestCMDiscriminant:
     def test_examples(self):
-        assert cm_field_discriminant(weil_polynomial(build_quadruple(G5, 47))) == -11
-        assert cm_field_discriminant(weil_polynomial(build_quadruple(G11, 59))) == -23
-        w = build_quadruple(DimensionParam(173), 383)
+        assert cm_field_discriminant(weil_polynomial(quadruple(G5, 47))) == -11
+        assert cm_field_discriminant(weil_polynomial(quadruple(G11, 59))) == -23
+        w = quadruple(DimensionParam(173), 383)
         assert cm_field_discriminant(weil_polynomial(w)) == -347
 
     def test_rejects_nonnegative(self):
@@ -177,24 +183,24 @@ class TestSplittingOrder:
         primes = sieve_primes(10**5).tolist()
         for g in (G5, G11):
             for p in primes:
-                if membership_Pg(g, p):
+                if classify_prime(p, g.g) == "pg":
                     assert splitting_order(g, p) == g.g, (g.g, p)
 
 
 class TestLocalInvariants:
     def test_closed_form(self):
-        assert local_invariants(build_quadruple(G5, 47)) == (
+        assert local_invariants(quadruple(G5, 47)) == (
             Fraction(2, 5),
             Fraction(3, 5),
         )
-        assert local_invariants(build_quadruple(G11, 59)) == (
+        assert local_invariants(quadruple(G11, 59)) == (
             Fraction(5, 11),
             Fraction(6, 11),
         )
 
     def test_sum_integral(self):
         for g_val, p, _, _ in TABLE2:
-            lo, hi = local_invariants(build_quadruple(DimensionParam(g_val), p))
+            lo, hi = local_invariants(quadruple(DimensionParam(g_val), p))
             assert (lo + hi) == 1
 
     def test_rejects_p_dividing_a(self):
@@ -203,13 +209,13 @@ class TestLocalInvariants:
             local_invariants(stub)
 
     def test_oracle_values(self):
-        assert valuations_oracle(build_quadruple(G5, 47)) == (3, 2)
-        assert valuations_oracle(build_quadruple(G11, 59)) == (6, 5)
+        assert valuations_oracle(quadruple(G5, 47)) == (3, 2)
+        assert valuations_oracle(quadruple(G11, 59)) == (6, 5)
 
     def test_oracle_agrees_with_formula_on_all_rows(self):
         for g_val, p, _, _ in TABLE2:
             g = DimensionParam(g_val)
-            w = build_quadruple(g, p)
+            w = quadruple(g, p)
             vals = valuations_oracle(w)
             assert sorted(vals) == [(g_val - 1) // 2, (g_val + 1) // 2]
             assert sum(vals) == g_val
@@ -223,7 +229,7 @@ class TestLocalInvariants:
 
 class TestCertify:
     def test_g5(self):
-        cert = certify(G5, 47)
+        cert = run_certificate_checks(G5, 47).certificate
         assert cert.cm_discriminant == -11
         assert cert.splitting_order == 5
         assert [pi.value for pi in cert.invariants] == [Fraction(2, 5), Fraction(3, 5)]
@@ -231,20 +237,19 @@ class TestCertify:
         assert cert.dimension == 5 and cert.aut_order == 22
 
     def test_g11(self):
-        cert = certify(G11, 59)
+        cert = run_certificate_checks(G11, 59).certificate
         assert cert.aut_order == 46 and cert.dimension == 11
         assert cert.cm_discriminant == -23
 
     def test_failure_names_identity(self):
-        with pytest.raises(CertificateError) as exc:
-            certify(G11, 47)
-        assert exc.value.identity == "p2-congruence"
-        with pytest.raises(CertificateError) as exc:
-            certify(G11, 61)
-        assert exc.value.identity == "p1-representation"
+        for p, identity in ((47, "p2-congruence"), (61, "p1-representation")):
+            run = run_certificate_checks(G11, p)
+            assert run.certificate is None and not run.passed
+            assert run.failure()[0] == identity
+            assert run.checks[-1][:2] == (identity, False)
 
     def test_place_labels_deterministic(self):
-        cert = certify(G5, 47)
+        cert = run_certificate_checks(G5, 47).certificate
         low, high = cert.invariants
         assert low.value < high.value
         # -t image has valuation 2 for this quadruple
@@ -270,7 +275,7 @@ class TestGeneralEquation:
         assert solve_general_p1m(G5, 13, 2) is None
 
     def test_exhaustion_is_distinct(self):
-        with pytest.raises(SearchExhausted):
+        with pytest.raises(ResourceLimitError):
             solve_general_p1m(G11, 59, 1, s_bound=1000)
 
     def test_m_range_validated(self):
