@@ -4,8 +4,8 @@ Subcommands cover the whole toolkit: quadruple searches (`find`, `scan`,
 `table2`), the density experiment (`density`, `plot`), scalar reports
 (`limit`, `classnum`), and certificate verification (`certify`). Output is
 csv, json, or markdown; exit codes are 0 (success), 1 (check failure),
-2 (argument error), 3 (resource limit, such as a sieve budget or the
-s-bound of `find --m`, or I/O failure).
+2 (argument error), 3 (resource limit, such as a sieve budget, or I/O
+failure).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 
 from . import density as density_mod
 from . import report
+from .arith import is_prime
 from .errors import ResourceLimitError
 from .quadforms import class_number
 from .weil import (
@@ -59,19 +60,17 @@ def cmd_find(args) -> int:
     if args.m is not None:
         if args.p is None:
             raise ValueError("--m requires --p")
+        if not is_prime(args.p):
+            raise ValueError(f"--p must be prime, got {args.p}")
         sol = solve_general_p1m(g, args.p, args.m)
         if sol is None:
-            print(
-                f"no solution of a^2 - 4*{args.p}^{g.g - 2 * args.m} "
-                f"= -{g.n}*s^2 with gcd(a, p) = 1",
-                file=sys.stderr,
-            )
+            eq = f"a^2 - 4*{args.p}^{g.g - 2 * args.m} = -{g.n}*s^2"
+            print(f"no solution of {eq} with gcd(a, p) = 1", file=sys.stderr)
             return 1
         a, s = sol
-        _write_table(
-            ["g", "p", "m", "a", "s"], [[g.g, args.p, args.m, a, s]], args.format,
-            args.out,
-        )
+        with _exact_digits(a, s):
+            row = [g.g, args.p, args.m, a, s]
+            _write_table(["g", "p", "m", "a", "s"], [row], args.format, args.out)
         return 0
     w = find_smallest(g, args.p_max)
     if w is None:
@@ -171,24 +170,25 @@ def cmd_classnum(args) -> int:
     return 0
 
 
-def _exact_strs(*values: int) -> list[str]:
-    """Decimal strings of the values, however many digits they have.
+@contextlib.contextmanager
+def _exact_digits(*values: int) -> Iterator[None]:
+    """Inside the block, int->str renders the values in full.
 
-    CPython caps int->str at 4300 digits by default (q = p^g passes it from
-    g = 1229 on). The cap is raised only as far as these values need and
-    restored afterwards, so a caller of `main` keeps its own setting.
+    CPython caps int->str at 4300 digits by default (certify's q = p^g
+    passes it from g = 1229 on, `find --m`'s a at g = 2339). The cap is
+    raised only as far as these values need and restored on exit, so a
+    caller of `main` keeps its own setting.
     """
-    getter = getattr(sys, "get_int_max_str_digits", None)  # CPython >= 3.10.7
-    old = getter() if getter else 0
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # CPython >= 3.10.7
     # a b-bit integer has at most floor(b*log10(2)) + 1 digits; 0.30103 > log10(2)
     need = max(abs(v).bit_length() for v in values) * 30103 // 100000 + 1
-    if old == 0 or need <= old:
-        return [str(v) for v in values]
-    sys.set_int_max_str_digits(need)
+    if 0 < old < need:
+        sys.set_int_max_str_digits(need)
     try:
-        return [str(v) for v in values]
+        yield
     finally:
-        sys.set_int_max_str_digits(old)
+        if 0 < old < need:
+            sys.set_int_max_str_digits(old)
 
 
 def cmd_certify(args) -> int:
@@ -215,8 +215,10 @@ def cmd_certify(args) -> int:
         "oracle_val_plus", "oracle_val_minus",
         "degree_d", "center_degree_e", "dimension", "aut_order",
     ]
+    with _exact_digits(poly.q, poly.b, poly.c):
+        q, b, c = str(poly.q), str(poly.b), str(poly.c)
     row: list = [
-        g.g, w.p, w.a, w.s, *_exact_strs(poly.q, poly.b, poly.c),
+        g.g, w.p, w.a, w.s, q, b, c,
         cert.cm_discriminant, cert.splitting_order,
         inv_low.place, inv_low.value.numerator, inv_low.value.denominator,
         inv_high.place, inv_high.value.numerator, inv_high.value.denominator,

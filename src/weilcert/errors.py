@@ -2,10 +2,9 @@
 
 Plain argument errors raise ValueError; ResourceLimitError covers the one
 case a caller may want to handle separately: a configured budget or bound
-(sieve memory, factoring bound, `find --m`'s s-bound) reached before an
-operation could finish.
+(sieve memory, factoring bound) reached before an operation could finish.
 """
 
 
 class ResourceLimitError(RuntimeError):
-    """An operation would exceed a configured memory or scan budget."""
+    """An operation would exceed a configured memory budget or factoring bound."""

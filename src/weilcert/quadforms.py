@@ -1,8 +1,8 @@
 """Binary quadratic form arithmetic.
 
 Reduced-form enumeration and class numbers h(D) for negative discriminants,
-plus the representation solver that decides whether a prime p can be
-written as x^2 + n*y^2.
+plus Cornacchia's O(log p) solver for the norm equations x^2 + n*y^2 = p
+(`represent_x2_ny2`) and a^2 + n*s^2 = 4p^k (`weil.solve_general_p1m`).
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import is_perfect_square
+from .arith import legendre_symbol, sqrt_mod_prime
 
 
 @dataclass(frozen=True)
@@ -85,19 +85,27 @@ def class_number(d: int) -> int:
     return len(reduced_forms(d))
 
 
-def represent_x2_ny2(p: int, n: int) -> Representation | None:
-    """Smallest-y representation p = x^2 + n*y^2 with y >= 1, if any.
+def cornacchia(n: int, m: int, r: int, rhs: int) -> tuple[int, int] | None:
+    """(x, y), y >= 1, with x^2 + n*y^2 = rhs, reached from the root r, or None.
 
-    Scans y ascending while n*y^2 < p and reports the first hit, so the
-    output is deterministic. Returns None when no representation exists.
+    Euclid on (m, r) down to the first remainder x with x^2 < rhs finds the
+    solution with x = r*y mod m whenever there is one (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 1.5.2/1.5.3).
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    y = 1
-    while n * y * y < p:
-        x2 = p - n * y * y
-        if is_perfect_square(x2):
-            return Representation(n=n, p=p, x=math.isqrt(x2), y=y)
-        y += 1
-    return None
+    a, x = m, r
+    top = math.isqrt(rhs - 1)  # x^2 < rhs iff x <= top
+    while x > top:
+        a, x = x, a % x
+    y2, rem = divmod(rhs - x * x, n)
+    y = math.isqrt(y2)
+    return (x, y) if rem == 0 and y * y == y2 else None
 
+
+def represent_x2_ny2(p: int, n: int) -> Representation | None:
+    """The p = x^2 + n*y^2 (x, y >= 1) of a prime p, if any; unique for n >= 2."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    if p == 2 or legendre_symbol(-n, p) != 1:
+        return None
+    xy = cornacchia(n, p, sqrt_mod_prime(-n, p), p)
+    return None if xy is None else Representation(n=n, p=p, x=xy[0], y=xy[1])

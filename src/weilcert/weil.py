@@ -25,7 +25,6 @@ import numpy as np
 from . import kernels
 from .arith import (
     hensel_sqrt,
-    is_perfect_square,
     is_prime,
     legendre_symbol,
     multiplicative_order,
@@ -33,10 +32,7 @@ from .arith import (
     sieve_primes,
     squarefree_kernel,
 )
-from .errors import ResourceLimitError
-from .quadforms import Representation, represent_x2_ny2
-
-DEFAULT_GENERAL_S_BOUND = 1_000_000
+from .quadforms import Representation, cornacchia, represent_x2_ny2
 
 
 def is_sophie_germain(g: int) -> bool:
@@ -116,9 +112,7 @@ class WeilPolynomial:
 
 
 def check_p1(g: DimensionParam, p: int) -> Representation | None:
-    """The (P1) witness p = x^2 + (2g+1)*y^2, with p = 2g+1 excluded."""
-    if p == g.n:
-        return None
+    """The (P1) witness p = x^2 + (2g+1)*y^2; there is none for p = 2g+1."""
     return represent_x2_ny2(p, g.n)
 
 
@@ -385,32 +379,28 @@ def run_certificate_checks(g: DimensionParam, p: int) -> CertificateRun:
     return run
 
 
-def solve_general_p1m(
-    g: DimensionParam,
-    p: int,
-    m: int,
-    s_bound: int = DEFAULT_GENERAL_S_BOUND,
-) -> tuple[int, int] | None:
-    """Smallest-s solution of a^2 - 4*p^(g-2m) = -(2g+1)*s^2, gcd(a, p) = 1.
+def solve_general_p1m(g: DimensionParam, p: int, m: int) -> tuple[int, int] | None:
+    """The solution a, s >= 1 of a^2 - 4*p^(g-2m) = -(2g+1)*s^2, gcd(a, p) = 1.
 
-    Scans s = 1, 2, 3, ... (both parities). Returns None once
-    (2g+1)*s^2 exceeds 4*p^(g-2m) with no hit; raises ResourceLimitError
-    if s_bound cuts the scan short, which is a different outcome.
+    p is prime. (a + s*sqrt(-n))/2, n = 2g+1, has norm p^k, k = g-2m; with
+    units +-1, (a, s) is unique and a = r*s mod 2p^k, r an odd root of -n
+    mod 4p^k. None when there is no solution.
     """
     if not 1 <= m <= (g.g - 1) // 2:
         raise ValueError(f"m must lie in [1, {(g.g - 1) // 2}], got {m}")
-    rhs = 4 * p ** (g.g - 2 * m)
-    n = g.n
-    s = 1
-    while n * s * s <= rhs:
-        if s > s_bound:
-            raise ResourceLimitError(
-                f"no solution with s <= {s_bound}; scan incomplete"
-            )
-        a2 = rhs - n * s * s
-        if is_perfect_square(a2):
-            a = math.isqrt(a2)
-            if a > 0 and math.gcd(a, p) == 1:
-                return a, s
-        s += 1
-    return None
+    n, k = g.n, g.g - 2 * m
+    pk = p**k
+    if p == 2:  # needs -n = 1 mod 8; lift r^2 = -n mod 2^j one bit at a time
+        if n % 8 != 7:
+            return None
+        r = 1
+        for j in range(3, k + 2):
+            if (r * r + n) % 2 ** (j + 1):
+                r += 2 ** (j - 1)
+    elif legendre_symbol(-n, p) != 1:  # also p = n
+        return None
+    else:
+        r = hensel_sqrt(-n, p, k)
+        r += pk * (1 - r % 2)  # the odd one of r, r + p^k
+    sol = cornacchia(n, 2 * pk, r, 4 * pk)  # 0 < r < 2p^k
+    return sol if sol is not None and math.gcd(sol[0], p) == 1 else None

@@ -50,6 +50,20 @@ def full_scan_min_y(p: int, n: int) -> tuple[int, int] | None:
     return min(hits, key=lambda h: h[1]) if hits else None
 
 
+def general_equation_walk(p: int, n: int, k: int) -> tuple[int, int] | None:
+    """Smallest-s solution (a, s), a, s >= 1, of a^2 + n*s^2 = 4*p^k with
+    gcd(a, p) = 1, by walking s = 1, 2, 3, ... while n*s^2 < 4*p^k."""
+    rhs = 4 * p**k
+    s = 1
+    while n * s * s < rhs:
+        a2 = rhs - n * s * s
+        a = math.isqrt(a2)
+        if a * a == a2 and math.gcd(a, p) == 1:
+            return a, s
+        s += 1
+    return None
+
+
 def is_reduced_form(a: int, b: int, c: int) -> bool:
     """Whether a*X^2 + b*X*Y + c*Y^2 is a Gauss-reduced positive definite
     form: b^2 - 4ac < 0 and a > 0, |b| <= a <= c, and b >= 0 when |b| = a

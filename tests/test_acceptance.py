@@ -12,7 +12,7 @@ from weilcert.arith import legendre_symbol
 from weilcert.cli import main
 from weilcert.quadforms import class_number, represent_x2_ny2
 from weilcert.report import decimal_string
-from weilcert.weil import DimensionParam, run_certificate_checks
+from weilcert.weil import DimensionParam, run_certificate_checks, solve_general_p1m
 
 import oracles
 from conftest import CHECKPOINTS, TABLE2, TABLE3, TABLE4
@@ -152,7 +152,7 @@ def test_6_disjoint_union(capsys, series_g11, series_g5):
 
 def test_7_oracle_equivalence(capsys):
     primes = oracles.primes_upto(10**5)
-    for n in (11, 23, 47, 59):
+    for n in (7, 11, 23, 47, 59):
         for p in primes:
             got = represent_x2_ny2(p, n)
             want = oracles.full_scan_min_y(p, n)
@@ -160,13 +160,21 @@ def test_7_oracle_equivalence(capsys):
                 assert got is None, (p, n)
             else:
                 assert (got.x, got.y) == want, (p, n)
+    for g_val in (5, 11, 23, 29, 41):  # a^2 + (2g+1)*s^2 = 4p at m = (g-1)/2
+        g = DimensionParam(g_val)
+        for p in primes:
+            want = oracles.general_equation_walk(p, g.n, 1)
+            assert solve_general_p1m(g, p, (g_val - 1) // 2) == want, (g_val, p)
     for k in range(1, 601):
         assert class_number(-4 * k) == oracles.naive_class_number(-4 * k), k
     for p in [q for q in primes if q % 2 and q < 200]:
         for a in range(-50, 51):
             assert legendre_symbol(a, p) == oracles.euler_criterion(a, p)
     with capsys.disabled():
-        _report("representation, class-number, and Legendre oracles agree")
+        _report(
+            "representation, general-equation, class-number, and Legendre "
+            "oracles agree"
+        )
 
 
 def test_8_convergence_proxy(capsys, series_g11):

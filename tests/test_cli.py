@@ -44,9 +44,9 @@ class TestFind:
         assert rc == 0
         assert out == "g,p,m,a,s\n5,47,1,36,194\n"
 
-    def test_general_equation_s_bound_is_resource_error(self):
-        # 4*15013^3 leaves s up to about 1.1e6, past the default bound of 1e6;
-        # run as a process so an escaping exception shows as a traceback
+    def test_general_equation_past_old_s_bound(self):
+        # s = 1108188 lies past the 10^6 cap of the former s-walk; run as a
+        # process so an escaping exception shows as a traceback
         src = str(Path(weilcert.__file__).resolve().parents[1])
         child = subprocess.run(
             [sys.executable, "-m", "weilcert.cli", "find", "--g", "5", "--p", "15013",
@@ -54,10 +54,35 @@ class TestFind:
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
             timeout=300,
         )
-        assert child.returncode == 3
+        assert child.returncode == 0
         assert "Traceback" not in child.stderr
-        assert child.stderr == "resource error: no solution with s <= 1000000; scan incomplete\n"
-        assert child.stdout == ""
+        assert child.stdout == "g,p,m,a,s\n5,15013,1,161998,1108188\n"
+
+    def test_general_equation_past_int_str_digit_limit(self, capsys):
+        # a has 4323 digits, past CPython's default 4300-digit int-to-str limit
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            rc, out, err = run(capsys, "find", "--g", "2339", "--p", "5003", "--m", "1")
+            # the interpreter-wide cap is back where it was
+            assert sys.get_int_max_str_digits() == 4300
+            assert rc == 0, err
+            sys.set_int_max_str_digits(0)  # to read the row back
+            header, row = out.splitlines()
+            g, p, m, a, s = (int(v) for v in row.split(","))
+            digits = len(str(a))
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert header == "g,p,m,a,s" and (g, p, m) == (2339, 5003, 1)
+        assert digits == 4323
+        assert a * a - 4 * p ** (g - 2 * m) == -(2 * g + 1) * s * s
+        assert math.gcd(a, p) == 1
+
+    def test_general_equation_needs_prime_p(self, capsys):
+        for p in ("15", "1", "-7"):
+            rc, out, err = run(capsys, "find", "--g", "5", "--p", p, "--m", "1")
+            assert rc == 2 and out == ""
+            assert err == f"error: --p must be prime, got {p}\n"
 
     def test_m_requires_p(self, capsys):
         rc, _, err = run(capsys, "find", "--g", "5", "--m", "1")

@@ -1,6 +1,10 @@
-import pytest
+import time
 
-from weilcert.arith import legendre_symbol
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from weilcert.arith import is_prime, legendre_symbol
 from weilcert.quadforms import QuadForm, class_number, reduced_forms, represent_x2_ny2
 from oracles import full_scan_min_y, is_reduced_form, naive_class_number, primes_upto
 
@@ -73,7 +77,7 @@ class TestRepresent:
         assert represent_x2_ny2(61, 23) is None
 
     def test_smallest_y_is_first_hit(self):
-        # 853 - 23*y^2 is square first at y = 6
+        # 853 - 23*y^2 is square first at y = 6 (and only there)
         r = represent_x2_ny2(853, 23)
         assert (r.x, r.y) == (5, 6)
 
@@ -82,15 +86,35 @@ class TestRepresent:
             represent_x2_ny2(47, 0)
 
     def test_matches_full_scan(self):
-        primes = primes_upto(10**4)
-        for n in (11, 23, 47, 59):
+        primes = primes_upto(10**5)
+        for n in (7, 11, 23, 47, 59):
             for p in primes:
                 got = represent_x2_ny2(p, n)
                 want = full_scan_min_y(p, n)
                 if want is None:
-                    assert got is None
+                    assert got is None, (p, n)
                 else:
-                    assert (got.x, got.y) == want
+                    assert (got.x, got.y) == want, (p, n)
+
+    def test_30_digit_prime(self):
+        p = 710556311324541868785229746989  # 600000000000039^2 + 23*123456789012346^2
+        start = time.perf_counter()
+        r = represent_x2_ny2(p, 23)
+        assert time.perf_counter() - start < 0.1
+        assert (r.x, r.y) == (600000000000039, 123456789012346)
+
+    @given(
+        st.sampled_from((7, 11, 23, 47, 59)),
+        st.integers(1, 10**12),
+        st.integers(1, 10**12),
+    )
+    def test_returns_the_drawn_pair(self, n, x, y):
+        # the first prime x^2 + n*y^2 at or past the drawn x, same y
+        x += (x + y + 1) % 2  # x + y odd, so x^2 + n*y^2 is odd
+        while not is_prime(x * x + n * y * y):
+            x += 2
+        r = represent_x2_ny2(x * x + n * y * y, n)
+        assert (r.x, r.y) == (x, y)
 
     def test_witness_implies_residue(self):
         for n in (11, 23):

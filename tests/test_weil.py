@@ -5,7 +5,6 @@ from types import SimpleNamespace
 import pytest
 
 from weilcert.arith import sieve_primes
-from weilcert.errors import ResourceLimitError
 from weilcert.weil import (
     DimensionParam,
     WeilPolynomial,
@@ -27,7 +26,7 @@ from weilcert.weil import (
     weil_polynomial,
 )
 from conftest import TABLE2, TABLE3
-from oracles import classify_prime, weil_quadruple
+from oracles import classify_prime, general_equation_walk, primes_upto, weil_quadruple
 
 G5 = DimensionParam(5)
 G11 = DimensionParam(11)
@@ -269,14 +268,28 @@ class TestGeneralEquation:
         a, s = solve_general_p1m(G5, 47, 1)
         assert (a, s) == (36, 194)
         assert a * a - 4 * 47**3 == -11 * s * s
+        # s past 10^6, where the former s-walk stopped
+        assert solve_general_p1m(G5, 15013, 1) == (161998, 1108188)
 
     def test_no_solution_is_none(self):
         # 4*13 = 52: 52 - 11 = 41, 52 - 44 = 8, neither square
         assert solve_general_p1m(G5, 13, 2) is None
 
-    def test_exhaustion_is_distinct(self):
-        with pytest.raises(ResourceLimitError):
-            solve_general_p1m(G11, 59, 1, s_bound=1000)
+    def test_matches_walk(self):
+        # every m at g in {3, 5, 11, 23} and prime p <= 3000 with
+        # p^(g-2m) <= 10^9, p = 2 and p = 2g+1 included: 2295 cases
+        cases = 0
+        for g_val in (3, 5, 11, 23):
+            g = DimensionParam(g_val)
+            for m in range(1, (g_val - 1) // 2 + 1):
+                k = g_val - 2 * m
+                for p in primes_upto(3000):
+                    if p**k > 10**9:
+                        break
+                    want = general_equation_walk(p, g.n, k)
+                    assert solve_general_p1m(g, p, m) == want, (g_val, p, m)
+                    cases += 1
+        assert cases == 2295
 
     def test_m_range_validated(self):
         with pytest.raises(ValueError):
