@@ -44,7 +44,7 @@ _MR_LARGE_ROUNDS = 64
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
-DEFAULT_SIEVE_BUDGET = 200_000_000
+DEFAULT_SIEVE_BUDGET = 1_000_000_000
 DEFAULT_FACTOR_BOUND = 1_000_000
 
 
@@ -200,13 +200,15 @@ def _trial_factor(n: int, bound: int) -> dict[int, int]:
     return factors
 
 
-def sqrt_mod_prime(a: int, p: int) -> int:
-    """A square root of a mod p (odd prime), canonicalized to min(t, p-t).
+def sqrt_mod_prime(a: int, p: int) -> int | None:
+    """A square root of a mod the odd prime p, canonicalized to
+    min(t, p-t), or None when a is not a nonzero square mod p.
 
-    Tonelli-Shanks; raises if a is not a quadratic residue.
+    Tonelli-Shanks. p is tested for primality once, by legendre_symbol;
+    the search for a non-residue z applies the Euler criterion directly.
     """
     if legendre_symbol(a, p) != 1:
-        raise ValueError(f"{a} is not a nonzero square mod {p}")
+        return None
     a %= p
     if p % 4 == 3:
         t = pow(a, (p + 1) // 4, p)
@@ -217,7 +219,7 @@ def sqrt_mod_prime(a: int, p: int) -> int:
         q //= 2
         s += 1
     z = 2
-    while legendre_symbol(z, p) != -1:
+    while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
     m, c = s, pow(z, q, p)
     t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
@@ -242,7 +244,9 @@ def hensel_sqrt(a: int, p: int, k: int) -> int:
     """
     if k < 1:
         raise ValueError(f"precision must be >= 1, got {k}")
-    t = sqrt_mod_prime(a, p)  # validates residuosity and p
+    t = sqrt_mod_prime(a, p)  # validates p
+    if t is None:
+        raise ValueError(f"{a} is not a nonzero square mod {p}")
     prec = 1
     while prec < k:
         prec = min(2 * prec, k)

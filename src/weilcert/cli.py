@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from typing import Iterator
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -82,7 +82,7 @@ def cmd_find(args) -> int:
 
 def cmd_scan(args) -> int:
     g = DimensionParam(args.g)
-    rows = [[w.p, w.a, w.s] for w in scan_quadruples(g, args.p_max)]
+    rows = ([w.p, w.a, w.s] for w in scan_quadruples(g, args.p_max))
     _write_table(["p", "a", "s"], rows, args.format, args.out)
     return 0
 
@@ -114,7 +114,24 @@ def cmd_density(args) -> int:
         else density_mod.DEFAULT_CHECKPOINTS
     )
     series = density_mod.density_series(g, checkpoints)
-    rows = [
+    with _output(args.out) as out:
+        if args.series:
+            # the stream is written as the pass runs and the table after it;
+            # a --series path that cannot be opened still gets the table out
+            try:
+                stream = open(args.series, "w")
+            except OSError:
+                _write_records(series, args.format, out)
+                raise
+            with stream:
+                header = ["p", "f_num", "f_den", "f_decimal"]
+                report.write_table(header, _stream_rows(series), args.format, stream)
+        _write_records(series, args.format, out)
+    return 0
+
+
+def _write_records(series: density_mod.DensitySeries, fmt: str, fh: TextIO) -> None:
+    rows = (
         [
             rec.x,
             rec.count_pg,
@@ -125,33 +142,27 @@ def cmd_density(args) -> int:
             report.decimal_string(rec.diff),
         ]
         for rec in series.records
-    ]
+    )
     header = ["x", "count_pg", "count_p", "f_num", "f_den", "f_decimal", "diff_decimal"]
-    _write_table(header, rows, args.format, args.out)
-    if args.series:
-        _write_table(
-            ["p", "f_num", "f_den", "f_decimal"], _stream_rows(series), args.format,
-            args.series,
-        )
-    return 0
+    report.write_table(header, rows, fmt, fh)
 
 
 def _stream_rows(series: density_mod.DensitySeries) -> Iterator[tuple[int, int, int, str]]:
     """(p, f_num, f_den, f_decimal) at every prime p of the series, with
     f(p) = members / (primes <= p) in lowest terms, computed one
-    `report.CHUNK_ROWS` slice of the columns at a time."""
-    for start in range(0, len(series.primes), report.CHUNK_ROWS):
-        stop = start + report.CHUNK_ROWS
-        members = series.members[start:stop]
-        count = np.arange(start + 1, start + len(members) + 1)
-        common = np.gcd(members, count)
-        f_num, f_den = members // common, count // common
-        yield from zip(
-            series.primes[start:stop].tolist(),
-            f_num.tolist(),
-            f_den.tolist(),
-            report.decimal_strings(f_num, f_den),
-        )
+    `report.CHUNK_ROWS` slice of a window's columns at a time."""
+    for primes, members, count in series:
+        for start in range(0, len(primes), report.CHUNK_ROWS):
+            num = members[start : start + report.CHUNK_ROWS]
+            den = np.arange(count + start + 1, count + start + len(num) + 1)
+            common = np.gcd(num, den)
+            f_num, f_den = num // common, den // common
+            yield from zip(
+                primes[start : start + report.CHUNK_ROWS].tolist(),
+                f_num.tolist(),
+                f_den.tolist(),
+                report.decimal_strings(f_num, f_den),
+            )
 
 
 def cmd_limit(args) -> int:
@@ -237,11 +248,19 @@ def cmd_certify(args) -> int:
 
 def cmd_plot(args) -> int:
     g = DimensionParam(args.g)
+    if args.x_max < 2:
+        raise ValueError(f"--x-max must be >= 2, got {args.x_max}")
+    # the decimation step needs pi(x_max) before the first point is kept
+    total = density_mod.prime_count(args.x_max)
+    step = report.decimation(total)
     series = density_mod.density_series(g, (args.x_max,))
-    fs = series.members / np.arange(1, len(series.primes) + 1, dtype=np.float64)
-    svg = report.emit_svg(
-        series.primes.tolist(), fs.tolist(), series.limit, g.g, args.x_max
-    )
+    xs: list[int] = []
+    fs: list[float] = []
+    for primes, members, count in series:
+        keep = np.arange(-count % step, len(primes), step)
+        xs += primes[keep].tolist()
+        fs += (members[keep] / (count + 1 + keep)).tolist()
+    svg = report.emit_svg(xs, fs, total, series.limit, g.g, args.x_max)
     with _output(args.out) as fh:
         fh.write(svg)
     return 0

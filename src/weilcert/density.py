@@ -1,14 +1,18 @@
 """The prime-density experiment.
 
-One pass (`kernels.classified_primes`) sieves all primes up to the largest
-checkpoint and classifies each prime p by whether it is representable as
-x^2 + (2g+1)*y^2 and whether p = 1 (mod 2g+1): the representable primes
-failing the congruence form the target set, those satisfying it are
-exactly the primes splitting completely one field higher up. The resulting
-`DensitySeries` carries the running member count at every prime, so the
-checkpoint table, the per-prime `--series` stream and the plot all read
-the same arrays. The counting function f(x) = |members <= x| / pi(x) is
-tracked as an exact rational and compared with its limit
+One pass (`kernels.classified_windows`) sieves the primes up to the
+largest checkpoint, one fixed window at a time, and classifies each prime
+p by whether it is representable as x^2 + (2g+1)*y^2 and whether
+p = 1 (mod 2g+1): the representable primes failing the congruence form
+the target set, those satisfying it are exactly the primes splitting
+completely one field higher up. `DensitySeries` folds the windows into
+the checkpoint records with running pi, member and split counts, and
+hands each window with its running member counts to whoever reads the
+pass: `density --series` streams every prime from it and `plot` keeps
+every step-th one. Nothing is held for the whole range, so memory does
+not grow with the checkpoint. The counting function
+f(x) = |members <= x| / pi(x) is tracked as an exact rational and
+compared with its limit
 
     1/(2*h(-8g-4)) * (1 - 1/g),
 
@@ -17,6 +21,7 @@ where h is the quadratic-form class number.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,21 +52,73 @@ class DensityRecord:
     diff: Fraction
 
 
-@dataclass(frozen=True, eq=False)
 class DensitySeries:
-    """One sieve-and-classify pass up to the last checkpoint.
+    """One sieve-and-classify pass up to the last checkpoint, read once.
 
-    primes holds every prime <= the last checkpoint in ascending order and
-    members[i] counts the target primes among primes[0..i], so
-    f(primes[i]) = members[i] / (i+1); records holds the exact counts at
-    each checkpoint. Compared by identity, since it holds arrays.
+    Iterating yields one (primes, members, count) per window: the window's
+    primes in ascending order, the running member count at each of them
+    (target primes among all primes <= p) and the number of primes below
+    the window, so f(primes[i]) = members[i] / (count + i + 1). `records`,
+    the exact counts at each checkpoint, runs whatever part of the pass the
+    iteration has not.
     """
 
-    g: DimensionParam
-    records: tuple[DensityRecord, ...]
-    limit: Fraction
-    primes: np.ndarray
-    members: np.ndarray
+    def __init__(self, g: DimensionParam, checkpoints: tuple[int, ...], budget: int):
+        self.g = g
+        self.limit = asymptotic_limit(g)
+        self._records: list[DensityRecord] = []
+        windows = kernels.classified_windows(checkpoints[-1], g.n, budget=budget)
+        self._windows = self._fold(checkpoints, windows)
+
+    def __iter__(self):
+        return self._windows
+
+    @property
+    def records(self) -> tuple[DensityRecord, ...]:
+        for _ in self._windows:
+            pass
+        return tuple(self._records)
+
+    def _record(self, x: int, count_p: int, count_pg: int, count_split: int) -> None:
+        # every checkpoint is >= 2, so count_p >= 1
+        f = Fraction(count_pg, count_p)
+        self._records.append(
+            DensityRecord(
+                x=x,
+                count_pg=count_pg,
+                count_split_all=count_split,
+                count_p=count_p,
+                f=f,
+                diff=self.limit - f,
+            )
+        )
+
+    def _fold(self, checkpoints: tuple[int, ...], windows):
+        done = count_p = count_pg = count_split = 0
+        for primes, y, member in windows:
+            members = np.cumsum(member)
+            members += count_pg
+            split = (y != 0) & ~member
+            # checkpoints below the window's last prime have all their primes here
+            top = done
+            if len(primes):
+                top = bisect.bisect_left(checkpoints, int(primes[-1]), done)
+            ks = np.searchsorted(primes, checkpoints[done:top], side="right").tolist()
+            counted = 0  # split primes among primes[:counted] are in count_split
+            for x, k in zip(checkpoints[done:top], ks):
+                count_split += int(np.count_nonzero(split[counted:k]))
+                counted = k
+                self._record(
+                    x, count_p + k, int(members[k - 1]) if k else count_pg, count_split
+                )
+            done = top
+            count_split += int(np.count_nonzero(split[counted:]))
+            yield primes, members, count_p
+            count_p += len(primes)
+            if len(primes):
+                count_pg = int(members[-1])
+        for x in checkpoints[done:]:
+            self._record(x, count_p, count_pg, count_split)
 
 
 def asymptotic_limit(g: DimensionParam) -> Fraction:
@@ -75,8 +132,8 @@ def density_series(
     checkpoints: tuple[int, ...] | list[int] = DEFAULT_CHECKPOINTS,
     budget: int = DEFAULT_SIEVE_BUDGET,
 ) -> DensitySeries:
-    """Sieve and classify once up to checkpoints[-1]; one DensityRecord per
-    checkpoint plus the per-prime running member counts."""
+    """The one sieve-and-classify pass up to checkpoints[-1], checked here and
+    run as the series is read."""
     checkpoints = tuple(int(x) for x in checkpoints)
     if not checkpoints:
         raise ValueError("checkpoints must be nonempty")
@@ -84,33 +141,10 @@ def density_series(
         raise ValueError("checkpoints must be ascending")
     if checkpoints[0] < 2:
         raise ValueError("checkpoints must be >= 2")
+    return DensitySeries(g, checkpoints, budget)
 
-    primes, y, member = kernels.classified_primes(checkpoints[-1], g.n, budget=budget)
-    members = np.cumsum(member)
-    cum_split = np.cumsum((y != 0) & ~member)
-    counts_p = np.searchsorted(primes, checkpoints, side="right").tolist()
 
-    limit = asymptotic_limit(g)
-    records = []
-    for x, count_p in zip(checkpoints, counts_p):
-        # every checkpoint is >= 2, so count_p >= 1
-        count_pg = int(members[count_p - 1])
-        count_split = int(cum_split[count_p - 1])
-        f = Fraction(count_pg, count_p)
-        records.append(
-            DensityRecord(
-                x=x,
-                count_pg=count_pg,
-                count_split_all=count_split,
-                count_p=count_p,
-                f=f,
-                diff=limit - f,
-            )
-        )
-    return DensitySeries(
-        g=g,
-        records=tuple(records),
-        limit=limit,
-        primes=primes,
-        members=members,
-    )
+def prime_count(x: int) -> int:
+    """pi(x), from the windowed prime sieve alone."""
+    windows = kernels.prime_windows(x, DEFAULT_SIEVE_BUDGET)
+    return sum(len(primes) for _, _, primes in windows)

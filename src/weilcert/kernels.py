@@ -1,15 +1,24 @@
 """The batch classification kernel: primes sieved and sorted by the paper's
 conditions (P1) p = x^2 + n*y^2 and (P2) p != 1 (mod n), with n = 2g+1.
 
-`classified_primes` is the one pass every command covering many primes
-reads (`density`, `plot`, `scan`, `find`, `table2`): it sieves the primes
-up to a bound and reads each prime's (P1) witness off `form_witnesses`.
-Rather than testing each prime, that form-value sieve marks every form
-value up to the bound at once: for each y, one numpy scatter writes y at
-x^2 + n*y^2 for all x >= 1 in range. The work is the number of lattice
-points, about pi*limit/(4*sqrt(n)), and the arithmetic is integer-only (the
-quadratic-form sieve idea of Atkin and Bernstein, "Prime sieves using
-binary quadratic forms", Math. Comp. 73, 2004).
+`classified_windows` is the one pass every command covering many primes
+reads (`density`, `plot`, `scan`, `find`, `table2`). It walks [0, limit]
+in fixed windows [lo, hi) of WINDOW integers and yields, per window, the
+primes, their (P1) witness y and the (P1)-and-(P2) member mask, so memory
+stays O(WINDOW) whatever the limit, and a caller that has what it needs
+stops early.
+
+Per window, two integer-only sieves run over the odd integers only (2 is
+the one even prime):
+
+- the prime sieve is a segmented Eratosthenes (Bays and Hudson, BIT 17,
+  1977): the odd base primes up to sqrt(limit) are sieved once, and each
+  crosses off its odd multiples in the window;
+- the form-value sieve (after Atkin and Bernstein, "Prime sieves using
+  binary quadratic forms", Math. Comp. 73, 2004) marks, for each y, the
+  odd values x^2 + n*y^2 with x in [ceil(sqrt(lo - n*y^2)),
+  isqrt(hi - 1 - n*y^2)], storing y. Its work is the number of lattice
+  points, about pi*(hi - lo)/(8*sqrt(n)) per window.
 
 For a prime p and n >= 2 the representation with x, y >= 1 is unique, so
 the stored y is the witness `quadforms.represent_x2_ny2` finds.
@@ -18,48 +27,114 @@ the stored y is the witness `quadforms.represent_x2_ny2` finds.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
 from .arith import DEFAULT_SIEVE_BUDGET, sieve_primes
 from .errors import ResourceLimitError
 
+#: Integers per window. At n = 11 one window holds 0.5 MB of prime flags,
+#: 1 MB of witnesses and about 124,000 form-sieve marks (1 MB per int64
+#: array of them); 2^21 would halve the per-window Python work and double
+#: the memory.
+WINDOW = 1 << 20
 
-def form_witnesses(
-    limit: int, n: int, budget: int = DEFAULT_SIEVE_BUDGET
-) -> np.ndarray:
-    """y_of[v] = some y >= 1 with v = x^2 + n*y^2 (x >= 1), 0 if none.
 
-    Covers 0 <= v <= limit. The dtype is the smallest unsigned type that
-    holds the largest y (uint16 for any limit up to the default budget).
+def prime_windows(limit: int, budget: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(lo, hi, primes) for each window [lo, hi) up to limit, ascending.
+
+    primes holds the window's primes as ascending int64. Checks limit
+    against budget before any window is allocated; budget bounds the time
+    of a pass, since the memory no longer grows with the limit.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    if limit < 2:
+        raise ValueError(f"sieve limit must be >= 2, got {limit}")
     if limit > budget:
-        raise ResourceLimitError(
-            f"form sieve limit {limit} exceeds memory budget {budget}"
-        )
-    # x >= 1 forces n*y^2 <= limit - 1
-    y_max = math.isqrt(max(limit - 1, 0) // n)
-    y_of = np.zeros(limit + 1, dtype=np.min_scalar_type(y_max))
-    squares = np.arange(1, math.isqrt(limit) + 1, dtype=np.int64) ** 2
-    for y in range(1, y_max + 1):
-        base = n * y * y
-        y_of[squares[: math.isqrt(limit - base)] + base] = y
+        raise ResourceLimitError(f"sieve limit {limit} exceeds budget {budget}")
+    return _prime_windows(limit)
+
+
+def _prime_windows(limit: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    base = sieve_primes(max(math.isqrt(limit), 2))[1:]  # the odd base primes
+    squares = base * base
+    for lo in range(0, limit + 1, WINDOW):
+        hi = min(lo + WINDOW, limit + 1)
+        yield lo, hi, _window_primes(lo, hi, base[: np.searchsorted(squares, hi)])
+
+
+def _window_primes(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """The primes in [lo, hi), given the odd primes p with p^2 < hi."""
+    first = lo | 1
+    # flags[i] covers the odd integer first + 2i; 1 is not prime
+    flags = np.ones(max(hi - first + 1, 0) // 2, dtype=bool)
+    if first == 1 and len(flags):
+        flags[0] = False
+    # the first odd multiple of p that is >= first and >= p^2
+    start = -(-first // base) * base
+    start = np.maximum(start + base * (start % 2 == 0), base * base)
+    for p, i in zip(base.tolist(), ((start - first) // 2).tolist()):
+        flags[i::p] = False
+    primes = np.flatnonzero(flags)
+    primes *= 2
+    primes += first
+    if lo <= 2 < hi:
+        primes = np.concatenate(([2], primes))
+    return primes
+
+
+def _odd_form_witnesses(lo: int, hi: int, n: int, dtype: np.dtype) -> np.ndarray:
+    """y_of[i] = some y >= 1 with lo|1 + 2i = x^2 + n*y^2 (x >= 1), 0 if
+    none, for the odd values lo|1 + 2i in [lo, hi)."""
+    first = lo | 1
+    y_of = np.zeros(max(hi - first + 1, 0) // 2, dtype=dtype)
+    # x >= 1 forces n*y^2 <= hi - 2; for y <= y_in, n*y^2 < lo and x starts
+    # at ceil(sqrt(lo - n*y^2)), for larger y at 1
+    y_top = math.isqrt(max(hi - 2, 0) // n)
+    y_in = math.isqrt(max(lo - 1, 0) // n)
+    if y_top < 1:
+        return y_of
+    x_lo = [math.isqrt(lo - 1 - n * y * y) + 1 for y in range(1, y_in + 1)]
+    x_lo += [1] * (y_top - y_in)
+    x_lo = np.array(x_lo, dtype=np.int64)
+    x_hi = np.array([math.isqrt(hi - 1 - n * y * y) for y in range(1, y_top + 1)])
+    y = np.arange(1, y_top + 1, dtype=np.int64)
+    base = n * y * y
+    x_lo += (x_lo + base + 1) % 2  # x^2 + n*y^2 is odd iff x + n*y is
+    counts = np.maximum((x_hi - x_lo) // 2 + 1, 0)
+    # x runs x_lo, x_lo + 2, ... within each y's block of the marks
+    offsets = np.cumsum(counts) - counts
+    x = np.repeat(x_lo - 2 * offsets, counts)
+    x += np.arange(0, 2 * len(x), 2)
+    x *= x
+    x += np.repeat(base - first, counts)
+    x >>= 1  # the slot of the odd value x^2 + n*y^2
+    y_of[x] = np.repeat(y.astype(dtype), counts)
     return y_of
 
 
-def classified_primes(
+def classified_windows(
     limit: int, n: int, budget: int = DEFAULT_SIEVE_BUDGET
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(primes, y, member) for every prime <= limit, ascending.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(primes, y, member) for the primes of each window up to limit.
 
-    primes is int64; y[i] is the (P1) witness of primes[i] (0 if none) and
-    member[i] says primes[i] passes (P1) and (P2). Both sieves obey the
-    same budget. Convert with `.tolist()` before big-integer arithmetic:
-    numpy int64 wraps silently.
+    primes is ascending int64; y[i] is the (P1) witness of primes[i] (0 if
+    none), in the smallest unsigned dtype that holds any y up to limit, and
+    member[i] says primes[i] passes (P1) and (P2). Arguments are checked
+    when called, before any window is sieved. Convert with `.tolist()`
+    before big-integer arithmetic: numpy int64 wraps silently.
     """
-    primes = sieve_primes(limit, budget=budget)
-    y = form_witnesses(limit, n, budget=budget)[primes]
-    member = (y != 0) & (primes % n != 1)
-    return primes, y, member
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    windows = prime_windows(limit, budget)
+    dtype = np.min_scalar_type(math.isqrt(limit // n))
+    return _classified_windows(windows, n, dtype)
+
+
+def _classified_windows(windows, n: int, dtype: np.dtype):
+    for lo, hi, primes in windows:
+        y = _odd_form_witnesses(lo, hi, n, dtype)[(primes - (lo | 1)) // 2]
+        if lo <= 2 < hi:
+            # the odd-value sieve has no slot for 2, which is 1 + n*1^2 for n = 1 only
+            y[0] = n == 1
+        yield primes, y, (y != 0) & (primes % n != 1)

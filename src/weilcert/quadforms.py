@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import legendre_symbol, sqrt_mod_prime
+from .arith import sqrt_mod_prime
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,6 @@ def represent_x2_ny2(p: int, n: int) -> Representation | None:
     """The p = x^2 + n*y^2 (x, y >= 1) of a prime p, if any; unique for n >= 2."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if p == 2 or legendre_symbol(-n, p) != 1:
-        return None
-    xy = cornacchia(n, p, sqrt_mod_prime(-n, p), p)
+    r = None if p == 2 else sqrt_mod_prime(-n, p)  # None unless (-n|p) = 1
+    xy = None if r is None else cornacchia(n, p, r, p)
     return None if xy is None else Representation(n=n, p=p, x=xy[0], y=xy[1])

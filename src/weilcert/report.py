@@ -108,28 +108,36 @@ def write_table(
     fh.write(tail if written else empty)
 
 
+def decimation(total: int) -> int:
+    """The step that thins a series of total points to at most SVG_MAX_POINTS."""
+    return max(1, -(-total // SVG_MAX_POINTS))  # ceil division
+
+
 def emit_svg(
-    xs: Sequence[int], fs: Sequence[float], limit: Fraction, g: int, x_max: int
+    xs: Sequence[int],
+    fs: Sequence[float],
+    total: int,
+    limit: Fraction,
+    g: int,
+    x_max: int,
 ) -> str:
     """Scatter of (x, f) points with a single dashed horizontal limit line.
 
-    Series longer than SVG_MAX_POINTS are thinned to every k-th point; the
-    decimation factor and raw point count are recorded in the <desc>
-    metadata element.
+    xs and fs are the points kept from a series of total points: every
+    `decimation(total)`-th one, from the first. The decimation factor and
+    raw point count are recorded in the <desc> metadata element.
     """
-    if len(xs) != len(fs):
-        raise ValueError("xs and fs must have equal length")
-    total = len(xs)
-    step = max(1, -(-total // SVG_MAX_POINTS))  # ceil division
-    xs_kept = list(xs[::step])
-    fs_kept = list(fs[::step])
+    step = decimation(total)
+    kept = len(range(0, total, step))
+    if not len(xs) == len(fs) == kept:
+        raise ValueError(f"xs and fs must be the {kept} points kept of {total}")
 
     width, height = 840, 520
     margin_l, margin_r, margin_t, margin_b = 70, 20, 20, 50
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
     limit_f = limit.numerator / limit.denominator
-    y_top = max([limit_f] + fs_kept) * 1.1 or 1.0
+    y_top = max([limit_f, *fs]) * 1.1 or 1.0
 
     def sx(x: float) -> float:
         return margin_l + plot_w * x / x_max
@@ -140,7 +148,7 @@ def emit_svg(
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
-        f"<desc>points={total} kept={len(xs_kept)} decimation={step} "
+        f"<desc>points={total} kept={len(xs)} decimation={step} "
         f"limit={limit.numerator}/{limit.denominator}</desc>",
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
         # axes
@@ -177,7 +185,7 @@ def emit_svg(
         f'font-size="14" transform="rotate(-90 18 {margin_t + plot_h / 2})">'
         f"f_{g}(x)</text>"
     )
-    for x, f in zip(xs_kept, fs_kept):
+    for x, f in zip(xs, fs):
         parts.append(
             f'<circle cx="{sx(x):.2f}" cy="{sy(f):.2f}" r="1.5" fill="red"/>'
         )

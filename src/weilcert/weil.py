@@ -16,20 +16,22 @@ oracle), degree g, dimension g, and automorphism order 4g+2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
 from . import kernels
 from .arith import (
+    DEFAULT_SIEVE_BUDGET,
     hensel_sqrt,
     is_prime,
     legendre_symbol,
     multiplicative_order,
     padic_valuation,
-    sieve_primes,
     squarefree_kernel,
 )
 from .quadforms import Representation, cornacchia, represent_x2_ny2
@@ -41,12 +43,19 @@ def is_sophie_germain(g: int) -> bool:
 
 
 def sophie_germain_list(max_g: int) -> list[int]:
-    """All Sophie Germain primes <= max_g, ascending."""
+    """All Sophie Germain primes <= max_g, ascending, one window at a time.
+
+    The windows of g and of q = 2g+1 both start at 0 and have one width,
+    so the q of g-window k lie in q-windows 2k and 2k+1.
+    """
     if max_g < 2:
         return []
-    primes = sieve_primes(2 * max_g + 1)
-    gs = primes[primes <= max_g]
-    return gs[np.isin(2 * gs + 1, primes)].tolist()
+    q_windows = kernels.prime_windows(2 * max_g + 1, DEFAULT_SIEVE_BUDGET)
+    found = []
+    for _, _, gs in kernels.prime_windows(max_g, DEFAULT_SIEVE_BUDGET):
+        qs = np.concatenate([primes for _, _, primes in itertools.islice(q_windows, 2)])
+        found += gs[np.isin(2 * gs + 1, qs)].tolist()
+    return found
 
 
 @dataclass(frozen=True)
@@ -126,19 +135,23 @@ def _quadruple(g: DimensionParam, p: int, y: int) -> WeilQuadruple:
 
 
 def find_smallest(g: DimensionParam, p_max: int) -> WeilQuadruple | None:
-    """Quadruple for the least prime p <= p_max passing (P1) and (P2)."""
-    primes, y, member = kernels.classified_primes(p_max, g.n)
-    ps, ys = primes[member], y[member]
-    return _quadruple(g, int(ps[0]), int(ys[0])) if len(ps) else None
+    """Quadruple for the least prime p <= p_max passing (P1) and (P2); the
+    pass stops at the first window that holds one."""
+    for primes, y, member in kernels.classified_windows(p_max, g.n):
+        if member.any():
+            i = int(np.argmax(member))
+            return _quadruple(g, int(primes[i]), int(y[i]))
+    return None
 
 
-def scan_quadruples(g: DimensionParam, p_max: int) -> list[WeilQuadruple]:
-    """All quadruples with p <= p_max, ascending p."""
-    primes, y, member = kernels.classified_primes(p_max, g.n)
-    return [
+def scan_quadruples(g: DimensionParam, p_max: int) -> Iterator[WeilQuadruple]:
+    """All quadruples with p <= p_max, ascending p, one window at a time."""
+    windows = kernels.classified_windows(p_max, g.n)
+    return (
         _quadruple(g, p, yp)
+        for primes, y, member in windows
         for p, yp in zip(primes[member].tolist(), y[member].tolist())
-    ]
+    )
 
 
 def weil_polynomial(w: WeilQuadruple) -> WeilPolynomial:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weilcert import arith
 from weilcert.arith import (
     hensel_sqrt,
     is_perfect_square,
@@ -249,6 +250,36 @@ class TestHenselSqrt:
         t = hensel_sqrt(a, p, k)
         assert 0 <= t < p**k
         assert (t * t - a) % p**k == 0
+
+
+class TestSqrtModPrime:
+    def test_none_for_non_residues(self):
+        assert sqrt_mod_prime(5, 47) is None
+        assert sqrt_mod_prime(47, 47) is None  # 0 mod p
+        assert sqrt_mod_prime(-23, 10**12 + 177) is not None
+        for p in (2, 9, 1):
+            with pytest.raises(ValueError):
+                sqrt_mod_prime(3, p)
+
+    def test_one_primality_test(self, monkeypatch):
+        # p = 1 mod 8 takes the Tonelli-Shanks branch, whose search for a
+        # non-residue tries z = 2, 3, 4, 5 with the Euler criterion
+        p = 10**12 + 177
+        calls = []
+        monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        t = sqrt_mod_prime(-23, p)
+        assert (t * t + 23) % p == 0 and t <= p - t
+        assert [z for z in (2, 3, 4, 5) if euler_criterion(z, p) == -1] == [5]
+        assert calls == [p]
+
+    @given(st.sampled_from(ODD_PRIMES), st.integers(min_value=-10**4, max_value=10**4))
+    def test_matches_brute_force(self, p, a):
+        t = sqrt_mod_prime(a, p)
+        roots = brute_sqrt_roots(a, p)
+        if a % p == 0 or not roots:
+            assert t is None
+        else:
+            assert t == min(roots)
 
 
 class TestRationalContract:

@@ -12,7 +12,9 @@ import pytest
 import weilcert
 from weilcert import cli, kernels, report
 from weilcert.cli import main
+from weilcert.density import density_series
 from weilcert.report import FORMATS, decimal_string, decimal_strings
+from weilcert.weil import DimensionParam
 import oracles
 from conftest import TABLE3
 
@@ -21,6 +23,29 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def child_peak_rss_mb(*argv):
+    """Peak RSS in MB of one weilcert command, which must exit 0.
+
+    Linux carries the spawner's high-water mark into a child at exec, so
+    the command starts from a bare interpreter rather than from this
+    process, whose own peak would be read instead.
+    """
+    spawn = (
+        "import os, sys; pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ); "
+        "_, status, usage = os.wait4(pid, 0); "
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+    )
+    src = str(Path(weilcert.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", spawn, sys.executable, "-m", "weilcert.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    rc, maxrss = child.stdout.split()
+    assert rc == "0", child.stderr
+    return int(maxrss) / 1024  # ru_maxrss is in KiB on Linux
 
 
 class TestFind:
@@ -33,6 +58,11 @@ class TestFind:
         rc, _, err = run(capsys, "find", "--g", "7")
         assert rc == 2
         assert "7 is not a Sophie Germain prime" in err
+
+    def test_p_max_past_old_sieve_budget(self, capsys):
+        # the pass stops in the first window, which holds p = 47
+        rc, out, err = run(capsys, "find", "--g", "5", "--p-max", "300000000")
+        assert (rc, out, err) == (0, "g,p,a,s\n5,47,12,2\n", "")
 
     def test_exhausted_bound(self, capsys):
         rc, _, err = run(capsys, "find", "--g", "5", "--p-max", "43")
@@ -161,6 +191,8 @@ class TestDensity:
         assert lines[-1].startswith("97,")
 
     def test_series_sieves_and_classifies_once(self, capsys, tmp_path, monkeypatch):
+        # one pass over the windows per command (per g for table2): a second
+        # pass, or a window sieved twice, changes the counts
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -169,25 +201,33 @@ class TestDensity:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("classified_primes", "sieve_primes", "form_witnesses"):
+        for name in ("classified_windows", "prime_windows", "_odd_form_witnesses"):
             monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
+        monkeypatch.setattr(kernels, "WINDOW", 400)
         commands = (
+            # 1000 spans three windows of 400, and find stops in the first
             (["density", "--g", "11", "--checkpoints", "1000",
-              "--series", str(tmp_path / "series.csv")], 1),
-            (["scan", "--g", "11", "--p-max", "1000"], 1),
-            (["find", "--g", "11"], 1),
-            (["plot", "--g", "11", "--x-max", "1000", "--out", str(tmp_path / "f.svg")], 1),
-            (["table2", "--g-max", "29"], 4),  # one pass per g in 5, 11, 23, 29
+              "--series", str(tmp_path / "series.csv")], 1, 1, 3),
+            (["scan", "--g", "11", "--p-max", "1000"], 1, 1, 3),
+            (["find", "--g", "11"], 1, 1, 1),
+            # plus the prime-only count of pi(x_max) for the decimation step
+            (["plot", "--g", "11", "--x-max", "1000", "--out", str(tmp_path / "f.svg")],
+             1, 2, 3),
+            # one pass per g in 5, 11, 23, 29, plus the g and the 2g+1 of the
+            # Sophie Germain list
+            (["table2", "--g-max", "29"], 4, 6, 4),
         )
-        for argv, passes in commands:
+        for argv, passes, prime_passes, windows in commands:
             calls.clear()
             rc, _, _ = run(capsys, *argv)
             assert rc == 0, argv
             assert calls == {
-                "classified_primes": passes, "sieve_primes": passes, "form_witnesses": passes,
+                "classified_windows": passes,
+                "prime_windows": prime_passes,
+                "_odd_form_witnesses": windows,
             }, argv
 
-    def test_stream_rows_one_chunk_at_a_time(self, series_g11, monkeypatch):
+    def test_stream_rows_one_chunk_at_a_time(self, monkeypatch):
         # the per-prime columns are built per CHUNK_ROWS slice, not for the
         # whole series before the first row
         sizes = []
@@ -197,7 +237,7 @@ class TestDensity:
             return decimal_strings(num, den)
 
         monkeypatch.setattr(report, "decimal_strings", spy)
-        rows = cli._stream_rows(series_g11)
+        rows = cli._stream_rows(density_series(DimensionParam(11), (10**6,)))
         assert next(rows) == (2, 0, 1, "0.00000000")
         assert len(sizes) == 1 and sizes[0] <= report.CHUNK_ROWS
 
@@ -235,18 +275,23 @@ class TestDensity:
     def test_json_series_peak_rss(self, tmp_path):
         # the 7.4 MB json stream to 10^6 is written in chunks: rendered as one
         # string it peaked near 142 MB
-        src = str(Path(weilcert.__file__).resolve().parents[1])
-        argv = [
-            sys.executable, "-m", "weilcert.cli", "density", "--g", "5",
-            "--format", "json", "--checkpoints", "1000000",
+        rss = child_peak_rss_mb(
+            "density", "--g", "5", "--format", "json", "--checkpoints", "1000000",
             "--series", str(tmp_path / "series.json"), "--out", str(tmp_path / "t.json"),
-        ]
-        env = dict(os.environ, PYTHONPATH=src)
-        pid = os.posix_spawn(sys.executable, argv, env)
-        _, status, usage = os.wait4(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
+        )
         assert json.loads((tmp_path / "series.json").read_text())[-1]["p"] == 999983
-        assert usage.ru_maxrss / 1024 < 100  # ru_maxrss is in KiB on Linux
+        assert rss < 100
+
+    def test_peak_rss_flat_in_x(self, tmp_path):
+        # the pass holds O(window) memory: to 10^8 the whole-array sieves
+        # peaked at 276 MB
+        rss = child_peak_rss_mb(
+            "density", "--g", "11", "--checkpoints", "100000000",
+            "--out", str(tmp_path / "t.csv"),
+        )
+        row = (tmp_path / "t.csv").read_text().splitlines()[1]
+        assert row.split(",")[2] == "5761455"  # pi(10^8), OEIS A006880
+        assert rss < 60
 
     def test_bad_checkpoints(self, capsys):
         rc, _, err = run(capsys, "density", "--g", "11", "--checkpoints", "10,abc")
@@ -351,6 +396,28 @@ class TestPlotAndOutput:
         svg = path.read_text()
         assert svg.count('class="limit-line"') == 1
         assert svg.startswith("<svg")
+
+    def test_plot_x_max_below_2(self, capsys):
+        for x_max in ("1", "-5"):
+            rc, out, err = run(capsys, "plot", "--g", "11", "--x-max", x_max)
+            assert (rc, out) == (2, "")
+            assert err == f"error: --x-max must be >= 2, got {x_max}\n"
+
+    def test_plot_keeps_every_step_th_point(self, capsys, tmp_path, monkeypatch):
+        # 78498 primes to 10^6 thin to every 16th; the points do not depend
+        # on where the windows fall
+        svgs = []
+        for width in (kernels.WINDOW, 1000):
+            monkeypatch.setattr(kernels, "WINDOW", width)
+            path = tmp_path / f"f{width}.svg"
+            rc, _, _ = run(capsys, "plot", "--g", "5", "--x-max", "1000000",
+                           "--out", str(path))
+            assert rc == 0
+            svgs.append(path.read_text())
+        assert svgs[0] == svgs[1]
+        assert "points=78498 kept=4907 decimation=16" in svgs[0]
+        primes = oracles.primes_upto(10**6)[::16]
+        assert svgs[0].count("<circle") == len(primes) == 4907
 
     def test_out_writes_file(self, capsys, tmp_path):
         path = tmp_path / "t.csv"

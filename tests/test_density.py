@@ -3,13 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from weilcert.density import asymptotic_limit, density_series
+from weilcert import kernels
+from weilcert.density import asymptotic_limit, density_series, prime_count
 from weilcert.errors import ResourceLimitError
-from weilcert.kernels import classified_primes
 from weilcert.report import decimal_string
 from weilcert.weil import DimensionParam, sophie_germain_list
 from conftest import CHECKPOINTS, TABLE4
-from oracles import classify_prime
+from oracles import classify_prime, density_counts, primes_upto
 
 G5 = DimensionParam(5)
 G11 = DimensionParam(11)
@@ -89,15 +89,54 @@ class TestConvergenceReport:
 class TestClassificationConsistency:
     def test_flags_match_membership(self):
         for g in (G5, G11):
-            primes, _, member = classified_primes(3000, g.n)
-            for p, is_member in zip(primes.tolist(), member.tolist()):
-                assert is_member == (classify_prime(p, g.g) == "pg"), (g.g, p)
+            for primes, _, member in kernels.classified_windows(3000, g.n):
+                for p, is_member in zip(primes.tolist(), member.tolist()):
+                    assert is_member == (classify_prime(p, g.g) == "pg"), (g.g, p)
 
     def test_member_counts(self):
         series = density_series(G11, (10**4,))
-        primes, counts = series.primes, series.members
+        windows = list(series)
+        primes = np.concatenate([w[0] for w in windows])
+        counts = np.concatenate([w[1] for w in windows])
+        assert [w[2] for w in windows] == [0]  # one window, no prime below it
         assert len(primes) == len(counts) == 1229
-        assert int(counts[-1]) == 175
+        assert int(counts[-1]) == 175 == series.records[0].count_pg
         # running count is nondecreasing and steps by at most one
         steps = np.diff(counts)
         assert steps.min() >= 0 and steps.max() <= 1
+
+
+class TestWindows:
+    """The fold over windows against one-prime-at-a-time counting."""
+
+    CHECKPOINTS = (2, 3, 63, 64, 65, 127, 128, 1000, 4093, 4096, 10**4, 10**5)
+
+    def test_records_do_not_depend_on_the_window(self, monkeypatch):
+        plist = primes_upto(10**5)
+        for g in (G5, G11):
+            want = density_counts(g.g, plist, list(self.CHECKPOINTS))
+            for width in (kernels.WINDOW, 64, 1000):
+                monkeypatch.setattr(kernels, "WINDOW", width)
+                records = density_series(g, self.CHECKPOINTS).records
+                got = {r.x: (r.count_pg, r.count_split_all, r.count_p) for r in records}
+                assert got == want, (g.g, width)
+
+    def test_running_counts_across_windows(self, monkeypatch):
+        monkeypatch.setattr(kernels, "WINDOW", 1000)
+        series = density_series(G5, (10**4,))
+        count = members = 0
+        for primes, running, before in series:
+            assert before == count
+            for p, m in zip(primes.tolist(), running.tolist()):
+                members += classify_prime(p, 5) == "pg"
+                assert m == members, p
+            count += len(primes)
+        assert count == 1229
+        assert series.records[0].count_pg == members
+
+    def test_prime_count(self):
+        assert [prime_count(x) for x in (2, 3, 100, 10**4, 10**6)] == [
+            1, 2, 25, 1229, 78498
+        ]
+        with pytest.raises(ValueError):
+            prime_count(1)

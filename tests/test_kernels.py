@@ -15,9 +15,35 @@ from oracles import (
 )
 
 
+def classified(limit, n):
+    """The windows of one pass joined into whole (primes, y, member) arrays."""
+    primes, y, member = zip(*kernels.classified_windows(limit, n))
+    return np.concatenate(primes), np.concatenate(y), np.concatenate(member)
+
+
+def odd_values(lo, hi):
+    return list(range(lo | 1, hi, 2))
+
+
 @pytest.fixture(scope="module")
 def primes_1e5():
     return sieve_primes(10**5)
+
+
+@pytest.fixture(scope="module")
+def oracle_1e5():
+    """g -> (primes, witness y, member) to 10^5 from the per-prime oracles."""
+    primes = primes_upto(10**5)
+    want = {}
+    for g in (3, 5, 11, 23):
+        n = 2 * g + 1
+        ys = []
+        for p in primes:
+            rep = full_scan_min_y(p, n)
+            ys.append(0 if rep is None or p == n else rep[1])
+        member = [classify_prime(p, g) == "pg" for p in primes]
+        want[g] = (primes, ys, member)
+    return want
 
 
 class TestBackends:
@@ -25,52 +51,48 @@ class TestBackends:
 
     def test_numpy_matches_python(self, primes_1e5):
         for n in (7, 11, 23, 47, 59):
-            primes, y, _ = kernels.classified_primes(10**5, n)
+            primes, y, _ = classified(10**5, n)
             assert primes.tolist() == primes_1e5.tolist()
             want = [early_break_rep_exists(p, n) for p in primes_1e5.tolist()]
             assert (y != 0).tolist() == want, n
 
     def test_empty_input(self):
-        # no form value below 2, and no prime: an error, not empty arrays
-        assert not kernels.form_witnesses(0, 23).any()
-        assert kernels.form_witnesses(1, 23).shape == (2,)
+        # no form value below n + 1, and no prime below 2: an error, not
+        # empty windows, and raised at the call, before anything is sieved
+        assert not kernels._odd_form_witnesses(0, 24, 23, np.uint8).any()
+        assert kernels._odd_form_witnesses(0, 1, 23, np.uint8).shape == (0,)
         with pytest.raises(ValueError):
-            kernels.classified_primes(1, 23)
+            kernels.classified_windows(1, 23)
+        with pytest.raises(ValueError):
+            kernels.prime_windows(1, DEFAULT_SIEVE_BUDGET)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
-            kernels.classified_primes(100, 0)
-        with pytest.raises(ValueError):
-            kernels.form_witnesses(100, 0)
+            kernels.classified_windows(100, 0)
 
 
 class TestClassifiedPrimes:
     """(primes, y, member) against the definition-direct oracles."""
 
-    def test_matches_oracles_to_1e5(self):
-        want_primes = primes_upto(10**5)
-        for g in (3, 5, 11, 23):
-            n = 2 * g + 1
-            primes, y, member = kernels.classified_primes(10**5, n)
-            assert primes.tolist() == want_primes
-            for p, yp, m in zip(want_primes, y.tolist(), member.tolist()):
-                kind = classify_prime(p, g)
-                assert m == (kind == "pg"), (g, p)
-                rep = full_scan_min_y(p, n)
-                assert yp == (0 if rep is None or p == n else rep[1]), (g, p)
+    def test_matches_oracles_to_1e5(self, oracle_1e5):
+        for g, (want_primes, want_y, want_member) in oracle_1e5.items():
+            primes, y, member = classified(10**5, 2 * g + 1)
+            assert primes.tolist() == want_primes, g
+            assert y.tolist() == want_y, g
+            assert member.tolist() == want_member, g
 
     def test_small_limits(self):
         for g in (3, 5, 11, 23):
             n = 2 * g + 1
             for limit in (2, n, n + 1):
-                primes, y, member = kernels.classified_primes(limit, n)
+                primes, y, member = classified(limit, n)
                 want = primes_upto(limit)
                 assert primes.tolist() == want, (g, limit)
                 # every form value x^2 + n*y^2 with x, y >= 1 exceeds n
                 assert not y.any() and not member.any(), (g, limit)
 
     def test_dtypes(self):
-        primes, y, member = kernels.classified_primes(1000, 23)
+        primes, y, member = classified(1000, 23)
         assert primes.dtype == np.int64
         assert y.dtype == np.uint8
         assert member.dtype == np.bool_
@@ -79,59 +101,99 @@ class TestClassifiedPrimes:
 
 class TestFormWitnesses:
     def test_every_value_below_3000(self):
-        # composites included: any stored y must be a genuine witness
+        # composites included: any stored y must be a genuine witness; the
+        # sieve covers the odd values only, in windows of any size
         for n in (1, 2, 7, 23):
-            y_of = kernels.form_witnesses(3000, n)
-            for v in range(3001):
-                y = int(y_of[v])
-                assert (y != 0) == early_break_rep_exists(v, n), (n, v)
-                if y:
-                    x2 = v - n * y * y
-                    assert x2 > 0 and math.isqrt(x2) ** 2 == x2
+            for width in (3000, 64, 7):
+                for lo in range(0, 3000, width):
+                    hi = min(lo + width, 3000)
+                    y_of = kernels._odd_form_witnesses(lo, hi, n, np.uint16)
+                    assert len(y_of) == len(odd_values(lo, hi))
+                    for v, y in zip(odd_values(lo, hi), y_of.tolist()):
+                        assert (y != 0) == early_break_rep_exists(v, n), (n, lo, v)
+                        if y:
+                            x2 = v - n * y * y
+                            assert x2 > 0 and math.isqrt(x2) ** 2 == x2
 
     def test_prime_witness_is_smallest_y(self, primes_1e5):
         for n in (7, 23, 59):
-            y_of = kernels.form_witnesses(10**5, n)
-            for p in primes_1e5[::7].tolist():
-                rep = full_scan_min_y(p, n)
-                assert int(y_of[p]) == (0 if rep is None else rep[1]), (n, p)
+            primes, y, _ = classified(10**5, n)
+            for i in range(0, len(primes), 7):
+                rep = full_scan_min_y(int(primes[i]), n)
+                assert int(y[i]) == (0 if rep is None else rep[1]), (n, primes[i])
 
     def test_p_equal_n_not_representable(self):
         # 23 = 0^2 + 23*1^2 needs x = 0
-        primes, y, member = kernels.classified_primes(23, 23)
+        primes, y, member = classified(23, 23)
         assert primes[-1] == 23
         assert not y.any() and not member.any()
 
     def test_n1_p2(self):
-        # 2 = 1^2 + 1*1^2
-        primes, y, member = kernels.classified_primes(2, 1)
+        # 2 = 1^2 + 1*1^2, the one even value the pass classifies
+        primes, y, member = classified(2, 1)
         assert (primes.tolist(), y.tolist(), member.tolist()) == ([2], [1], [True])
 
     def test_limit_is_a_form_value(self):
-        # 24 = 1 + 23*1^2 and 59 = 6^2 + 23*1^2 sit exactly at the limit
-        assert kernels.form_witnesses(24, 23)[24] == 1
-        assert kernels.form_witnesses(59, 23)[59] == 1
-        assert not kernels.form_witnesses(23, 23).any()
-        primes, y, member = kernels.classified_primes(59, 23)
+        # 59 = 6^2 + 23*1^2 sits exactly at the limit, and at either edge
+        # of a window; below it the odd form values are 27 and 39
+        def marked(lo, hi):
+            y_of = kernels._odd_form_witnesses(lo, hi, 23, np.uint8)
+            return [v for v, y in zip(odd_values(lo, hi), y_of.tolist()) if y]
+
+        assert marked(0, 59) == [27, 39]
+        assert marked(0, 60) == [27, 39, 59]
+        assert marked(59, 60) == marked(58, 60) == marked(40, 60) == [59]
+        primes, y, member = classified(59, 23)
         assert primes[y != 0].tolist() == primes[member].tolist() == [59]
 
     def test_dtype_from_largest_y(self):
-        assert kernels.form_witnesses(1000, 23).dtype == np.uint8
-        assert kernels.form_witnesses(10**5, 1).dtype == np.uint16
+        assert classified(1000, 23)[1].dtype == np.uint8
+        assert classified(10**5, 1)[1].dtype == np.uint16
         # y < sqrt(limit / n) <= sqrt(budget) keeps uint16 up to the budget
         assert math.isqrt(DEFAULT_SIEVE_BUDGET) < 2**16
 
     def test_over_budget_raises_before_allocating(self):
-        assert kernels.form_witnesses(10**4, 23, budget=10**4).shape == (10**4 + 1,)
+        # a limit equal to the budget is accepted
+        assert len(list(kernels.classified_windows(10**4, 23, budget=10**4))) == 1
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError):
-                kernels.form_witnesses(10**6 + 1, 23, budget=10**6)
+                kernels.classified_windows(10**6 + 1, 23, budget=10**6)
+            with pytest.raises(ResourceLimitError):
+                kernels.prime_windows(10**6 + 1, 10**6)
             with pytest.raises(ResourceLimitError):
                 sieve_primes(10**6 + 1, budget=10**6)
-            with pytest.raises(ResourceLimitError):
-                kernels.classified_primes(10**6 + 1, 23, budget=10**6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 1024  # the sieves would allocate 0.5 MB and 1 MB
+        assert peak < 64 * 1024  # a window, or sieve_primes, would take 0.5 MB or more
+
+
+class TestWindowEdges:
+    """Window sizes far below WINDOW put window edges at primes and at form
+    values; the joined windows must not depend on where the edges fall."""
+
+    @pytest.mark.parametrize("width, limit", [(3, 10**4), (64, 10**5), (1000, 10**5)])
+    def test_tiny_windows_match_oracles(self, oracle_1e5, monkeypatch, width, limit):
+        monkeypatch.setattr(kernels, "WINDOW", width)
+        for g, (want_primes, want_y, want_member) in oracle_1e5.items():
+            k = len(primes_upto(limit))
+            primes, y, member = classified(limit, 2 * g + 1)
+            assert primes.tolist() == want_primes[:k], (width, g)
+            assert y.tolist() == want_y[:k], (width, g)
+            assert member.tolist() == want_member[:k], (width, g)
+            # members sit on the first and on the last odd slot of some window
+            members = set(primes[member].tolist())
+            firsts = {lo | 1 for lo in range(0, limit + 1, width)}
+            lasts = {hi - 1 - hi % 2 for hi in range(width, limit + 1, width)}
+            assert members & firsts and members & lasts, (width, g)
+
+    def test_window_count(self, monkeypatch):
+        monkeypatch.setattr(kernels, "WINDOW", 1000)
+        bounds = [(lo, hi) for lo, hi, _ in kernels.prime_windows(10**4, 10**4)]
+        assert bounds == [(lo, lo + 1000) for lo in range(0, 10**4, 1000)] + [(10**4, 10**4 + 1)]
+
+    def test_pi_1e8(self):
+        # OEIS A006880: pi(10^8) = 5761455
+        windows = kernels.prime_windows(10**8, DEFAULT_SIEVE_BUDGET)
+        assert sum(len(primes) for _, _, primes in windows) == 5_761_455

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from weilcert import arith
 from weilcert.arith import is_prime, legendre_symbol
 from weilcert.quadforms import QuadForm, class_number, reduced_forms, represent_x2_ny2
 from oracles import full_scan_min_y, is_reduced_form, naive_class_number, primes_upto
@@ -75,6 +76,22 @@ class TestRepresent:
         r = represent_x2_ny2(101, 23)
         assert (r.x, r.y) == (3, 2)
         assert represent_x2_ny2(61, 23) is None
+
+    def test_one_primality_test(self, monkeypatch):
+        # p is tested once, not again by every Legendre symbol on the way
+        calls = []
+        monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        p = 710556311324541868785229746989
+        r = represent_x2_ny2(p, 23)
+        assert (r.x, r.y) == (600000000000039, 123456789012346)
+        assert calls == [p]
+        calls.clear()
+        assert represent_x2_ny2(61, 23) is None
+        assert calls == [61]
+
+    def test_composite_p_raises(self):
+        with pytest.raises(ValueError):
+            represent_x2_ny2(15, 11)
 
     def test_smallest_y_is_first_hit(self):
         # 853 - 23*y^2 is square first at y = 6 (and only there)

@@ -11,6 +11,7 @@ from weilcert.report import (
     FORMATS,
     decimal_string,
     decimal_strings,
+    decimation,
     emit_svg,
     write_table,
 )
@@ -173,24 +174,30 @@ class TestWriteTable:
 
 class TestEmitSvg:
     def test_single_limit_line(self):
-        svg = emit_svg([10, 20, 30], [0.1, 0.12, 0.14], Fraction(5, 33), 11, 100)
+        svg = emit_svg([10, 20, 30], [0.1, 0.12, 0.14], 3, Fraction(5, 33), 11, 100)
         assert svg.count('class="limit-line"') == 1
         assert 'stroke-dasharray' in svg
         assert "f_11(x)" in svg
 
     def test_decimation_above_threshold(self):
         n = 12000
-        xs = list(range(1, n + 1))
-        fs = [0.1] * n
-        svg = emit_svg(xs, fs, Fraction(1, 10), 5, n)
-        assert "decimation=3" in svg  # ceil(12000/5000)
+        step = decimation(n)
+        assert step == 3  # ceil(12000/5000)
+        xs = list(range(1, n + 1))[::step]
+        svg = emit_svg(xs, [0.1] * len(xs), n, Fraction(1, 10), 5, n)
+        assert "points=12000 kept=4000 decimation=3" in svg
         assert svg.count("<circle") == len(range(0, n, 3))
+        assert decimation(10000) == 2 and decimation(10001) == 3
 
     def test_no_decimation_below_threshold(self):
-        svg = emit_svg([1, 2], [0.5, 0.5], Fraction(1, 2), 5, 10)
+        svg = emit_svg([1, 2], [0.5, 0.5], 2, Fraction(1, 2), 5, 10)
         assert "decimation=1" in svg
         assert svg.count("<circle") == 2
+        assert decimation(0) == decimation(5000) == 1
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            emit_svg([1, 2], [0.5], Fraction(1, 2), 5, 10)
+            emit_svg([1, 2], [0.5], 2, Fraction(1, 2), 5, 10)
+        # two points kept are every 3rd of 6 or fewer, not of 12000
+        with pytest.raises(ValueError):
+            emit_svg([1, 2], [0.5, 0.5], 12000, Fraction(1, 2), 5, 10)

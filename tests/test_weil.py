@@ -4,7 +4,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from weilcert.arith import sieve_primes
+from weilcert import kernels
+from weilcert.arith import DEFAULT_SIEVE_BUDGET, sieve_primes
+from weilcert.errors import ResourceLimitError
 from weilcert.weil import (
     DimensionParam,
     WeilPolynomial,
@@ -26,7 +28,13 @@ from weilcert.weil import (
     weil_polynomial,
 )
 from conftest import TABLE2, TABLE3
-from oracles import classify_prime, general_equation_walk, primes_upto, weil_quadruple
+from oracles import (
+    classify_prime,
+    general_equation_walk,
+    primes_upto,
+    trial_division_is_prime,
+    weil_quadruple,
+)
 
 G5 = DimensionParam(5)
 G11 = DimensionParam(11)
@@ -45,6 +53,19 @@ class TestSophieGermain:
         assert len(big) == 24
         assert big[-2:] == [491, 509]
         assert big == [row[0] for row in TABLE2]
+
+    @pytest.mark.parametrize("width", [3, 64, 1000])
+    def test_list_across_windows(self, monkeypatch, width):
+        # g-window k pairs with the 2g+1 of q-windows 2k and 2k+1
+        want = [
+            g for g in range(10**4 + 1)
+            if trial_division_is_prime(g) and trial_division_is_prime(2 * g + 1)
+        ]
+        monkeypatch.setattr(kernels, "WINDOW", width)
+        for max_g in (2, 3, 4, 5, 10**4, 10**4 - 1, 9923):
+            assert sophie_germain_list(max_g) == [g for g in want if g <= max_g]
+        with pytest.raises(ResourceLimitError):  # 2g+1 past the sieve budget
+            sophie_germain_list(DEFAULT_SIEVE_BUDGET // 2)
 
     def test_predicate(self):
         assert not is_sophie_germain(7)  # 15 = 3*5
@@ -116,7 +137,7 @@ class TestQuadruples:
         for g_val in (3, 5, 11, 23):
             g = DimensionParam(g_val)
             want = [w for p in primes if (w := quadruple(g, p)) is not None]
-            assert scan_quadruples(g, 10**5) == want, g_val
+            assert list(scan_quadruples(g, 10**5)) == want, g_val
             assert find_smallest(g, 10**5) == want[0], g_val
 
     def test_table2_rows(self):
