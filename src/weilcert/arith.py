@@ -235,18 +235,20 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
     return min(r, p - r)
 
 
-def hensel_sqrt(a: int, p: int, k: int) -> int:
-    """The square root of a mod p^k lifting the canonical mod-p root.
+def hensel_sqrt(a: int, p: int, k: int) -> int | None:
+    """The square root of a mod p^k lifting the canonical mod-p root, or
+    None when a is not a nonzero square mod the odd prime p.
 
     Newton iteration t -> (t + a/t)/2 doubles the precision each step;
     the result is the unique root in [0, p^k) congruent to
     sqrt_mod_prime(a, p) mod p, so precisions k and k+1 agree mod p^k.
+    p is tested for primality once, by sqrt_mod_prime.
     """
     if k < 1:
         raise ValueError(f"precision must be >= 1, got {k}")
-    t = sqrt_mod_prime(a, p)  # validates p
+    t = sqrt_mod_prime(a, p)
     if t is None:
-        raise ValueError(f"{a} is not a nonzero square mod {p}")
+        return None
     prec = 1
     while prec < k:
         prec = min(2 * prec, k)

@@ -147,22 +147,19 @@ def _write_records(series: density_mod.DensitySeries, fmt: str, fh: TextIO) -> N
     report.write_table(header, rows, fmt, fh)
 
 
-def _stream_rows(series: density_mod.DensitySeries) -> Iterator[tuple[int, int, int, str]]:
-    """(p, f_num, f_den, f_decimal) at every prime p of the series, with
-    f(p) = members / (primes <= p) in lowest terms, computed one
-    `report.CHUNK_ROWS` slice of a window's columns at a time."""
+def _stream_rows(series: density_mod.DensitySeries) -> Iterator[report.Columns]:
+    """The columns p, f_num, f_den and f_decimal at every prime p of the
+    series, with f(p) = members / (primes <= p) in lowest terms, one
+    `report.CHUNK_ROWS` slice of a window at a time: int64 arrays, and
+    f_decimal as the int64 pair of `report.fixed_point`."""
     for primes, members, count in series:
         for start in range(0, len(primes), report.CHUNK_ROWS):
             num = members[start : start + report.CHUNK_ROWS]
             den = np.arange(count + start + 1, count + start + len(num) + 1)
             common = np.gcd(num, den)
             f_num, f_den = num // common, den // common
-            yield from zip(
-                primes[start : start + report.CHUNK_ROWS].tolist(),
-                f_num.tolist(),
-                f_den.tolist(),
-                report.decimal_strings(f_num, f_den),
-            )
+            p = primes[start : start + report.CHUNK_ROWS]
+            yield report.Columns((p, f_num, f_den, report.fixed_point(f_num, f_den)))
 
 
 def cmd_limit(args) -> int:

@@ -2,7 +2,10 @@
 tables, and the SVG scatter plot.
 
 Every numeric field is rendered from exact integers or rationals; binary
-floating point only ever appears in SVG coordinates.
+floating point only ever appears in SVG coordinates. Tables are rendered
+a chunk of columns at a time, and a column of nonnegative int64 values
+becomes ASCII digits in numpy, so a table as long as the per-prime
+density stream builds no Python object per row or cell.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -21,6 +24,7 @@ FORMATS = ("csv", "json", "markdown")
 DECIMAL_PLACES = 8
 SVG_MAX_POINTS = 5000
 CHUNK_ROWS = 8192
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _half_up(n, d):
@@ -42,8 +46,17 @@ def decimal_string(q: Fraction) -> str:
     return f"{sign}{whole}.{frac:0{DECIMAL_PLACES}d}"
 
 
-def decimal_strings(num: np.ndarray, den: np.ndarray) -> list[str]:
-    """decimal_string(Fraction(num[i], den[i])) for every i, computed on
+class FixedPoint(NamedTuple):
+    """A column of exact decimals as decimal_string writes them, from two
+    int64 columns: whole.frac per row, frac zero-padded to DECIMAL_PLACES
+    digits."""
+
+    whole: np.ndarray
+    frac: np.ndarray
+
+
+def fixed_point(num: np.ndarray, den: np.ndarray) -> FixedPoint:
+    """The column of decimal_string(Fraction(num[i], den[i])), computed on
     int64 columns; num must be nonnegative and den positive.
 
     Raises ValueError instead of wrapping when num * 10**DECIMAL_PLACES
@@ -52,59 +65,161 @@ def decimal_strings(num: np.ndarray, den: np.ndarray) -> list[str]:
     places = DECIMAL_PLACES
     num = np.asarray(num, dtype=np.int64)
     den = np.asarray(den, dtype=np.int64)
-    top = np.iinfo(np.int64).max // 10**places
+    top = _INT64_MAX // 10**places
     if num.size and (num.min() < 0 or num.max() > top or den.min() < 1):
         raise ValueError(
-            f"decimal_strings needs 0 <= num <= {top} and den >= 1 "
+            f"fixed_point needs 0 <= num <= {top} and den >= 1 "
             "to stay exact in int64"
         )
-    whole, frac = np.divmod(_half_up(num, den), 10**places)
-    return list(map(f"%d.%0{places}d".__mod__, zip(whole.tolist(), frac.tolist())))
+    return FixedPoint(*np.divmod(_half_up(num, den), 10**places))
 
 
-def _layout(header: Sequence[str], fmt: str) -> tuple[str, str, str, str, str]:
-    """(head, row, separator, tail, empty) of one table: the text is head,
-    then the rows joined by separator, then tail; with no rows it is empty.
+class Columns(tuple):
+    """One chunk of a table given by columns of one length: int64 arrays,
+    FixedPoint pairs, or sequences of cells."""
 
-    row is a %-template with one %s per column. JSON follows
-    json.dumps(indent=2) with its default ensure_ascii, so the keys are
-    encoded here and the string cells by write_table.
+
+def _layout(header: Sequence[str], fmt: str) -> tuple[str, list[str], str, str, str]:
+    """(head, around, separator, tail, empty) of one table: the text is
+    head, then the rows joined by separator, then tail; with no rows it is
+    empty.
+
+    A row is its cells interleaved with the len(header) + 1 literals of
+    around. JSON follows json.dumps(indent=2) with its default
+    ensure_ascii, so the keys are encoded here and the string cells by
+    write_table.
     """
     k = len(header)
+    if not k:
+        raise ValueError("a table needs at least one column")
     if fmt == "csv":
         head = ",".join(header) + "\n"
-        return head, ",".join(["%s"] * k), "\n", "\n", head
+        return head, ["", *[","] * (k - 1), ""], "\n", "\n", head
     if fmt == "json":
-        fields = ",\n".join(
-            "    " + _json_str(key).replace("%", "%%") + ": %s" for key in header
-        )
-        return "[\n", "  {\n" + fields + "\n  }", ",\n", "\n]\n", "[]\n"
+        keys = ["    " + _json_str(key) + ": " for key in header]
+        around = ["  {\n" + keys[0], *[",\n" + key for key in keys[1:]], "\n  }"]
+        return "[\n", around, ",\n", "\n]\n", "[]\n"
     if fmt == "markdown":
         head = "| " + " | ".join(header) + " |\n|" + "|".join([" --- "] * k) + "|\n"
-        return head, "| " + " | ".join(["%s"] * k) + " |", "\n", "\n", head
+        return head, ["| ", *[" | "] * (k - 1), " |"], "\n", "\n", head
     raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
 
 
+def _literal(text: str) -> tuple[np.ndarray, None]:
+    """ASCII text as a part of every row, all kept."""
+    return np.frombuffer(text.encode("ascii"), np.uint8), None
+
+
+def _digits(col: np.ndarray, width: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
+    """The decimal digits of a nonnegative int64 column as a (rows x w)
+    ASCII block, right-aligned, with the mask of the digits each number
+    keeps; with a width the numbers are zero-padded to it and keep all."""
+    w = width or len(str(int(col.max())))
+    block = np.empty((len(col), w), np.uint8)
+    keep = None if width else np.empty((len(col), w), bool)
+    for j in range(w - 1, -1, -1):
+        if keep is not None:
+            keep[:, j] = col > 0  # a digit left of the number's first is padding
+        col, block[:, j] = np.divmod(col, 10)
+    if keep is not None:
+        keep[:, -1] = True  # 0 is written "0"
+    block += ord("0")
+    return block, keep
+
+
+def _cells(values: Sequence[Cell], fmt: str) -> tuple[np.ndarray, np.ndarray]:
+    """str of each value, one cell at a time (JSON strings encoded as
+    json.dumps does), as a (rows x w) UTF-8 block, left-aligned, with the
+    mask of the bytes each cell keeps."""
+    as_json = fmt == "json"
+    cells = [
+        (_json_str(c) if as_json and isinstance(c, str) else str(c)).encode(
+            "utf-8", "surrogatepass"
+        )
+        for c in values
+    ]
+    lengths = np.fromiter(map(len, cells), np.int64, len(cells))
+    w = max(int(lengths.max()), 1)
+    block = np.array(cells, dtype=f"S{w}").view(np.uint8).reshape(len(cells), w)
+    return block, np.arange(w) < lengths[:, None]
+
+
+def _column(col, fmt: str) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """The (block, mask) parts one column puts in each row."""
+    if isinstance(col, FixedPoint):
+        quote = [_literal('"')] if fmt == "json" else []
+        whole, frac = _digits(col.whole), _digits(col.frac, DECIMAL_PLACES)
+        return [*quote, whole, _literal("."), frac, *quote]
+    arr = np.asarray(col)
+    if arr.dtype.kind in "iu" and arr.min() >= 0 and arr.max() <= _INT64_MAX:
+        return [_digits(arr.astype(np.int64, copy=False))]
+    return [_cells(col, fmt)]
+
+
+def _render(parts: list[tuple[np.ndarray, np.ndarray | None]], rows: int) -> bytes:
+    """The rows of the parts laid side by side: one (rows x width) block,
+    literal parts broadcast down it, of which the bytes the masks keep."""
+    widths = [block.shape[-1] for block, _ in parts]
+    out = np.empty((rows, sum(widths)), np.uint8)
+    keep = np.ones(out.shape, bool)
+    at = 0
+    for (block, mask), w in zip(parts, widths):
+        out[:, at : at + w] = block
+        if mask is not None:
+            keep[:, at : at + w] = mask
+        at += w
+    return out[keep].tobytes()
+
+
+def _column_chunks(rows: Iterable[Sequence[Cell]]) -> Iterator[Columns]:
+    """rows read CHUNK_ROWS at a time, each chunk turned into columns."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, CHUNK_ROWS)):
+        yield Columns(zip(*chunk, strict=True))
+
+
 def write_table(
-    header: Sequence[str], rows: Iterable[Sequence[Cell]], fmt: str, fh: TextIO
+    header: Sequence[str],
+    rows: Iterable[Sequence[Cell]] | Iterable[Columns],
+    fmt: str,
+    fh: TextIO,
 ) -> None:
     """Write rows under a header to fh as csv, json, or markdown.
 
     Cells are ints or already-canonical strings; JSON keeps ints as
     numbers and everything else as strings, so no float ever appears.
-    rows may be any iterable: it is read CHUNK_ROWS rows at a time and
-    each chunk is rendered by one % format and written before the next is
-    read, so at most one chunk of text is ever held.
+    rows may be any iterable of rows, read CHUNK_ROWS rows at a time, or
+    of Columns chunks. Each chunk is rendered from its columns and
+    written before the next is read, so at most one chunk of text is
+    ever held: a column of nonnegative int64 values (and each half of a
+    FixedPoint) becomes digits through repeated divmod by 10 into one
+    uint8 block, every other column goes through str one cell at a time,
+    and the layout's literals are broadcast between them. One mask then
+    drops each cell's padding, and the chunk is written as one string.
     """
-    head, row, sep, tail, empty = _layout(header, fmt)
+    head, around, sep, tail, empty = _layout(header, fmt)
     rows = iter(rows)
-    written = 0
-    while chunk := list(islice(rows, CHUNK_ROWS)):
-        cells = chain.from_iterable(chunk)
-        if fmt == "json":
-            cells = [_json_str(c) if isinstance(c, str) else c for c in cells]
-        fh.write((sep if written else head) + sep.join([row] * len(chunk)) % tuple(cells))
-        written += len(chunk)
+    first = next(rows, None)
+    rows = () if first is None else chain([first], rows)
+    chunks = rows if isinstance(first, Columns) else _column_chunks(rows)
+    written = False
+    for chunk in chunks:
+        lengths = {len(c.whole if isinstance(c, FixedPoint) else c) for c in chunk}
+        if len(chunk) != len(header) or len(lengths) != 1:
+            raise ValueError(
+                f"{len(chunk)} columns of lengths {sorted(lengths)} "
+                f"under a header of {len(header)}"
+            )
+        (n,) = lengths
+        if not n:
+            continue
+        parts = [_literal(sep + around[0])]
+        for col, after in zip(chunk, around[1:]):
+            parts += [*_column(col, fmt), _literal(after)]
+        text = _render(parts, n).decode("utf-8", "surrogatepass")
+        # the table's first row follows head, not sep
+        fh.write(text if written else head + text[len(sep) :])
+        written = True
     fh.write(tail if written else empty)
 
 

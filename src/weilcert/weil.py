@@ -29,7 +29,6 @@ from .arith import (
     DEFAULT_SIEVE_BUDGET,
     hensel_sqrt,
     is_prime,
-    legendre_symbol,
     multiplicative_order,
     padic_valuation,
     squarefree_kernel,
@@ -212,11 +211,11 @@ def valuations_oracle(w: WeilQuadruple) -> tuple[int, int]:
     their valuations. Independent of the closed form in local_invariants.
     """
     g, p, n = w.g.g, w.p, w.g.n
-    if legendre_symbol(-n, p) != 1:
-        raise ValueError(f"-(2g+1) = {-n} is not a square mod {p}")
     k = g + 1
     mod = p**k
     t = hensel_sqrt(-n, p, k)
+    if t is None:
+        raise ValueError(f"-(2g+1) = {-n} is not a square mod {p}")
     inv2 = pow(2, -1, mod)
     scale = pow(p, (g - 1) // 2, mod)
     vals = []
@@ -410,10 +409,10 @@ def solve_general_p1m(g: DimensionParam, p: int, m: int) -> tuple[int, int] | No
         for j in range(3, k + 2):
             if (r * r + n) % 2 ** (j + 1):
                 r += 2 ** (j - 1)
-    elif legendre_symbol(-n, p) != 1:  # also p = n
-        return None
     else:
         r = hensel_sqrt(-n, p, k)
+        if r is None:  # -n is not a nonzero square mod p (also p = n)
+            return None
         r += pk * (1 - r % 2)  # the odd one of r, r + p^k
     sol = cornacchia(n, 2 * pk, r, 4 * pk)  # 0 < r < 2p^k
     return sol if sol is not None and math.gcd(sol[0], p) == 1 else None

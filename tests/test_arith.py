@@ -231,11 +231,13 @@ class TestHenselSqrt:
             assert t_k1 % 47**k == t_k
 
     def test_rejects_non_residue(self):
+        # None, as sqrt_mod_prime gives; a modulus that is not an odd prime raises
         assert legendre_symbol(5, 47) == -1
-        with pytest.raises(ValueError):
-            hensel_sqrt(5, 47, 3)
-        with pytest.raises(ValueError):
-            hensel_sqrt(47, 47, 2)  # divisible by p: symbol 0
+        assert hensel_sqrt(5, 47, 3) is None
+        assert hensel_sqrt(47, 47, 2) is None  # divisible by p: symbol 0
+        for p in (2, 9, 1):
+            with pytest.raises(ValueError):
+                hensel_sqrt(3, p, 2)
 
     @settings(max_examples=150)
     @given(

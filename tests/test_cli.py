@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import json
 import math
 import os
@@ -7,13 +8,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import weilcert
 from weilcert import cli, kernels, report
 from weilcert.cli import main
 from weilcert.density import density_series
-from weilcert.report import FORMATS, decimal_string, decimal_strings
+from weilcert.report import FORMATS, decimal_string, fixed_point
 from weilcert.weil import DimensionParam
 import oracles
 from conftest import TABLE3
@@ -229,17 +231,27 @@ class TestDensity:
 
     def test_stream_rows_one_chunk_at_a_time(self, monkeypatch):
         # the per-prime columns are built per CHUNK_ROWS slice, not for the
-        # whole series before the first row
+        # whole series before the first row, and reach the writer as int64
+        # column chunks
         sizes = []
 
         def spy(num, den):
             sizes.append(len(num))
-            return decimal_strings(num, den)
+            return fixed_point(num, den)
 
-        monkeypatch.setattr(report, "decimal_strings", spy)
-        rows = cli._stream_rows(density_series(DimensionParam(11), (10**6,)))
-        assert next(rows) == (2, 0, 1, "0.00000000")
+        monkeypatch.setattr(report, "fixed_point", spy)
+        chunks = cli._stream_rows(density_series(DimensionParam(11), (10**6,)))
+        chunk = next(chunks)
+        assert isinstance(chunk, report.Columns)
+        p, f_num, f_den, f_decimal = chunk
+        assert (p[0], f_num[0], f_den[0], *f_decimal.whole[:1], *f_decimal.frac[:1]) == (
+            2, 0, 1, 0, 0,
+        )
         assert len(sizes) == 1 and sizes[0] <= report.CHUNK_ROWS
+        for column in (p, f_num, f_den, *f_decimal):
+            assert column.dtype == np.int64 and len(column) == sizes[0]
+        assert all(len(c[0]) <= report.CHUNK_ROWS for c in chunks)
+        assert sum(sizes) == 78498  # pi(10^6), one fixed_point per chunk
 
     def test_series_matches_per_prime_fractions(self, capsys, tmp_path):
         # the stream as one Fraction and one decimal_string per prime, each
@@ -297,6 +309,37 @@ class TestDensity:
         rc, _, err = run(capsys, "density", "--g", "11", "--checkpoints", "10,abc")
         assert rc == 2
         assert "bad checkpoint" in err
+
+
+# SHA-256 of whole outputs as the per-row % renderer wrote them; the
+# first two are also perfbench/reference.json's digests of S.csv and S.json
+WHOLE_OUTPUTS = {
+    "series-csv": (
+        ["density", "--g", "11", "--series"],
+        "77741313c3c50785d2ff6415b3e1b67c99fca310cac3b4d3578b3a90312e0fa0",
+    ),
+    "series-json": (
+        ["density", "--g", "5", "--format", "json", "--series"],
+        "19334a781027669eba74e79ec7bcb650c6280348ebc19792191b1a43551461d4",
+    ),
+    "series-markdown": (
+        ["density", "--g", "11", "--format", "markdown", "--series"],
+        "5659c7241a89013671d6b17bcb3f5437850b489338dbe40933b8413f12ed85cf",
+    ),
+    "scan": (
+        ["scan", "--g", "11", "--p-max", "1000000", "--out"],
+        "0b97a9a35327fa5e56f400a47328458d36c9fd6a867322a131b4665af7648e1c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WHOLE_OUTPUTS)
+def test_whole_output_digest(capsys, tmp_path, name):
+    argv, digest = WHOLE_OUTPUTS[name]
+    path = tmp_path / "out"
+    rc, _, _ = run(capsys, *argv, str(path))
+    assert rc == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestScalarCommands:

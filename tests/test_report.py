@@ -2,19 +2,29 @@ import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weilcert.report import (
     CHUNK_ROWS,
     FORMATS,
+    Columns,
+    FixedPoint,
     decimal_string,
-    decimal_strings,
     decimation,
     emit_svg,
+    fixed_point,
     write_table,
 )
+
+
+def decimal_strings(num, den):
+    """The f_decimal cells that write_table renders from fixed_point columns."""
+    fh = io.StringIO()
+    write_table(["d"], [Columns([fixed_point(num, den)])], "csv", fh)
+    return fh.getvalue().split("\n")[1:-1]
 
 
 class TestDecimalString:
@@ -51,9 +61,10 @@ class TestDecimalString:
     def test_array_int64_guard(self):
         top = (2**63 - 1) // 10**8  # largest num whose num * 10**8 fits int64
         assert decimal_strings([top], [top]) == ["1.00000000"]
+        assert decimal_strings([top], [1]) == [f"{top}.00000000"]
         for num, den in (([top + 1], [1]), ([-1], [3]), ([1], [0])):
             with pytest.raises(ValueError):
-                decimal_strings(num, den)
+                fixed_point(num, den)
 
 
 def written(header, rows, fmt):
@@ -170,6 +181,91 @@ class TestWriteTable:
         assert fh.pulled_at_first_write < total
         rows = [(i, str(i)) for i in range(total)]
         assert fh.getvalue() == joined_table(["a", "b"], rows, fmt)
+
+
+# the digit-count edges of the int64 digit kernel
+INT64_EDGES = sorted(
+    {0, 9, 10, 2**63 - 1} | {10**k + d for k in range(1, 19) for d in (-1, 0)}
+)
+# cells the kernel leaves to str: negative ints, ints beyond int64, strings
+NOT_INT64 = st.one_of(
+    st.integers(min_value=-(2**70), max_value=-1),
+    st.integers(min_value=2**63, max_value=2**70),
+    ODD_TEXT,
+)
+ROW_COUNTS = [0, 1, CHUNK_ROWS, CHUNK_ROWS + 1]
+
+
+def lines(text):
+    return text.split("\n")
+
+
+def column_chunks(*columns):
+    """The columns cut into Columns chunks of CHUNK_ROWS rows."""
+
+    def cut(c, i):
+        if isinstance(c, FixedPoint):
+            return FixedPoint(*(half[i : i + CHUNK_ROWS] for half in c))
+        return c[i : i + CHUNK_ROWS]
+
+    n = len(columns[0])
+    return [Columns([cut(c, i) for c in columns]) for i in range(0, n, CHUNK_ROWS)]
+
+
+class TestColumnKernel:
+    """write_table's digit kernel, fed int64 columns as Columns chunks or
+    as rows of Python ints, against the joined_table reference (compared
+    line by line, so that a failure reports the first differing line)."""
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_digit_count_edges(self, fmt, n):
+        up = np.resize(np.array(INT64_EDGES, dtype=np.int64), n)
+        down = up[::-1].copy()
+        num = up % 10**6
+        den = down % 997 + 1
+        frac = fixed_point(num, den)
+        header = ["up", "down", "f"]
+        rows = [
+            [a, b, decimal_string(Fraction(c, d))]
+            for a, b, c, d in zip(up.tolist(), down.tolist(), num.tolist(), den.tolist())
+        ]
+        want = lines(joined_table(header, rows, fmt))
+        assert lines(written(header, column_chunks(up, down, frac), fmt)) == want
+        pairs = [r[:2] for r in rows]
+        want = lines(joined_table(header[:2], pairs, fmt))
+        assert lines(written(header[:2], pairs, fmt)) == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(NOT_INT64, min_size=1, max_size=8),
+        st.sampled_from(ROW_COUNTS),
+        st.sampled_from(FORMATS),
+    )
+    def test_mixed_with_other_cells(self, others, n, fmt):
+        ints = np.resize(np.array(INT64_EDGES, dtype=np.int64), n)
+        cells = (others * n)[:n]
+        negative = -ints - 1  # an int64 column the kernel hands to str
+        header = ["i", "other", "neg"]
+        rows = list(zip(ints.tolist(), cells, negative.tolist()))
+        want = lines(joined_table(header, rows, fmt))
+        assert lines(written(header, rows, fmt)) == want
+        assert lines(written(header, column_chunks(ints, cells, negative), fmt)) == want
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_lone_surrogates_pass_through(self, fmt):
+        rows = [["\ud83d", 1], ["\ude00x", 2]]
+        assert written(["\udfff", "n"], rows, fmt) == joined_table(["\udfff", "n"], rows, fmt)
+
+    def test_mismatched_columns(self):
+        with pytest.raises(ValueError):
+            written(["a", "b"], [Columns([np.arange(3), np.arange(1)])], "csv")
+        with pytest.raises(ValueError):
+            written(["a", "b"], [Columns([np.arange(3)])], "csv")
+        with pytest.raises(ValueError):
+            written(["a", "b"], [[1, 2], [3]], "csv")
+        with pytest.raises(ValueError):
+            written(["a", "b"], [[1, 2], [3, 4, 5]], "csv")
 
 
 class TestEmitSvg:

@@ -9,6 +9,9 @@ names to scan.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import weilcert
@@ -84,3 +87,19 @@ def test_scan_flags_unused_names():
     b = "from a import used\nused(1)\n"
     # LIMIT is read in its own module; a recursive call is not a use
     assert unreferenced({"a": a, "b": b}) == ["a.lonely", "a.Unused"]
+
+
+def test_cli_imports_only_stdlib_numpy_and_weilcert():
+    # interpreter start-up and imports are most of a short command's wall
+    # time, so every command pays for a heavy import
+    probe = (
+        "import sys; before = set(sys.modules); import weilcert.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    allowed = set(sys.stdlib_module_names) | {"numpy", "weilcert"}
+    assert "weilcert.cli" in out
+    assert [m for m in out if m.split(".")[0] not in allowed] == []

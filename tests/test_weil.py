@@ -4,8 +4,9 @@ from types import SimpleNamespace
 
 import pytest
 
+import weilcert
 from weilcert import kernels
-from weilcert.arith import DEFAULT_SIEVE_BUDGET, sieve_primes
+from weilcert.arith import DEFAULT_SIEVE_BUDGET, is_prime, sieve_primes
 from weilcert.errors import ResourceLimitError
 from weilcert.weil import (
     DimensionParam,
@@ -232,6 +233,11 @@ class TestLocalInvariants:
         assert valuations_oracle(quadruple(G5, 47)) == (3, 2)
         assert valuations_oracle(quadruple(G11, 59)) == (6, 5)
 
+    def test_oracle_rejects_non_residue(self):
+        stub = SimpleNamespace(g=G5, p=13, a=2, s=2)  # -11 is not a square mod 13
+        with pytest.raises(ValueError, match=r"-\(2g\+1\) = -11 is not a square mod 13"):
+            valuations_oracle(stub)
+
     def test_oracle_agrees_with_formula_on_all_rows(self):
         for g_val, p, _, _ in TABLE2:
             g = DimensionParam(g_val)
@@ -245,6 +251,20 @@ class TestLocalInvariants:
         assert endomorphism_degree((Fraction(2, 5), Fraction(3, 5))) == 5
         assert endomorphism_degree((Fraction(0, 1),)) == 1
         assert endomorphism_degree((Fraction(5, 11), Fraction(6, 11))) == 11
+
+
+def count_primality_tests(monkeypatch):
+    """The arguments of every is_prime call, through any weilcert module."""
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    for module in vars(weilcert).values():
+        if getattr(module, "is_prime", None) is is_prime:
+            monkeypatch.setattr(module, "is_prime", counted)
+    return calls
 
 
 class TestCertify:
@@ -267,6 +287,13 @@ class TestCertify:
             assert run.certificate is None and not run.passed
             assert run.failure()[0] == identity
             assert run.checks[-1][:2] == (identity, False)
+
+    def test_primality_tests(self, monkeypatch):
+        # its own test, WeilQuadruple's, represent_x2_ny2's and hensel_sqrt's
+        # in valuations_oracle; no Legendre pre-check before hensel_sqrt
+        calls = count_primality_tests(monkeypatch)
+        assert run_certificate_checks(G5, 47).passed
+        assert calls == [47] * 4
 
     def test_place_labels_deterministic(self):
         cert = run_certificate_checks(G5, 47).certificate
@@ -295,6 +322,14 @@ class TestGeneralEquation:
     def test_no_solution_is_none(self):
         # 4*13 = 52: 52 - 11 = 41, 52 - 44 = 8, neither square
         assert solve_general_p1m(G5, 13, 2) is None
+
+    def test_one_primality_test(self, monkeypatch):
+        # hensel_sqrt's; a non-residue (-11 mod 13) or p = 2g+1 ends there too
+        calls = count_primality_tests(monkeypatch)
+        assert solve_general_p1m(G5, 47, 1) == (36, 194)
+        assert solve_general_p1m(G5, 13, 1) is None
+        assert solve_general_p1m(G5, 11, 1) is None
+        assert calls == [47, 13, 11]
 
     def test_matches_walk(self):
         # every m at g in {3, 5, 11, 23} and prime p <= 3000 with
