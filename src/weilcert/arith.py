@@ -1,9 +1,10 @@
 """Exact integer arithmetic primitives shared by the whole toolkit.
 
-Primality, sieving, perfect squares, Legendre symbols, multiplicative
-orders, squarefree kernels, and Hensel lifting of square roots. Every
-operation here is exact: no floating point enters any arithmetic path.
-Rationals are `fractions.Fraction` throughout the package.
+Primality of single integers, perfect squares, Legendre symbols,
+multiplicative orders, squarefree kernels, and Hensel lifting of square
+roots (the prime sieve lives in `kernels`). Every operation here is exact:
+no floating point enters any arithmetic path. Rationals are
+`fractions.Fraction` throughout the package.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import bisect
 import math
 import random
-
-import numpy as np
 
 from .errors import ResourceLimitError
 
@@ -44,8 +43,8 @@ _MR_LARGE_ROUNDS = 64
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
-DEFAULT_SIEVE_BUDGET = 1_000_000_000
-DEFAULT_FACTOR_BOUND = 1_000_000
+#: squarefree_kernel trial-divides up to this bound.
+FACTOR_BOUND = 1_000_000
 
 
 def _mr_composite_witness(n: int, a: int, d: int, r: int) -> bool:
@@ -88,27 +87,6 @@ def is_prime(n: int) -> bool:
     return not any(_mr_composite_witness(n, a, d, r) for a in bases)
 
 
-def sieve_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> np.ndarray:
-    """All primes <= limit as an ascending int64 array (sieve of Eratosthenes).
-
-    Raises ResourceLimitError before allocating when limit > budget.
-    """
-    if limit < 2:
-        raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    if limit > budget:
-        raise ResourceLimitError(
-            f"sieve limit {limit} exceeds memory budget {budget}"
-        )
-    # flags[i] covers the odd integer 2i+1; 1 is not prime
-    flags = np.ones((limit + 1) // 2, dtype=bool)
-    flags[0] = False
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if flags[p // 2]:
-            flags[p * p // 2 :: p] = False
-    odd = 2 * np.flatnonzero(flags).astype(np.int64) + 1
-    return np.concatenate(([np.int64(2)], odd))
-
-
 def is_perfect_square(n: int) -> bool:
     if n < 0:
         return False
@@ -148,15 +126,16 @@ def multiplicative_order(a: int, n: int) -> int:
     return order
 
 
-def squarefree_kernel(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> int:
+def squarefree_kernel(n: int) -> int:
     """The unique squarefree d with n = d * m^2, sign preserved.
 
-    Trial-factors up to `bound`. A residual cofactor is then either prime,
-    a perfect square (kernel 1), or, below bound^2, provably prime; anything
-    else is ambiguous and raises rather than guessing.
+    Trial-factors up to FACTOR_BOUND. A residual cofactor is then either
+    prime, a perfect square (kernel 1), or, below FACTOR_BOUND^2, provably
+    prime; anything else is ambiguous and raises rather than guessing.
     """
     if n == 0:
         raise ValueError("squarefree kernel of 0 is undefined")
+    bound = FACTOR_BOUND
     kernel = -1 if n < 0 else 1
     factors = _trial_factor(abs(n), bound)
     residual = factors.pop(0, 1)

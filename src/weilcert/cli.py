@@ -4,8 +4,8 @@ Subcommands cover the whole toolkit: quadruple searches (`find`, `scan`,
 `table2`), the density experiment (`density`, `plot`), scalar reports
 (`limit`, `classnum`), and certificate verification (`certify`). Output is
 csv, json, or markdown; exit codes are 0 (success), 1 (check failure),
-2 (argument error), 3 (resource limit, such as a sieve budget, or I/O
-failure).
+2 (argument error), 3 (resource limit, such as the sieve budget or the
+class-number discriminant bound, or I/O failure).
 """
 
 from __future__ import annotations
@@ -110,12 +110,12 @@ def cmd_density(args) -> int:
     g = DimensionParam(args.g)
     checkpoints = (
         _parse_checkpoints(args.checkpoints)
-        if args.checkpoints
+        if args.checkpoints is not None
         else density_mod.DEFAULT_CHECKPOINTS
     )
     series = density_mod.density_series(g, checkpoints)
     with _output(args.out) as out:
-        if args.series:
+        if args.series is not None:
             # the stream is written as the pass runs and the table after it;
             # a --series path that cannot be opened still gets the table out
             try:

@@ -28,7 +28,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .arith import DEFAULT_SIEVE_BUDGET
 from .quadforms import class_number
 from .weil import DimensionParam
 
@@ -63,11 +62,11 @@ class DensitySeries:
     iteration has not.
     """
 
-    def __init__(self, g: DimensionParam, checkpoints: tuple[int, ...], budget: int):
+    def __init__(self, g: DimensionParam, checkpoints: tuple[int, ...]):
         self.g = g
         self.limit = asymptotic_limit(g)
         self._records: list[DensityRecord] = []
-        windows = kernels.classified_windows(checkpoints[-1], g.n, budget=budget)
+        windows = kernels.classified_windows(checkpoints[-1], g.n)
         self._windows = self._fold(checkpoints, windows)
 
     def __iter__(self):
@@ -128,9 +127,7 @@ def asymptotic_limit(g: DimensionParam) -> Fraction:
 
 
 def density_series(
-    g: DimensionParam,
-    checkpoints: tuple[int, ...] | list[int] = DEFAULT_CHECKPOINTS,
-    budget: int = DEFAULT_SIEVE_BUDGET,
+    g: DimensionParam, checkpoints: tuple[int, ...] | list[int]
 ) -> DensitySeries:
     """The one sieve-and-classify pass up to checkpoints[-1], checked here and
     run as the series is read."""
@@ -141,10 +138,10 @@ def density_series(
         raise ValueError("checkpoints must be ascending")
     if checkpoints[0] < 2:
         raise ValueError("checkpoints must be >= 2")
-    return DensitySeries(g, checkpoints, budget)
+    return DensitySeries(g, checkpoints)
 
 
 def prime_count(x: int) -> int:
     """pi(x), from the windowed prime sieve alone."""
-    windows = kernels.prime_windows(x, DEFAULT_SIEVE_BUDGET)
+    windows = kernels.prime_windows(x)
     return sum(len(primes) for _, _, primes in windows)

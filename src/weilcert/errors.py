@@ -1,12 +1,12 @@
 """Exception types shared across the toolkit.
 
 Plain argument errors raise ValueError; ResourceLimitError covers the one
-case a caller may want to handle separately: a configured budget or bound
-(the sieve budget, which bounds the time of a windowed pass and the memory
-of a whole-array sieve, or a factoring bound) reached before an operation
-could finish.
+case a caller may want to handle separately: a fixed budget or bound (the
+sieve budget, which bounds the time of a windowed pass, the discriminant
+bound of the class-number enumeration, or the factoring bound) reached
+before an operation could finish.
 """
 
 
 class ResourceLimitError(RuntimeError):
-    """An operation would exceed a configured sieve budget or factoring bound."""
+    """An operation would exceed the sieve budget or a fixed bound."""

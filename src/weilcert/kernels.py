@@ -12,8 +12,8 @@ Per window, two integer-only sieves run over the odd integers only (2 is
 the one even prime):
 
 - the prime sieve is a segmented Eratosthenes (Bays and Hudson, BIT 17,
-  1977): the odd base primes up to sqrt(limit) are sieved once, and each
-  crosses off its odd multiples in the window;
+  1977): the odd base primes up to sqrt(limit) are sieved once, by the
+  same window sieve, and each crosses off its odd multiples in the window;
 - the form-value sieve (after Atkin and Bernstein, "Prime sieves using
   binary quadratic forms", Math. Comp. 73, 2004) marks, for each y, the
   odd values x^2 + n*y^2 with x in [ceil(sqrt(lo - n*y^2)),
@@ -31,7 +31,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import DEFAULT_SIEVE_BUDGET, sieve_primes
 from .errors import ResourceLimitError
 
 #: Integers per window. At n = 11 one window holds 0.5 MB of prime flags,
@@ -40,23 +39,30 @@ from .errors import ResourceLimitError
 #: the memory.
 WINDOW = 1 << 20
 
+#: The largest limit a pass accepts. It bounds the time of a pass (about
+#: 8 s at n = 23 on a 2-core Xeon); the memory does not grow with the limit.
+SIEVE_BUDGET = 10**9
 
-def prime_windows(limit: int, budget: int) -> Iterator[tuple[int, int, np.ndarray]]:
+
+def prime_windows(limit: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """(lo, hi, primes) for each window [lo, hi) up to limit, ascending.
 
     primes holds the window's primes as ascending int64. Checks limit
-    against budget before any window is allocated; budget bounds the time
-    of a pass, since the memory no longer grows with the limit.
+    against SIEVE_BUDGET before any window is allocated.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    if limit > budget:
-        raise ResourceLimitError(f"sieve limit {limit} exceeds budget {budget}")
+    if limit > SIEVE_BUDGET:
+        raise ResourceLimitError(f"sieve limit {limit} exceeds budget {SIEVE_BUDGET}")
     return _prime_windows(limit)
 
 
 def _prime_windows(limit: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    base = sieve_primes(max(math.isqrt(limit), 2))[1:]  # the odd base primes
+    root = math.isqrt(limit)
+    # the odd base primes <= root, from one window sieved by every odd
+    # c <= sqrt(root): an odd composite c crosses off only composites
+    trial = np.arange(3, math.isqrt(root) + 1, 2, dtype=np.int64)
+    base = _window_primes(0, root + 1, trial)[1:]
     squares = base * base
     for lo in range(0, limit + 1, WINDOW):
         hi = min(lo + WINDOW, limit + 1)
@@ -64,7 +70,8 @@ def _prime_windows(limit: int) -> Iterator[tuple[int, int, np.ndarray]]:
 
 
 def _window_primes(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """The primes in [lo, hi), given the odd primes p with p^2 < hi."""
+    """The primes in [lo, hi), given odd integers c >= 3 with c^2 < hi that
+    include every odd prime p with p^2 < hi."""
     first = lo | 1
     # flags[i] covers the odd integer first + 2i; 1 is not prime
     flags = np.ones(max(hi - first + 1, 0) // 2, dtype=bool)
@@ -114,7 +121,7 @@ def _odd_form_witnesses(lo: int, hi: int, n: int, dtype: np.dtype) -> np.ndarray
 
 
 def classified_windows(
-    limit: int, n: int, budget: int = DEFAULT_SIEVE_BUDGET
+    limit: int, n: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(primes, y, member) for the primes of each window up to limit.
 
@@ -126,7 +133,7 @@ def classified_windows(
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    windows = prime_windows(limit, budget)
+    windows = prime_windows(limit)
     dtype = np.min_scalar_type(math.isqrt(limit // n))
     return _classified_windows(windows, n, dtype)
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import kernels
 from .arith import (
-    DEFAULT_SIEVE_BUDGET,
     hensel_sqrt,
     is_prime,
     multiplicative_order,
@@ -49,9 +48,9 @@ def sophie_germain_list(max_g: int) -> list[int]:
     """
     if max_g < 2:
         return []
-    q_windows = kernels.prime_windows(2 * max_g + 1, DEFAULT_SIEVE_BUDGET)
+    q_windows = kernels.prime_windows(2 * max_g + 1)
     found = []
-    for _, _, gs in kernels.prime_windows(max_g, DEFAULT_SIEVE_BUDGET):
+    for _, _, gs in kernels.prime_windows(max_g):
         qs = np.concatenate([primes for _, _, primes in itertools.islice(q_windows, 2)])
         found += gs[np.isin(2 * gs + 1, qs)].tolist()
     return found
@@ -81,29 +80,17 @@ class DimensionParam:
 
 @dataclass(frozen=True)
 class WeilQuadruple:
-    """(g, p, a, s) with a^2 - 4p = -(2g+1)*s^2 and gcd(a, p) = 1."""
+    """(g, p, a, s) = (g, p, 2x, 2y) from a (P1) witness p = x^2 + (2g+1)*y^2.
+
+    Not validated when built: the pass and `represent_x2_ny2` hand over
+    primes with x, y >= 1, and `run_certificate_checks` records
+    a^2 - 4p = -(2g+1)*s^2 and gcd(a, p) = 1 as its own identity.
+    """
 
     g: DimensionParam
     p: int
     a: int
     s: int
-
-    def __post_init__(self):
-        n = self.g.n
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.p == n:
-            raise ValueError(f"p must differ from 2g+1 = {n}")
-        if self.a <= 0 or self.a % 2 or self.s <= 0 or self.s % 2:
-            raise ValueError("a and s must be positive even integers")
-        if self.a * self.a - 4 * self.p != -n * self.s * self.s:
-            raise ValueError(
-                f"a^2 - 4p = {self.a**2 - 4 * self.p} != -{n}*{self.s}^2"
-            )
-        if math.gcd(self.a, self.p) != 1:
-            raise ValueError(f"gcd(a, p) = gcd({self.a}, {self.p}) != 1")
-        if self.p % n == 1:
-            raise ValueError(f"p = {self.p} is 1 mod {n}")
 
 
 @dataclass(frozen=True)
@@ -287,13 +274,15 @@ def run_certificate_checks(g: DimensionParam, p: int) -> CertificateRun:
     """Run every certificate identity for (g, p), stopping at the first
     failure (later identities depend on earlier artifacts).
 
-    Three kinds of check only restate earlier work and cannot fail on
-    their own: "quadruple-equation" repeats the checks of
-    `WeilQuadruple.__post_init__`, which raises before the identity could
-    record a failure; "automorphism-order" compares `aut_order` with its
-    own definition 4g+2; "dimension" and "invariant-sum-integral" follow
-    from the identities before them. They stay as certificate columns,
-    restating the paper's chain in full.
+    p is tested for primality here, once more by `represent_x2_ny2` and
+    once more by `hensel_sqrt` in `valuations_oracle`; nothing else
+    re-tests it. Three kinds of check only restate earlier work and cannot
+    fail on their own: "quadruple-equation" restates the check
+    `Representation` makes of p = x^2 + (2g+1)*y^2 (with a = 2x, s = 2y,
+    and 0 < x < p for the odd prime p); "automorphism-order" compares
+    `aut_order` with its own definition 4g+2; "dimension" and
+    "invariant-sum-integral" follow from the identities before them. They
+    stay as certificate columns, restating the paper's chain in full.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")

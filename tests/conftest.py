@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
-from weilcert.arith import sieve_primes
+import weilcert
+from weilcert import kernels
+from weilcert.arith import is_prime
 from weilcert.density import density_series
 from weilcert.weil import DimensionParam
 
@@ -38,9 +41,28 @@ TABLE4 = {
 CHECKPOINTS = (100, 150, 200, 10**3, 10**4, 10**5, 10**6)
 
 
+def count_primality_tests(monkeypatch):
+    """The arguments of every is_prime call, through any weilcert module."""
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    for module in vars(weilcert).values():
+        if getattr(module, "is_prime", None) is is_prime:
+            monkeypatch.setattr(module, "is_prime", counted)
+    return calls
+
+
+def sieved_primes(limit):
+    """All primes <= limit: the windows of kernels.prime_windows joined."""
+    return np.concatenate([primes for _, _, primes in kernels.prime_windows(limit)])
+
+
 @pytest.fixture(scope="session")
 def sieve_1e6():
-    return sieve_primes(10**6)
+    return sieved_primes(10**6)
 
 
 @pytest.fixture(scope="session")

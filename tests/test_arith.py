@@ -6,19 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilcert import arith
+from weilcert import arith, kernels
 from weilcert.arith import (
     hensel_sqrt,
     is_perfect_square,
     is_prime,
     legendre_symbol,
     multiplicative_order,
-    sieve_primes,
     sqrt_mod_prime,
     squarefree_kernel,
 )
 from weilcert.errors import ResourceLimitError
-from oracles import brute_sqrt_roots, euler_criterion, trial_division_is_prime
+from conftest import sieved_primes
+from oracles import (
+    brute_sqrt_roots,
+    euler_criterion,
+    primes_upto,
+    trial_division_is_prime,
+)
 
 ODD_PRIMES = [p for p in range(3, 500) if trial_division_is_prime(p)]
 
@@ -52,7 +57,7 @@ class TestIsPrime:
     def test_matches_sieve_to_2e6(self):
         # every base tier up to psi_2 = 1373653 and the first steps of the third
         limit = 2 * 10**6
-        assert [n for n in range(limit + 1) if is_prime(n)] == sieve_primes(limit).tolist()
+        assert [n for n in range(limit + 1) if is_prime(n)] == primes_upto(limit)
 
     def test_rejects_each_psi(self):
         # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to every
@@ -73,6 +78,8 @@ class TestIsPrime:
 
 
 class TestSieve:
+    """The package's one prime sieve, `kernels.prime_windows`, joined."""
+
     def test_counts(self, sieve_1e6):
         assert len(sieve_1e6) == 78498  # = 3 * 26166
         # pi(x) is a binary search over the ascending array
@@ -80,31 +87,32 @@ class TestSieve:
             assert np.searchsorted(sieve_1e6, x, side="right") == pi, x
 
     def test_limit_2(self):
-        s = sieve_primes(2)
+        s = sieved_primes(2)
         assert s.tolist() == [2]
         assert s.dtype == np.int64
 
     def test_membership_matches_trial_division(self):
-        s = set(sieve_primes(10**4).tolist())
+        s = set(sieved_primes(10**4).tolist())
         for n in range(10**4 + 1):
             assert (n in s) == trial_division_is_prime(n), n
 
     def test_iteration_ascending(self):
-        got = sieve_primes(100).tolist()
+        got = sieved_primes(100).tolist()
         assert got == [n for n in range(101) if trial_division_is_prime(n)]
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(kernels, "SIEVE_BUDGET", 10**6)
         with pytest.raises(ResourceLimitError):
-            sieve_primes(10**7, budget=10**6)
+            kernels.prime_windows(10**7)
         with pytest.raises(ValueError):
-            sieve_primes(1)
+            kernels.prime_windows(1)
 
     def test_count_beyond_limit(self):
-        # the array stops exactly at the limit, so a count past it must
-        # sieve further: pi(101) is not readable from sieve_primes(100)
-        assert sieve_primes(100)[-1] == 97
-        assert sieve_primes(101)[-1] == 101
-        assert len(sieve_primes(100)) + 1 == len(sieve_primes(101))
+        # the windows stop exactly at the limit, so a count past it must
+        # sieve further: pi(101) is not readable from the windows to 100
+        assert sieved_primes(100)[-1] == 97
+        assert sieved_primes(101)[-1] == 101
+        assert len(sieved_primes(100)) + 1 == len(sieved_primes(101))
 
 
 class TestIntegerSqrt:
@@ -205,13 +213,15 @@ class TestSquarefreeKernel:
     def test_square_scaling(self, n, m):
         assert squarefree_kernel(n * m * m) == squarefree_kernel(n)
 
-    def test_unresolvable_residual(self):
+    def test_unresolvable_residual(self, monkeypatch):
         # 1009 * 1013 > 1000^2 with both factors above the bound
+        monkeypatch.setattr(arith, "FACTOR_BOUND", 1000)
         with pytest.raises(ResourceLimitError):
-            squarefree_kernel(1009 * 1013, bound=1000)
+            squarefree_kernel(1009 * 1013)
         # but a residual that is prime, or a perfect square, resolves
-        assert squarefree_kernel(1009, bound=100) == 1009
-        assert squarefree_kernel(1009 * 1009, bound=100) == 1
+        monkeypatch.setattr(arith, "FACTOR_BOUND", 100)
+        assert squarefree_kernel(1009) == 1009
+        assert squarefree_kernel(1009 * 1009) == 1
 
 
 class TestHenselSqrt:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,13 +13,13 @@ import numpy as np
 import pytest
 
 import weilcert
-from weilcert import cli, kernels, report
+from weilcert import cli, kernels, quadforms, report
 from weilcert.cli import main
 from weilcert.density import density_series
 from weilcert.report import FORMATS, decimal_string, fixed_point
 from weilcert.weil import DimensionParam
 import oracles
-from conftest import TABLE3
+from conftest import TABLE3, count_primality_tests
 
 
 def run(capsys, *argv):
@@ -137,6 +138,15 @@ class TestScan:
         rows = out.strip().split("\n")[1:]
         want = [f"{p},{a},{s}" for p, a, s in TABLE3 if p <= 250]
         assert rows == want
+
+    def test_sieved_primes_are_not_retested(self, capsys, monkeypatch):
+        # DimensionParam tests g and 2g+1; every p comes from the sieve
+        calls = count_primality_tests(monkeypatch)
+        rc, out, _ = run(capsys, "scan", "--g", "11", "--p-max", "100000")
+        assert rc == 0 and len(out.splitlines()) == 1 + 1426
+        rc, out, _ = run(capsys, "find", "--g", "29")
+        assert (rc, out) == (0, "g,p,a,s\n29,317,18,4\n")
+        assert calls == [11, 23, 29, 59]
 
 
 class TestPMax:
@@ -306,9 +316,22 @@ class TestDensity:
         assert rss < 60
 
     def test_bad_checkpoints(self, capsys):
-        rc, _, err = run(capsys, "density", "--g", "11", "--checkpoints", "10,abc")
-        assert rc == 2
-        assert "bad checkpoint" in err
+        for text in ("10,abc", ""):
+            rc, out, err = run(capsys, "density", "--g", "11", "--checkpoints", text)
+            assert (rc, out) == (2, "")
+            assert err == f"error: bad checkpoint list {text!r}\n"
+
+    def test_unopenable_series_path(self, capsys):
+        # the table still reaches stdout, then the open's error exits 3
+        rc, out, err = run(
+            capsys, "density", "--g", "11", "--checkpoints", "100", "--series", ""
+        )
+        assert rc == 3
+        assert out == (
+            "x,count_pg,count_p,f_num,f_den,f_decimal,diff_decimal\n"
+            "100,1,25,1,25,0.04000000,0.11151515\n"
+        )
+        assert err == "i/o error: [Errno 2] No such file or directory: ''\n"
 
 
 # SHA-256 of whole outputs as the per-row % renderer wrote them; the
@@ -365,6 +388,23 @@ class TestScalarCommands:
     def test_classnum_invalid(self, capsys):
         rc, _, err = run(capsys, "classnum", "--disc", "-6")
         assert rc == 2
+
+    def test_discriminant_past_bound_exits_3(self, capsys, monkeypatch):
+        # the enumeration takes about |d|/3 steps, so it is refused up front
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "classnum", "--disc", "-1000000000000")
+        assert (rc, out) == (3, "")
+        bound = "exceeds bound 100000000"
+        assert err == f"resource error: |discriminant| 1000000000000 {bound}\n"
+        # 12500069 is a Sophie Germain prime with 8g + 4 = 100000556
+        rc, out, err = run(capsys, "limit", "--g", "12500069")
+        assert (rc, out) == (3, "")
+        assert err == f"resource error: |discriminant| 100000556 {bound}\n"
+        assert time.perf_counter() - start < 1
+        # a discriminant at the bound is enumerated
+        monkeypatch.setattr(quadforms, "DISC_BOUND", 92)
+        assert run(capsys, "classnum", "--disc", "-92")[:2] == (0, "disc,h\n-92,3\n")
+        assert run(capsys, "classnum", "--disc", "-95")[0] == 3
 
 
 class TestCertify:

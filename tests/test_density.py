@@ -69,15 +69,16 @@ class TestSeries:
             by_x = {rec.x: rec for rec in series.records}
             assert abs(by_x[10**6].diff) < abs(by_x[10**3].diff)
 
-    def test_checkpoint_validation(self):
+    def test_checkpoint_validation(self, monkeypatch):
         with pytest.raises(ValueError):
             density_series(G11, ())
         with pytest.raises(ValueError):
             density_series(G11, (200, 100))
         with pytest.raises(ValueError):
             density_series(G11, (1, 100))
+        monkeypatch.setattr(kernels, "SIEVE_BUDGET", 10**4)
         with pytest.raises(ResourceLimitError):
-            density_series(G11, (10**6,), budget=10**4)
+            density_series(G11, (10**6,))
 
 
 class TestConvergenceReport:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from weilcert import kernels
-from weilcert.arith import DEFAULT_SIEVE_BUDGET, sieve_primes
 from weilcert.errors import ResourceLimitError
 from oracles import (
     classify_prime,
@@ -27,7 +26,7 @@ def odd_values(lo, hi):
 
 @pytest.fixture(scope="module")
 def primes_1e5():
-    return sieve_primes(10**5)
+    return primes_upto(10**5)
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +51,8 @@ class TestBackends:
     def test_numpy_matches_python(self, primes_1e5):
         for n in (7, 11, 23, 47, 59):
             primes, y, _ = classified(10**5, n)
-            assert primes.tolist() == primes_1e5.tolist()
-            want = [early_break_rep_exists(p, n) for p in primes_1e5.tolist()]
+            assert primes.tolist() == primes_1e5
+            want = [early_break_rep_exists(p, n) for p in primes_1e5]
             assert (y != 0).tolist() == want, n
 
     def test_empty_input(self):
@@ -64,7 +63,7 @@ class TestBackends:
         with pytest.raises(ValueError):
             kernels.classified_windows(1, 23)
         with pytest.raises(ValueError):
-            kernels.prime_windows(1, DEFAULT_SIEVE_BUDGET)
+            kernels.prime_windows(1)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
@@ -150,30 +149,38 @@ class TestFormWitnesses:
         assert classified(1000, 23)[1].dtype == np.uint8
         assert classified(10**5, 1)[1].dtype == np.uint16
         # y < sqrt(limit / n) <= sqrt(budget) keeps uint16 up to the budget
-        assert math.isqrt(DEFAULT_SIEVE_BUDGET) < 2**16
+        assert math.isqrt(kernels.SIEVE_BUDGET) < 2**16
 
-    def test_over_budget_raises_before_allocating(self):
+    def test_over_budget_raises_before_allocating(self, monkeypatch):
         # a limit equal to the budget is accepted
-        assert len(list(kernels.classified_windows(10**4, 23, budget=10**4))) == 1
+        monkeypatch.setattr(kernels, "SIEVE_BUDGET", 10**4)
+        assert len(list(kernels.classified_windows(10**4, 23))) == 1
+        monkeypatch.setattr(kernels, "SIEVE_BUDGET", 10**6)
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError):
-                kernels.classified_windows(10**6 + 1, 23, budget=10**6)
+                kernels.classified_windows(10**6 + 1, 23)
             with pytest.raises(ResourceLimitError):
-                kernels.prime_windows(10**6 + 1, 10**6)
-            with pytest.raises(ResourceLimitError):
-                sieve_primes(10**6 + 1, budget=10**6)
+                kernels.prime_windows(10**6 + 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 1024  # a window, or sieve_primes, would take 0.5 MB or more
+        assert peak < 64 * 1024  # a window would take 0.5 MB or more
 
 
 class TestWindowEdges:
     """Window sizes far below WINDOW put window edges at primes and at form
     values; the joined windows must not depend on where the edges fall."""
 
-    @pytest.mark.parametrize("width, limit", [(3, 10**4), (64, 10**5), (1000, 10**5)])
+    # p^2 = 1 (mod width) for each (width, p) below, so p^2 - 1 is a window
+    # edge; p becomes a base prime at the limit p^2
+    EDGE_SQUARES = ((3, 101), (64, 97), (64, 223))
+
+    @pytest.mark.parametrize(
+        "width, limit",
+        [(3, 10**4), (64, 10**5), (1000, 10**5)]
+        + [(w, p * p + d) for w, p in EDGE_SQUARES for d in (-1, 0, 1)],
+    )
     def test_tiny_windows_match_oracles(self, oracle_1e5, monkeypatch, width, limit):
         monkeypatch.setattr(kernels, "WINDOW", width)
         for g, (want_primes, want_y, want_member) in oracle_1e5.items():
@@ -190,10 +197,10 @@ class TestWindowEdges:
 
     def test_window_count(self, monkeypatch):
         monkeypatch.setattr(kernels, "WINDOW", 1000)
-        bounds = [(lo, hi) for lo, hi, _ in kernels.prime_windows(10**4, 10**4)]
+        bounds = [(lo, hi) for lo, hi, _ in kernels.prime_windows(10**4)]
         assert bounds == [(lo, lo + 1000) for lo in range(0, 10**4, 1000)] + [(10**4, 10**4 + 1)]
 
     def test_pi_1e8(self):
         # OEIS A006880: pi(10^8) = 5761455
-        windows = kernels.prime_windows(10**8, DEFAULT_SIEVE_BUDGET)
+        windows = kernels.prime_windows(10**8)
         assert sum(len(primes) for _, _, primes in windows) == 5_761_455

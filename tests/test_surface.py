@@ -1,11 +1,16 @@
-"""Every public top-level name in src/weilcert is used by the package.
+"""The package's surface is what the package uses.
 
-A public function, class or constant that nothing in the package refers
-to is reached only from tests, if at all; it belongs in tests/oracles.py
-or nowhere. The scan is by name: a reference is any use of the name (as a
+Every public top-level name in src/weilcert is used by the package: a
+public function, class or constant that nothing in the package refers to
+is reached only from tests, if at all; it belongs in tests/oracles.py or
+nowhere. The scan is by name: a reference is any use of the name (as a
 variable or as an attribute) in any module other than inside its own
 definition, and a use in the same module counts. `__init__.py` holds no
 names to scan.
+
+Every defaulted parameter of a public function is passed by some call in
+the package: a default that no call overrides is a constant with extra
+steps, and belongs in the function body or a module constant.
 """
 
 import ast
@@ -19,8 +24,16 @@ import weilcert
 SRC = Path(weilcert.__file__).resolve().parent
 
 # The console-script entry point and the package version are used from
-# outside the package.
+# outside the package; the console script calls main() with no argv.
 EXEMPT = {("cli", "main"), ("__init__", "__version__")}
+
+
+def package_sources() -> dict[str, str]:
+    return {
+        path.stem: path.read_text()
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
 
 
 def public_definitions(tree: ast.Module):
@@ -68,13 +81,66 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
     return unused
 
 
+def defaulted_parameters(node: ast.FunctionDef):
+    """(position or None for keyword-only, name) of each defaulted parameter."""
+    positional = node.args.posonlyargs + node.args.args
+    first = len(positional) - len(node.args.defaults)
+    yield from ((i, a.arg) for i, a in enumerate(positional) if i >= first)
+    for a, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+        if default is not None:
+            yield None, a.arg
+
+
+def passes(call: ast.Call, position: int | None, param: str) -> bool:
+    """Whether the call may pass the parameter; *args and **kwargs may."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if position is not None and len(call.args) > position:
+        return True
+    return any(k.arg in (None, param) for k in call.keywords)
+
+
+def unpassed_defaults(sources: dict[str, str]) -> list[str]:
+    """module.function(param) for each defaulted parameter of a public
+    top-level function that no call in any module passes. Calls are matched
+    by the called name, as a variable or as an attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for module, tree in trees.items():
+        for name, node in public_definitions(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if (module, name) in EXEMPT:
+                continue
+            for position, param in defaulted_parameters(node):
+                if not any(passes(c, position, param) for c in calls.get(name, [])):
+                    unpassed.append(f"{module}.{name}({param})")
+    return unpassed
+
+
 def test_every_public_name_is_used_by_the_package():
-    sources = {
-        path.stem: path.read_text()
-        for path in sorted(SRC.glob("*.py"))
-        if path.name != "__init__.py"
-    }
-    assert unreferenced(sources) == []
+    assert unreferenced(package_sources()) == []
+
+
+def test_every_default_is_overridden_by_the_package():
+    assert unpassed_defaults(package_sources()) == []
+
+
+def test_scan_flags_unpassed_defaults():
+    a = (
+        "def f(x, k=1, *, m=2):\n    return x + k + m\n"
+        "def h(y=0, z=None):\n    return y\n"
+        "def _private(w=1):\n    return w\n"
+    )
+    b = "import a\nfrom a import h\na.f(1, 2)\nh(z=1)\n"
+    assert unpassed_defaults({"a": a, "b": b}) == ["a.f(m)", "a.h(y)"]
 
 
 def test_scan_flags_unused_names():
@@ -89,17 +155,29 @@ def test_scan_flags_unused_names():
     assert unreferenced({"a": a, "b": b}) == ["a.lonely", "a.Unused"]
 
 
-def test_cli_imports_only_stdlib_numpy_and_weilcert():
-    # interpreter start-up and imports are most of a short command's wall
-    # time, so every command pays for a heavy import
+def modules_loaded_by(module: str) -> list[str]:
+    """The modules a fresh interpreter loads to import the given one."""
     probe = (
-        "import sys; before = set(sys.modules); import weilcert.cli; "
+        f"import sys; before = set(sys.modules); import {module}; "
         "print(*sorted(set(sys.modules) - before))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
+
+
+def test_cli_imports_only_stdlib_numpy_and_weilcert():
+    # interpreter start-up and imports are most of a short command's wall
+    # time, so every command pays for a heavy import
+    out = modules_loaded_by("weilcert.cli")
     allowed = set(sys.stdlib_module_names) | {"numpy", "weilcert"}
     assert "weilcert.cli" in out
     assert [m for m in out if m.split(".")[0] not in allowed] == []
+
+
+def test_arith_imports_no_numpy():
+    # the single-integer arithmetic needs no arrays; the sieve is in kernels
+    out = modules_loaded_by("weilcert.arith")
+    assert "weilcert.arith" in out
+    assert [m for m in out if m.split(".")[0] == "numpy"] == []

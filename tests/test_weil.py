@@ -4,9 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-import weilcert
 from weilcert import kernels
-from weilcert.arith import DEFAULT_SIEVE_BUDGET, is_prime, sieve_primes
 from weilcert.errors import ResourceLimitError
 from weilcert.weil import (
     DimensionParam,
@@ -28,7 +26,7 @@ from weilcert.weil import (
     verify_weil_number,
     weil_polynomial,
 )
-from conftest import TABLE2, TABLE3
+from conftest import TABLE2, TABLE3, count_primality_tests
 from oracles import (
     classify_prime,
     general_equation_walk,
@@ -66,7 +64,7 @@ class TestSophieGermain:
         for max_g in (2, 3, 4, 5, 10**4, 10**4 - 1, 9923):
             assert sophie_germain_list(max_g) == [g for g in want if g <= max_g]
         with pytest.raises(ResourceLimitError):  # 2g+1 past the sieve budget
-            sophie_germain_list(DEFAULT_SIEVE_BUDGET // 2)
+            sophie_germain_list(kernels.SIEVE_BUDGET // 2)
 
     def test_predicate(self):
         assert not is_sophie_germain(7)  # 15 = 3*5
@@ -114,15 +112,6 @@ class TestQuadruples:
             assert run_certificate_checks(G11, p).quadruple is None
             assert quadruple(G11, p) is None
 
-    def test_invariant_validation(self):
-        with pytest.raises(ValueError):
-            WeilQuadruple(g=G5, p=47, a=10, s=2)  # wrong equation
-        with pytest.raises(ValueError):
-            WeilQuadruple(g=G5, p=47, a=6, s=1)  # odd s
-        # 599 = 24^2 + 23: representable but 599 = 1 mod 23
-        with pytest.raises(ValueError):
-            WeilQuadruple(g=G11, p=599, a=48, s=2)
-
     def test_find_smallest(self):
         assert (find_smallest(DimensionParam(29), 10**4).p) == 317
         w = find_smallest(DimensionParam(509), 10**4)
@@ -134,7 +123,7 @@ class TestQuadruples:
         assert got == list(TABLE3)
 
     def test_scan_matches_per_prime(self):
-        primes = sieve_primes(10**5).tolist()  # Python ints: p**g needs bignums
+        primes = primes_upto(10**5)  # Python ints: p**g needs bignums
         for g_val in (3, 5, 11, 23):
             g = DimensionParam(g_val)
             want = [w for p in primes if (w := quadruple(g, p)) is not None]
@@ -201,7 +190,7 @@ class TestSplittingOrder:
             splitting_order(G11, 23)
 
     def test_always_g_on_members_to_1e5(self):
-        primes = sieve_primes(10**5).tolist()
+        primes = primes_upto(10**5)
         for g in (G5, G11):
             for p in primes:
                 if classify_prime(p, g.g) == "pg":
@@ -253,20 +242,6 @@ class TestLocalInvariants:
         assert endomorphism_degree((Fraction(5, 11), Fraction(6, 11))) == 11
 
 
-def count_primality_tests(monkeypatch):
-    """The arguments of every is_prime call, through any weilcert module."""
-    calls = []
-
-    def counted(n):
-        calls.append(n)
-        return is_prime(n)
-
-    for module in vars(weilcert).values():
-        if getattr(module, "is_prime", None) is is_prime:
-            monkeypatch.setattr(module, "is_prime", counted)
-    return calls
-
-
 class TestCertify:
     def test_g5(self):
         cert = run_certificate_checks(G5, 47).certificate
@@ -289,11 +264,11 @@ class TestCertify:
             assert run.checks[-1][:2] == (identity, False)
 
     def test_primality_tests(self, monkeypatch):
-        # its own test, WeilQuadruple's, represent_x2_ny2's and hensel_sqrt's
-        # in valuations_oracle; no Legendre pre-check before hensel_sqrt
+        # its own test, represent_x2_ny2's and hensel_sqrt's in
+        # valuations_oracle; no Legendre pre-check before hensel_sqrt
         calls = count_primality_tests(monkeypatch)
         assert run_certificate_checks(G5, 47).passed
-        assert calls == [47] * 4
+        assert calls == [47] * 3
 
     def test_place_labels_deterministic(self):
         cert = run_certificate_checks(G5, 47).certificate
