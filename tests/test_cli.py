@@ -334,8 +334,9 @@ class TestDensity:
         assert err == "i/o error: [Errno 2] No such file or directory: ''\n"
 
 
-# SHA-256 of whole outputs as the per-row % renderer wrote them; the
-# first two are also perfbench/reference.json's digests of S.csv and S.json
+# SHA-256 of whole outputs, each recorded before a refactor of the code
+# that writes it; the first two are also perfbench/reference.json's digests
+# of S.csv and S.json
 WHOLE_OUTPUTS = {
     "series-csv": (
         ["density", "--g", "11", "--series"],
@@ -353,6 +354,31 @@ WHOLE_OUTPUTS = {
         ["scan", "--g", "11", "--p-max", "1000000", "--out"],
         "0b97a9a35327fa5e56f400a47328458d36c9fd6a867322a131b4665af7648e1c",
     ),
+    "certify-csv": (
+        ["certify", "--g", "5", "--p", "47", "--out"],
+        "70a2b35cadca7ec739353210d8e77ecb80d7135b43e362b48d5f930d856171f2",
+    ),
+    "certify-json": (
+        ["certify", "--g", "11", "--p", "59", "--format", "json", "--out"],
+        "22fe2551da2716a821d111e9922340d2b3add399f63de7cd2f1e8615d556b54b",
+    ),
+    "certify-markdown": (
+        ["certify", "--g", "239", "--p", "1997", "--format", "markdown", "--out"],
+        "bffd920598f70beef491b3a1d723aa65c13061accda4788f3b71f031e7321a40",
+    ),
+    # q = 3359^1229 has 4334 digits, past CPython's default int-to-str cap
+    "certify-past-digit-limit": (
+        ["certify", "--g", "1229", "--p", "3359", "--out"],
+        "71cca7aaa24a385327d0c2ee7833cdced902197e20c85fe8aa7aa36c2e46d3aa",
+    ),
+    "find-m-json": (
+        ["find", "--g", "5", "--p", "47", "--m", "1", "--format", "json", "--out"],
+        "488d6104f4af16e3e988b4f3c98b389bea9f2a7e7f22c52b67012221433c9a2c",
+    ),
+    "table2-json": (
+        ["table2", "--format", "json", "--out"],
+        "b030d493a09bc2e2b9cf3b6467238efc33eaf8f92c5b65ea06705ad48db45532",
+    ),
 }
 
 
@@ -362,6 +388,18 @@ def test_whole_output_digest(capsys, tmp_path, name):
     path = tmp_path / "out"
     rc, _, _ = run(capsys, *argv, str(path))
     assert rc == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_failed_certificate_digest(capsys, tmp_path):
+    # 61 passes (P2) and fails (P1): the per-identity table, then exit 1
+    path = tmp_path / "out"
+    rc, _, err = run(
+        capsys, "certify", "--g", "11", "--p", "61", "--format", "json", "--out", str(path)
+    )
+    assert rc == 1
+    assert err == "certificate failed [p1-representation]: no p = x^2 + 23*y^2 with p != 23\n"
+    digest = "8387cdff1951d842860ad655d8066c15ea6a0893b06c57f71c2a11b0dcbd2548"
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
