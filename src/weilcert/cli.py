@@ -19,7 +19,6 @@ import numpy as np
 
 from . import density as density_mod
 from . import report
-from .arith import is_prime
 from .errors import ResourceLimitError
 from .quadforms import class_number
 from .weil import (
@@ -60,8 +59,6 @@ def cmd_find(args) -> int:
     if args.m is not None:
         if args.p is None:
             raise ValueError("--m requires --p")
-        if not is_prime(args.p):
-            raise ValueError(f"--p must be prime, got {args.p}")
         sol = solve_general_p1m(g, args.p, args.m)
         if sol is None:
             eq = f"a^2 - 4*{args.p}^{g.g - 2 * args.m} = -{g.n}*s^2"
@@ -72,18 +69,17 @@ def cmd_find(args) -> int:
             row = [g.g, args.p, args.m, a, s]
             _write_table(["g", "p", "m", "a", "s"], [row], args.format, args.out)
         return 0
-    w = find_smallest(g, args.p_max)
-    if w is None:
+    row = find_smallest(g.n, args.p_max)
+    if row is None:
         print(f"no prime found with p <= {args.p_max} for g = {g.g}", file=sys.stderr)
         return 1
-    _write_table(["g", "p", "a", "s"], [[w.g.g, w.p, w.a, w.s]], args.format, args.out)
+    _write_table(["g", "p", "a", "s"], [(g.g, *row)], args.format, args.out)
     return 0
 
 
 def cmd_scan(args) -> int:
     g = DimensionParam(args.g)
-    rows = ([w.p, w.a, w.s] for w in scan_quadruples(g, args.p_max))
-    _write_table(["p", "a", "s"], rows, args.format, args.out)
+    _write_table(["p", "a", "s"], scan_quadruples(g.n, args.p_max), args.format, args.out)
     return 0
 
 
@@ -91,17 +87,14 @@ def cmd_table2(args) -> int:
     if args.g_max < 5:
         raise ValueError(f"--g-max must be >= 5, got {args.g_max}")
     rows = []
-    for g_val in sophie_germain_list(args.g_max):
-        if g_val < 5:
+    for g in sophie_germain_list(args.g_max):
+        if g < 5:
             continue
-        w = find_smallest(DimensionParam(g_val), args.p_max)
-        if w is None:
-            print(
-                f"no prime found with p <= {args.p_max} for g = {g_val}",
-                file=sys.stderr,
-            )
+        row = find_smallest(2 * g + 1, args.p_max)
+        if row is None:
+            print(f"no prime found with p <= {args.p_max} for g = {g}", file=sys.stderr)
             return 1
-        rows.append([w.g.g, w.p, w.a, w.s])
+        rows.append((g, *row))
     _write_table(["g", "p", "a", "s"], rows, args.format, args.out)
     return 0
 
@@ -201,41 +194,20 @@ def _exact_digits(*values: int) -> Iterator[None]:
 
 def cmd_certify(args) -> int:
     g = DimensionParam(args.g)
-    run = run_certificate_checks(g, args.p)
-    if not run.passed:
-        name, detail = run.failure()
+    checks, cert = run_certificate_checks(g.g, args.p)
+    if cert is None:
         header = ["identity", "status", "detail"]
         rows = [
-            [n, "pass" if ok else "fail", d.replace(",", ";")]
-            for n, ok, d in run.checks
+            [n, "pass" if ok else "fail", d.replace(",", ";")] for n, ok, d in checks
         ]
         _write_table(header, rows, args.format, args.out)
+        name, _, detail = checks[-1]
         print(f"certificate failed [{name}]: {detail}", file=sys.stderr)
         return 1
-    cert = run.certificate
-    w, poly = run.quadruple, run.polynomial
-    inv_low, inv_high = cert.invariants
-    header = [
-        "g", "p", "a", "s", "q", "weil_b", "weil_c",
-        "cm_discriminant", "splitting_order",
-        "inv_low_place", "inv_low_num", "inv_low_den",
-        "inv_high_place", "inv_high_num", "inv_high_den",
-        "oracle_val_plus", "oracle_val_minus",
-        "degree_d", "center_degree_e", "dimension", "aut_order",
-    ]
-    with _exact_digits(poly.q, poly.b, poly.c):
-        q, b, c = str(poly.q), str(poly.b), str(poly.c)
-    row: list = [
-        g.g, w.p, w.a, w.s, q, b, c,
-        cert.cm_discriminant, cert.splitting_order,
-        inv_low.place, inv_low.value.numerator, inv_low.value.denominator,
-        inv_high.place, inv_high.value.numerator, inv_high.value.denominator,
-        run.oracle_valuations[0], run.oracle_valuations[1],
-        cert.degree_d, cert.center_degree_e, cert.dimension, cert.aut_order,
-    ]
-    for name, ok, _ in run.checks:
-        header.append("check_" + name.replace("-", "_"))
-        row.append("pass" if ok else "fail")
+    header = [*cert._fields, *("check_" + n.replace("-", "_") for n, _, _ in checks)]
+    with _exact_digits(cert.q, cert.weil_b):
+        big = {"q": str(cert.q), "weil_b": str(cert.weil_b), "weil_c": str(cert.weil_c)}
+    row = [*cert._replace(**big), *("pass" for _ in checks)]
     if args.format == "markdown":
         _write_table(["field", "value"], zip(header, row), "markdown", args.out)
     else:

@@ -12,15 +12,20 @@ chain of exact identities that pin down the associated division algebra:
 CM discriminant -(2g+1), splitting order g, Brauer local invariants
 ((g-1)/2)/g and ((g+1)/2)/g (closed form against an independent p-adic
 oracle), degree g, dimension g, and automorphism order 4g+2.
+
+Quadruples and certificates are plain integers: `scan_quadruples` and
+`find_smallest` hand over (p, a, s) int tuples at n = 2g+1, and
+`run_certificate_checks` returns (checks, Certificate), a NamedTuple whose
+fields are certify's columns, in order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,7 +37,7 @@ from .arith import (
     padic_valuation,
     squarefree_kernel,
 )
-from .quadforms import Representation, cornacchia, represent_x2_ny2
+from .quadforms import cornacchia, represent_x2_ny2
 
 
 def is_sophie_germain(g: int) -> bool:
@@ -73,110 +78,77 @@ class DimensionParam:
         """The companion prime 2g+1."""
         return 2 * self.g + 1
 
-    @property
-    def aut_order(self) -> int:
-        return 4 * self.g + 2
 
+class Certificate(NamedTuple):
+    """A passed certificate for (g, p): certify's columns, in order."""
 
-@dataclass(frozen=True)
-class WeilQuadruple:
-    """(g, p, a, s) = (g, p, 2x, 2y) from a (P1) witness p = x^2 + (2g+1)*y^2.
-
-    Not validated when built: the pass and `represent_x2_ny2` hand over
-    primes with x, y >= 1, and `run_certificate_checks` records
-    a^2 - 4p = -(2g+1)*s^2 and gcd(a, p) = 1 as its own identity.
-    """
-
-    g: DimensionParam
+    g: int
     p: int
     a: int
     s: int
-
-
-@dataclass(frozen=True)
-class WeilPolynomial:
-    """Monic quadratic t^2 + b*t + c over Z, with claimed base size q."""
-
-    b: int
-    c: int
     q: int
-
-    @property
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.c
-
-
-def check_p1(g: DimensionParam, p: int) -> Representation | None:
-    """The (P1) witness p = x^2 + (2g+1)*y^2; there is none for p = 2g+1."""
-    return represent_x2_ny2(p, g.n)
-
-
-def check_p2(g: DimensionParam, p: int) -> bool:
-    """(P2): p is not 1 mod 2g+1."""
-    return p % g.n != 1
-
-
-def _quadruple(g: DimensionParam, p: int, y: int) -> WeilQuadruple:
-    return WeilQuadruple(g=g, p=p, a=2 * math.isqrt(p - g.n * y * y), s=2 * y)
+    weil_b: int
+    weil_c: int
+    cm_discriminant: int
+    splitting_order: int
+    inv_low_place: str
+    inv_low_num: int
+    inv_low_den: int
+    inv_high_place: str
+    inv_high_num: int
+    inv_high_den: int
+    oracle_val_plus: int
+    oracle_val_minus: int
+    degree_d: int
+    center_degree_e: int
+    dimension: int
+    aut_order: int
 
 
-def find_smallest(g: DimensionParam, p_max: int) -> WeilQuadruple | None:
-    """Quadruple for the least prime p <= p_max passing (P1) and (P2); the
-    pass stops at the first window that holds one."""
-    for primes, y, member in kernels.classified_windows(p_max, g.n):
-        if member.any():
-            i = int(np.argmax(member))
-            return _quadruple(g, int(primes[i]), int(y[i]))
-    return None
-
-
-def scan_quadruples(g: DimensionParam, p_max: int) -> Iterator[WeilQuadruple]:
-    """All quadruples with p <= p_max, ascending p, one window at a time."""
-    windows = kernels.classified_windows(p_max, g.n)
+def scan_quadruples(n: int, p_max: int) -> Iterator[tuple[int, int, int]]:
+    """(p, a, s) = (p, 2x, 2y) for every prime p <= p_max passing (P1) and
+    (P2) at n = 2g+1, ascending p, one window at a time."""
     return (
-        _quadruple(g, p, yp)
-        for primes, y, member in windows
+        (p, 2 * math.isqrt(p - n * yp * yp), 2 * yp)
+        for primes, y, member in kernels.classified_windows(p_max, n)
         for p, yp in zip(primes[member].tolist(), y[member].tolist())
     )
 
 
-def weil_polynomial(w: WeilQuadruple) -> WeilPolynomial:
-    """t^2 + a*p^((g-1)/2)*t + p^g for the quadruple."""
-    g = w.g.g
-    return WeilPolynomial(b=w.a * w.p ** ((g - 1) // 2), c=w.p**g, q=w.p**g)
+def find_smallest(n: int, p_max: int) -> tuple[int, int, int] | None:
+    """The first row of scan_quadruples(n, p_max), or None; the pass stops
+    at the first window that holds one."""
+    return next(scan_quadruples(n, p_max), None)
 
 
-def verify_weil_number(poly: WeilPolynomial) -> bool:
-    """Both roots have squared modulus q.
-
-    For b^2 < 4c the roots are complex conjugates with |root|^2 = c; the
-    boundary b^2 = 4c gives the real double root -b/2 with (b/2)^2 = c.
-    """
-    return poly.c == poly.q and poly.b * poly.b <= 4 * poly.c
+def weil_polynomial(g: int, p: int, a: int) -> tuple[int, int]:
+    """(b, c) of t^2 + b*t + c = t^2 + a*p^((g-1)/2)*t + p^g."""
+    return a * p ** ((g - 1) // 2), p**g
 
 
-def cm_field_discriminant(poly: WeilPolynomial) -> int:
+def cm_field_discriminant(b: int, c: int) -> int:
     """Squarefree kernel of b^2 - 4c, identifying the imaginary quadratic
-    field generated by a root."""
-    disc = poly.discriminant
+    field generated by a root of t^2 + b*t + c."""
+    disc = b * b - 4 * c
     if disc >= 0:
         raise ValueError(f"discriminant {disc} is not negative")
     return squarefree_kernel(disc)
 
 
-def splitting_order(g: DimensionParam, p: int) -> int:
+def splitting_order(g: int, p: int) -> int:
     """Multiplicative order of p mod 2g+1.
 
     Value g certifies that p has exactly two primes above it, each with
     residue degree g, in the cyclotomic field of the (4g+2)nd roots of
     unity.
     """
-    if p % g.n == 0:
-        raise ValueError(f"p = {p} is not coprime to 2g+1 = {g.n}")
-    return multiplicative_order(p, g.n)
+    n = 2 * g + 1
+    if p % n == 0:
+        raise ValueError(f"p = {p} is not coprime to 2g+1 = {n}")
+    return multiplicative_order(p, n)
 
 
-def local_invariants(w: WeilQuadruple) -> tuple[Fraction, Fraction]:
+def local_invariants(g: int, p: int, a: int) -> tuple[Fraction, Fraction]:
     """The two nonzero Brauer invariants, ascending: ((g-1)/2)/g, ((g+1)/2)/g.
 
     At each of the two places above p the invariant is val(root)/val(q);
@@ -184,21 +156,19 @@ def local_invariants(w: WeilQuadruple) -> tuple[Fraction, Fraction]:
     multiply to p^g while their sum a*p^((g-1)/2) has valuation (g-1)/2
     exactly (gcd(a, p) = 1).
     """
-    if w.a % w.p == 0:
-        raise ValueError(f"p = {w.p} divides a = {w.a}")
-    g = w.g.g
+    if a % p == 0:
+        raise ValueError(f"p = {p} divides a = {a}")
     return Fraction((g - 1) // 2, g), Fraction((g + 1) // 2, g)
 
 
-def valuations_oracle(w: WeilQuadruple) -> tuple[int, int]:
+def valuations_oracle(g: int, p: int, a: int, s: int) -> tuple[int, int]:
     """Root valuations ((+t)-place first) computed by explicit p-adic lifting.
 
     Lifts t with t^2 = -(2g+1) mod p^(g+1), embeds the two roots
     p^((g-1)/2) * (-a +- s*t)/2 as residues mod p^(g+1), and reads off
     their valuations. Independent of the closed form in local_invariants.
     """
-    g, p, n = w.g.g, w.p, w.g.n
-    k = g + 1
+    n, k = 2 * g + 1, g + 1
     mod = p**k
     t = hensel_sqrt(-n, p, k)
     if t is None:
@@ -207,7 +177,7 @@ def valuations_oracle(w: WeilQuadruple) -> tuple[int, int]:
     scale = pow(p, (g - 1) // 2, mod)
     vals = []
     for sign in (1, -1):
-        root = scale * ((-w.a + sign * w.s * t) * inv2 % mod) % mod
+        root = scale * ((-a + sign * s * t) * inv2 % mod) % mod
         # valuations are at most (g+1)/2 < k, so the residue is nonzero
         vals.append(padic_valuation(root, p))
     return vals[0], vals[1]
@@ -221,81 +191,38 @@ def endomorphism_degree(invariants: tuple[Fraction, ...]) -> int:
     return math.lcm(*(inv.denominator for inv in invariants))
 
 
-@dataclass(frozen=True)
-class PlaceInvariant:
-    """A Brauer local invariant tagged by its place above p.
+def run_certificate_checks(
+    g: int, p: int
+) -> tuple[list[tuple[str, bool, str]], Certificate | None]:
+    """(checks, certificate) for a Sophie Germain prime g and a prime p.
 
-    The place label records which canonical Hensel root image the place
-    corresponds to: "+t" or "-t".
-    """
-
-    place: str
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class EndAlgebraCertificate:
-    """All exact identities certified for one (g, p) pair."""
-
-    cm_discriminant: int
-    splitting_order: int
-    invariants: tuple[PlaceInvariant, PlaceInvariant]  # ascending by value
-    degree_d: int
-    center_degree_e: int
-    dimension: int
-    aut_order: int
-
-
-@dataclass
-class CertificateRun:
-    """Outcome of a certification attempt: per-identity results plus the
-    assembled artifacts when everything passed."""
-
-    g: DimensionParam
-    p: int
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
-    quadruple: WeilQuadruple | None = None
-    polynomial: WeilPolynomial | None = None
-    oracle_valuations: tuple[int, int] | None = None
-    certificate: EndAlgebraCertificate | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.certificate is not None
-
-    def failure(self) -> tuple[str, str] | None:
-        for name, ok, detail in self.checks:
-            if not ok:
-                return name, detail
-        return None
-
-
-def run_certificate_checks(g: DimensionParam, p: int) -> CertificateRun:
-    """Run every certificate identity for (g, p), stopping at the first
-    failure (later identities depend on earlier artifacts).
+    checks lists (identity, ok, detail) for every identity run, in order,
+    stopping at the first failure (later identities depend on earlier
+    ones); certificate is None unless every identity passed.
 
     p is tested for primality here, once more by `represent_x2_ny2` and
     once more by `hensel_sqrt` in `valuations_oracle`; nothing else
     re-tests it. Three kinds of check only restate earlier work and cannot
     fail on their own: "quadruple-equation" restates the check
     `Representation` makes of p = x^2 + (2g+1)*y^2 (with a = 2x, s = 2y,
-    and 0 < x < p for the odd prime p); "automorphism-order" compares
-    `aut_order` with its own definition 4g+2; "dimension" and
-    "invariant-sum-integral" follow from the identities before them. They
-    stay as certificate columns, restating the paper's chain in full.
+    and 0 < x < p for the odd prime p); "automorphism-order" compares the
+    order 2(2g+1) of the roots of unity with its own definition 4g+2;
+    "dimension" and "invariant-sum-integral" follow from the identities
+    before them. They stay as certificate columns, restating the paper's
+    chain in full.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    run = CertificateRun(g=g, p=p)
-    gg, n = g.g, g.n
+    n = 2 * g + 1
+    checks: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str) -> bool:
-        run.checks.append((name, ok, detail))
+        checks.append((name, ok, detail))
         return ok
 
-    if not check("p2-congruence", check_p2(g, p), f"p mod {n} = {p % n}"):
-        return run
-    rep = check_p1(g, p)
+    if not check("p2-congruence", p % n != 1, f"p mod {n} = {p % n}"):
+        return checks, None
+    rep = represent_x2_ny2(p, n)
     if not check(
         "p1-representation",
         rep is not None,
@@ -303,81 +230,67 @@ def run_certificate_checks(g: DimensionParam, p: int) -> CertificateRun:
         if rep is None
         else f"p = {rep.x}^2 + {n}*{rep.y}^2",
     ):
-        return run
+        return checks, None
 
-    w = WeilQuadruple(g=g, p=p, a=2 * rep.x, s=2 * rep.y)
-    run.quadruple = w
+    a, s = 2 * rep.x, 2 * rep.y
     if not check(
         "quadruple-equation",
-        w.a**2 - 4 * p == -n * w.s**2 and math.gcd(w.a, p) == 1,
-        f"{w.a}^2 - 4*{p} = -{n}*{w.s}^2, gcd({w.a}, {p}) = 1",
+        a**2 - 4 * p == -n * s**2 and math.gcd(a, p) == 1,
+        f"{a}^2 - 4*{p} = -{n}*{s}^2, gcd({a}, {p}) = 1",
     ):
-        return run
+        return checks, None
 
-    poly = weil_polynomial(w)
-    run.polynomial = poly
-    if not check(
-        "weil-modulus",
-        verify_weil_number(poly) and poly.b * poly.b < 4 * poly.c,
-        "b^2 < 4c and c = q = p^g",
-    ):
-        return run
+    b, c = weil_polynomial(g, p, a)
+    if not check("weil-modulus", b * b < 4 * c, "b^2 < 4c and c = q = p^g"):
+        return checks, None
 
-    disc = cm_field_discriminant(poly)
+    disc = cm_field_discriminant(b, c)
     if not check("cm-discriminant", disc == -n, f"kernel(b^2 - 4c) = {disc}"):
-        return run
+        return checks, None
 
     order = splitting_order(g, p)
-    if not check("splitting-order", order == gg, f"ord(p mod {n}) = {order}"):
-        return run
+    if not check("splitting-order", order == g, f"ord(p mod {n}) = {order}"):
+        return checks, None
 
-    invs = local_invariants(w)
-    vals = valuations_oracle(w)
-    run.oracle_valuations = vals
+    invs = local_invariants(g, p, a)
+    vals = valuations_oracle(g, p, a, s)
     formula_ok = (
-        sorted(vals) == [(gg - 1) // 2, (gg + 1) // 2]
-        and tuple(sorted(Fraction(v, gg) for v in vals)) == invs
+        sorted(vals) == [(g - 1) // 2, (g + 1) // 2]
+        and tuple(sorted(Fraction(v, g) for v in vals)) == invs
     )
     if not check(
         "invariant-formula-vs-oracle",
         formula_ok,
         f"closed form {invs[0]}, {invs[1]} vs oracle valuations {vals}",
     ):
-        return run
+        return checks, None
     if not check(
         "invariant-sum-integral",
         (invs[0] + invs[1]).denominator == 1,
         f"{invs[0]} + {invs[1]} = {invs[0] + invs[1]}",
     ):
-        return run
+        return checks, None
 
     d = endomorphism_degree(invs)
     e = 2  # the center is imaginary quadratic
-    if not check("degree-identity", d == gg and d * e == 2 * gg, f"d = {d}, e = {e}"):
-        return run
+    if not check("degree-identity", d == g and d * e == 2 * g, f"d = {d}, e = {e}"):
+        return checks, None
     dimension = d * e // 2
-    if not check("dimension", dimension == gg, f"d*e/2 = {dimension}"):
-        return run
-    aut = g.aut_order
-    if not check("automorphism-order", aut == 4 * gg + 2, f"4g+2 = {aut}"):
-        return run
+    if not check("dimension", dimension == g, f"d*e/2 = {dimension}"):
+        return checks, None
+    aut = 2 * n
+    if not check("automorphism-order", aut == 4 * g + 2, f"4g+2 = {aut}"):
+        return checks, None
 
     # place with the lower valuation gets the smaller invariant
-    low_sign = "+t" if vals[0] < vals[1] else "-t"
-    high_sign = "-t" if low_sign == "+t" else "+t"
-    run.certificate = EndAlgebraCertificate(
-        cm_discriminant=disc,
-        splitting_order=order,
-        invariants=(
-            PlaceInvariant(low_sign, invs[0]),
-            PlaceInvariant(high_sign, invs[1]),
-        ),
-        degree_d=d,
-        center_degree_e=e,
-        dimension=dimension,
-        aut_order=aut,
+    low, high = ("+t", "-t") if vals[0] < vals[1] else ("-t", "+t")
+    cert = Certificate(
+        g, p, a, s, c, b, c, disc, order,
+        low, invs[0].numerator, invs[0].denominator,
+        high, invs[1].numerator, invs[1].denominator,
+        vals[0], vals[1], d, e, dimension, aut,
     )
-    return run
+    return checks, cert
 
 
 def solve_general_p1m(g: DimensionParam, p: int, m: int) -> tuple[int, int] | None:

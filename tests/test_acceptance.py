@@ -95,34 +95,25 @@ def test_4_limit_values(capsys):
 
 def test_5_certificate_suite(capsys):
     t0 = time.monotonic()
-    for g_val, p, a, s in TABLE2:
-        g = DimensionParam(g_val)
-        run = run_certificate_checks(g, p)
-        assert run.passed, (g_val, p, run.failure())
-        w, poly, cert = run.quadruple, run.polynomial, run.certificate
-        n = 2 * g_val + 1
-        assert (w.a, w.s) == (a, s)
-        assert w.a**2 - 4 * p == -n * w.s**2
-        assert poly.b**2 < 4 * poly.c and poly.c == p**g_val == poly.q
+    for g, p, a, s in TABLE2:
+        checks, cert = run_certificate_checks(g, p)
+        assert cert is not None, (g, p, checks[-1])
+        n = 2 * g + 1
+        assert (cert.a, cert.s) == (a, s)
+        assert cert.a**2 - 4 * p == -n * cert.s**2
+        assert cert.weil_b**2 < 4 * cert.weil_c and cert.weil_c == p**g == cert.q
         assert cert.cm_discriminant == -n
-        assert cert.splitting_order == g_val
-        lo, hi = cert.invariants
-        assert (lo.value, hi.value) == (
-            Fraction((g_val - 1) // 2, g_val),
-            Fraction((g_val + 1) // 2, g_val),
-        )
-        assert sorted(run.oracle_valuations) == [
-            (g_val - 1) // 2,
-            (g_val + 1) // 2,
-        ]
-        assert {Fraction(v, g_val) for v in run.oracle_valuations} == {
-            lo.value,
-            hi.value,
-        }
-        assert cert.degree_d == g_val
-        assert cert.degree_d * cert.center_degree_e == 2 * g_val
-        assert cert.dimension == g_val
-        assert cert.aut_order == 4 * g_val + 2
+        assert cert.splitting_order == g
+        lo = Fraction(cert.inv_low_num, cert.inv_low_den)
+        hi = Fraction(cert.inv_high_num, cert.inv_high_den)
+        assert (lo, hi) == (Fraction((g - 1) // 2, g), Fraction((g + 1) // 2, g))
+        vals = (cert.oracle_val_plus, cert.oracle_val_minus)
+        assert sorted(vals) == [(g - 1) // 2, (g + 1) // 2]
+        assert {Fraction(v, g) for v in vals} == {lo, hi}
+        assert cert.degree_d == g
+        assert cert.degree_d * cert.center_degree_e == 2 * g
+        assert cert.dimension == g
+        assert cert.aut_order == 4 * g + 2
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
     with capsys.disabled():

@@ -72,10 +72,13 @@ class TestFind:
         assert rc == 1
         assert "no prime found" in err
 
-    def test_general_equation(self, capsys):
+    def test_general_equation(self, capsys, monkeypatch):
+        calls = count_primality_tests(monkeypatch)
         rc, out, _ = run(capsys, "find", "--g", "5", "--p", "47", "--m", "1")
         assert rc == 0
         assert out == "g,p,m,a,s\n5,47,1,36,194\n"
+        # g and 2g+1 by DimensionParam, p once by hensel_sqrt
+        assert calls == [5, 11, 47]
 
     def test_general_equation_past_old_s_bound(self):
         # s = 1108188 lies past the 10^6 cap of the former s-walk; run as a
@@ -112,10 +115,11 @@ class TestFind:
         assert math.gcd(a, p) == 1
 
     def test_general_equation_needs_prime_p(self, capsys):
+        # hensel_sqrt's square-root step rejects p
         for p in ("15", "1", "-7"):
             rc, out, err = run(capsys, "find", "--g", "5", "--p", p, "--m", "1")
             assert rc == 2 and out == ""
-            assert err == f"error: --p must be prime, got {p}\n"
+            assert err == f"error: modulus {p} is not an odd prime\n"
 
     def test_m_requires_p(self, capsys):
         rc, _, err = run(capsys, "find", "--g", "5", "--m", "1")
@@ -147,6 +151,13 @@ class TestScan:
         rc, out, _ = run(capsys, "find", "--g", "29")
         assert (rc, out) == (0, "g,p,a,s\n29,317,18,4\n")
         assert calls == [11, 23, 29, 59]
+
+    def test_table2_does_not_retest_g(self, capsys, monkeypatch):
+        # every g and 2g+1 comes from the Sophie Germain sieve
+        calls = count_primality_tests(monkeypatch)
+        rc, out, _ = run(capsys, "table2")
+        assert rc == 0 and len(out.splitlines()) == 1 + 24
+        assert calls == []
 
 
 class TestPMax:

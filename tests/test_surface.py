@@ -11,6 +11,10 @@ names to scan.
 Every defaulted parameter of a public function is passed by some call in
 the package: a default that no call overrides is a constant with extra
 steps, and belongs in the function body or a module constant.
+
+No module calls a function that returns a float root, logarithm or
+exponential, or float() itself: the package computes exactly, and an
+integer root goes through math.isqrt.
 """
 
 import ast
@@ -125,6 +129,23 @@ def unpassed_defaults(sources: dict[str, str]) -> list[str]:
     return unpassed
 
 
+# Called by name or as an attribute (np.sqrt, math.log10), each yields a float.
+FLOAT_CALLS = {"sqrt", "cbrt", "float", "log", "log2", "log10", "exp"}
+
+
+def float_calls(sources: dict[str, str]) -> list[str]:
+    """module:line name for each call of a FLOAT_CALLS function, given the
+    source text of each module by name."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in FLOAT_CALLS:
+                    found.append(f"{module}:{node.lineno} {name}")
+    return sorted(found)
+
+
 def test_every_public_name_is_used_by_the_package():
     assert unreferenced(package_sources()) == []
 
@@ -153,6 +174,22 @@ def test_scan_flags_unused_names():
     b = "from a import used\nused(1)\n"
     # LIMIT is read in its own module; a recursive call is not a use
     assert unreferenced({"a": a, "b": b}) == ["a.lonely", "a.Unused"]
+
+
+def test_no_float_calls_in_the_package():
+    assert float_calls(package_sources()) == []
+
+
+def test_scan_flags_float_calls():
+    a = (
+        "import math\nimport numpy as np\nfrom math import log2\n"
+        "def root(x):\n    return math.isqrt(x), np.sqrt(x)\n"
+        "def digits(b):\n    return float(b) * log2(10)  # sqrt in a comment\n"
+    )
+    b = "import a\nsqrt = 'sqrt'\nprint(a.math.exp(1), sqrt)\n"
+    assert float_calls({"a": a, "b": b}) == [
+        "a:5 sqrt", "a:7 float", "a:7 log2", "b:3 exp",
+    ]
 
 
 def modules_loaded_by(module: str) -> list[str]:

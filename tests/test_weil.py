@@ -1,17 +1,13 @@
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
 from weilcert import kernels
 from weilcert.errors import ResourceLimitError
+from weilcert.quadforms import represent_x2_ny2
 from weilcert.weil import (
     DimensionParam,
-    WeilPolynomial,
-    WeilQuadruple,
-    check_p1,
-    check_p2,
     cm_field_discriminant,
     endomorphism_degree,
     find_smallest,
@@ -23,7 +19,6 @@ from weilcert.weil import (
     sophie_germain_list,
     splitting_order,
     valuations_oracle,
-    verify_weil_number,
     weil_polynomial,
 )
 from conftest import TABLE2, TABLE3, count_primality_tests
@@ -36,13 +31,12 @@ from oracles import (
 )
 
 G5 = DimensionParam(5)
-G11 = DimensionParam(11)
 
 
-def quadruple(g: DimensionParam, p: int) -> WeilQuadruple | None:
-    """The quadruple for (g, p) built from the definition-direct oracle."""
-    qs = weil_quadruple(p, g.g)
-    return None if qs is None else WeilQuadruple(g=g, p=p, a=qs[0], s=qs[1])
+def polynomial(g: int, p: int) -> tuple[int, int]:
+    """(b, c) from the a of the definition-direct oracle's quadruple."""
+    a, _ = weil_quadruple(p, g)
+    return weil_polynomial(g, p, a)
 
 
 class TestSophieGermain:
@@ -73,7 +67,7 @@ class TestSophieGermain:
 
     def test_dimension_param(self):
         assert DimensionParam(3).n == 7  # admitted below the usual g >= 5 range
-        assert G11.n == 23 and G11.aut_order == 46
+        assert DimensionParam(11).n == 23
         for bad in (2, 4, 7, 13):
             with pytest.raises(ValueError):
                 DimensionParam(bad)
@@ -81,60 +75,65 @@ class TestSophieGermain:
 
 class TestConditions:
     def test_p1(self):
-        r = check_p1(G5, 47)
+        r = represent_x2_ny2(47, 11)
         assert (r.x, r.y) == (6, 1)
-        assert check_p1(G11, 23) is None  # p = 2g+1 excluded
-        r = check_p1(G11, 211)
+        assert represent_x2_ny2(23, 23) is None  # p = 2g+1 excluded
+        r = represent_x2_ny2(211, 23)
         assert (r.x, r.y) == (2, 3)
 
     def test_p2(self):
-        assert not check_p2(G11, 47)  # 47 = 2*23 + 1
-        assert check_p2(G5, 47)  # 47 mod 11 = 3
-        assert not check_p2(G11, 24 * 23 + 1)
+        # the first identity certify checks; 47 = 2*23 + 1
+        checks, cert = run_certificate_checks(11, 47)
+        assert checks == [("p2-congruence", False, "p mod 23 = 1")] and cert is None
+        assert run_certificate_checks(5, 47)[0][0] == ("p2-congruence", True, "p mod 11 = 3")
+        checks, _ = run_certificate_checks(11, 6 * 23 + 1)  # 139 is prime
+        assert checks[0][:2] == ("p2-congruence", False)
 
     def test_membership(self):
         # (P1) and (P2) together against the definition-direct classification;
         # 47 fails (P2) and 61 fails (P1)
         for p, member in ((59, True), (47, False), (61, False)):
-            assert (check_p2(G11, p) and check_p1(G11, p) is not None) == member
+            checks, _ = run_certificate_checks(11, p)
+            passed = [name for name, ok, _ in checks[:2] if ok]
+            assert (passed == ["p2-congruence", "p1-representation"]) == member
             assert (classify_prime(p, 11) == "pg") == member
 
 
 class TestQuadruples:
     def test_build(self):
         # the certificate chain builds the quadruple the oracle builds
-        rows = ((G5, 47, 12, 2), (G11, 853, 10, 12), (DimensionParam(239), 1997, 18, 4))
-        for g, p, a, s in rows:
-            w = run_certificate_checks(g, p).quadruple
-            assert (w.g, w.p, w.a, w.s) == (g, p, a, s)
-            assert w == quadruple(g, p)
+        for g, p, a, s in ((5, 47, 12, 2), (11, 853, 10, 12), (239, 1997, 18, 4)):
+            _, cert = run_certificate_checks(g, p)
+            assert cert[:4] == (g, p, a, s)
+            assert (a, s) == weil_quadruple(p, g)
         for p in (47, 61):
-            assert run_certificate_checks(G11, p).quadruple is None
-            assert quadruple(G11, p) is None
+            assert run_certificate_checks(11, p)[1] is None
+            assert weil_quadruple(p, 11) is None
 
     def test_find_smallest(self):
-        assert (find_smallest(DimensionParam(29), 10**4).p) == 317
-        w = find_smallest(DimensionParam(509), 10**4)
-        assert (w.p, w.a, w.s) == (1163, 24, 2)
-        assert find_smallest(G5, 43) is None
+        assert find_smallest(59, 10**4)[0] == 317
+        assert find_smallest(1019, 10**4) == (1163, 24, 2)
+        assert find_smallest(11, 43) is None
 
     def test_scan_table3(self):
-        got = [(w.p, w.a, w.s) for w in scan_quadruples(G11, 1117)]
-        assert got == list(TABLE3)
+        assert list(scan_quadruples(23, 1117)) == list(TABLE3)
 
-    def test_scan_matches_per_prime(self):
-        primes = primes_upto(10**5)  # Python ints: p**g needs bignums
-        for g_val in (3, 5, 11, 23):
-            g = DimensionParam(g_val)
-            want = [w for p in primes if (w := quadruple(g, p)) is not None]
-            assert list(scan_quadruples(g, 10**5)) == want, g_val
-            assert find_smallest(g, 10**5) == want[0], g_val
+    @pytest.mark.parametrize("width", [kernels.WINDOW, 1000])
+    def test_scan_matches_per_prime(self, monkeypatch, width):
+        # rows built at the window edges as well as inside one window
+        monkeypatch.setattr(kernels, "WINDOW", width)
+        primes = primes_upto(10**5)
+        for g in (3, 5, 11, 23):
+            want = [(p, *qs) for p in primes if (qs := weil_quadruple(p, g)) is not None]
+            got = list(scan_quadruples(2 * g + 1, 10**5))
+            assert got == want, g
+            assert {type(v) for row in got for v in row} == {int}
+            assert find_smallest(2 * g + 1, 10**5) == want[0], g
 
     def test_table2_rows(self):
-        for g_val, p, a, s in TABLE2:
-            w = find_smallest(DimensionParam(g_val), 2000)
-            assert (w.p, w.a, w.s) == (p, a, s), g_val
-            n = 2 * g_val + 1
+        for g, p, a, s in TABLE2:
+            assert find_smallest(2 * g + 1, 2000) == (p, a, s), g
+            n = 2 * g + 1
             assert a * a - 4 * p == -n * s * s
             assert math.gcd(a, p) == 1
             assert a % 2 == 0 and s % 2 == 0
@@ -142,99 +141,81 @@ class TestQuadruples:
 
 class TestWeilPolynomial:
     def test_g5_example(self):
-        poly = weil_polynomial(quadruple(G5, 47))
-        assert poly.b == 12 * 47**2
-        assert poly.c == poly.q == 47**5
-        assert poly.discriminant == -11 * 4 * 47**4
-        assert verify_weil_number(poly)
+        b, c = polynomial(5, 47)
+        assert b == 12 * 47**2
+        assert c == 47**5
+        assert b * b - 4 * c == -11 * 4 * 47**4
 
     def test_g11_example(self):
-        poly = weil_polynomial(quadruple(G11, 59))
-        assert poly.b == 12 * 59**5 and poly.c == 59**11
-
-    def test_verify_edges(self):
-        q = 10**30
-        assert verify_weil_number(WeilPolynomial(b=0, c=q, q=q))
-        assert not verify_weil_number(WeilPolynomial(b=3 * q, c=q, q=q))
-        assert not verify_weil_number(WeilPolynomial(b=0, c=q, q=q + 1))
-        # boundary: real double root -b/2 with (b/2)^2 = q
-        assert verify_weil_number(WeilPolynomial(b=6, c=9, q=9))
+        assert polynomial(11, 59) == (12 * 59**5, 59**11)
 
     def test_modulus_strict_for_table_rows(self):
-        for g_val, p, _, _ in TABLE2:
-            poly = weil_polynomial(quadruple(DimensionParam(g_val), p))
-            assert poly.b**2 < 4 * poly.c
-            assert verify_weil_number(poly)
+        # complex conjugate roots, each of squared modulus c = p^g
+        for g, p, _, _ in TABLE2:
+            b, c = polynomial(g, p)
+            assert b**2 < 4 * c
 
 
 class TestCMDiscriminant:
     def test_examples(self):
-        assert cm_field_discriminant(weil_polynomial(quadruple(G5, 47))) == -11
-        assert cm_field_discriminant(weil_polynomial(quadruple(G11, 59))) == -23
-        w = quadruple(DimensionParam(173), 383)
-        assert cm_field_discriminant(weil_polynomial(w)) == -347
+        assert cm_field_discriminant(*polynomial(5, 47)) == -11
+        assert cm_field_discriminant(*polynomial(11, 59)) == -23
+        assert cm_field_discriminant(*polynomial(173, 383)) == -347
 
     def test_rejects_nonnegative(self):
         with pytest.raises(ValueError):
-            cm_field_discriminant(WeilPolynomial(b=10, c=4, q=4))
+            cm_field_discriminant(10, 4)
 
 
 class TestSplittingOrder:
     def test_examples(self):
-        assert splitting_order(G5, 47) == 5
-        assert splitting_order(G11, 59) == 11
-        assert splitting_order(G11, 47) == 1  # certificate would fail
+        assert splitting_order(5, 47) == 5
+        assert splitting_order(11, 59) == 11
+        assert splitting_order(11, 47) == 1  # certificate would fail
 
     def test_rejects_p_equal_n(self):
         with pytest.raises(ValueError):
-            splitting_order(G11, 23)
+            splitting_order(11, 23)
 
     def test_always_g_on_members_to_1e5(self):
         primes = primes_upto(10**5)
-        for g in (G5, G11):
+        for g in (5, 11):
             for p in primes:
-                if classify_prime(p, g.g) == "pg":
-                    assert splitting_order(g, p) == g.g, (g.g, p)
+                if classify_prime(p, g) == "pg":
+                    assert splitting_order(g, p) == g, (g, p)
 
 
 class TestLocalInvariants:
     def test_closed_form(self):
-        assert local_invariants(quadruple(G5, 47)) == (
-            Fraction(2, 5),
-            Fraction(3, 5),
-        )
-        assert local_invariants(quadruple(G11, 59)) == (
-            Fraction(5, 11),
-            Fraction(6, 11),
-        )
+        assert local_invariants(5, 47, 12) == (Fraction(2, 5), Fraction(3, 5))
+        assert local_invariants(11, 59, 12) == (Fraction(5, 11), Fraction(6, 11))
 
     def test_sum_integral(self):
-        for g_val, p, _, _ in TABLE2:
-            lo, hi = local_invariants(quadruple(DimensionParam(g_val), p))
+        for g, p, _, _ in TABLE2:
+            a, _ = weil_quadruple(p, g)
+            lo, hi = local_invariants(g, p, a)
             assert (lo + hi) == 1
 
     def test_rejects_p_dividing_a(self):
-        stub = SimpleNamespace(g=G5, p=3, a=6, s=2)
         with pytest.raises(ValueError):
-            local_invariants(stub)
+            local_invariants(5, 3, 6)
 
     def test_oracle_values(self):
-        assert valuations_oracle(quadruple(G5, 47)) == (3, 2)
-        assert valuations_oracle(quadruple(G11, 59)) == (6, 5)
+        assert valuations_oracle(5, 47, *weil_quadruple(47, 5)) == (3, 2)
+        assert valuations_oracle(11, 59, *weil_quadruple(59, 11)) == (6, 5)
 
     def test_oracle_rejects_non_residue(self):
-        stub = SimpleNamespace(g=G5, p=13, a=2, s=2)  # -11 is not a square mod 13
+        # -11 is not a square mod 13
         with pytest.raises(ValueError, match=r"-\(2g\+1\) = -11 is not a square mod 13"):
-            valuations_oracle(stub)
+            valuations_oracle(5, 13, 2, 2)
 
     def test_oracle_agrees_with_formula_on_all_rows(self):
-        for g_val, p, _, _ in TABLE2:
-            g = DimensionParam(g_val)
-            w = quadruple(g, p)
-            vals = valuations_oracle(w)
-            assert sorted(vals) == [(g_val - 1) // 2, (g_val + 1) // 2]
-            assert sum(vals) == g_val
-            assert tuple(sorted(Fraction(v, g_val) for v in vals)) == local_invariants(w)
+        for g, p, _, _ in TABLE2:
+            a, s = weil_quadruple(p, g)
+            vals = valuations_oracle(g, p, a, s)
+            assert sorted(vals) == [(g - 1) // 2, (g + 1) // 2]
+            assert sum(vals) == g
+            assert tuple(sorted(Fraction(v, g) for v in vals)) == local_invariants(g, p, a)
 
     def test_degree(self):
         assert endomorphism_degree((Fraction(2, 5), Fraction(3, 5))) == 5
@@ -244,38 +225,42 @@ class TestLocalInvariants:
 
 class TestCertify:
     def test_g5(self):
-        cert = run_certificate_checks(G5, 47).certificate
+        checks, cert = run_certificate_checks(5, 47)
+        assert all(ok for _, ok, _ in checks) and len(checks) == 11
         assert cert.cm_discriminant == -11
         assert cert.splitting_order == 5
-        assert [pi.value for pi in cert.invariants] == [Fraction(2, 5), Fraction(3, 5)]
+        assert (cert.inv_low_num, cert.inv_low_den) == (2, 5)
+        assert (cert.inv_high_num, cert.inv_high_den) == (3, 5)
         assert cert.degree_d == 5 and cert.center_degree_e == 2
         assert cert.dimension == 5 and cert.aut_order == 22
 
     def test_g11(self):
-        cert = run_certificate_checks(G11, 59).certificate
+        _, cert = run_certificate_checks(11, 59)
         assert cert.aut_order == 46 and cert.dimension == 11
         assert cert.cm_discriminant == -23
 
     def test_failure_names_identity(self):
         for p, identity in ((47, "p2-congruence"), (61, "p1-representation")):
-            run = run_certificate_checks(G11, p)
-            assert run.certificate is None and not run.passed
-            assert run.failure()[0] == identity
-            assert run.checks[-1][:2] == (identity, False)
+            checks, cert = run_certificate_checks(11, p)
+            assert cert is None
+            assert checks[-1][:2] == (identity, False)
+            assert all(ok for _, ok, _ in checks[:-1])
 
     def test_primality_tests(self, monkeypatch):
         # its own test, represent_x2_ny2's and hensel_sqrt's in
         # valuations_oracle; no Legendre pre-check before hensel_sqrt
         calls = count_primality_tests(monkeypatch)
-        assert run_certificate_checks(G5, 47).passed
+        assert run_certificate_checks(5, 47)[1] is not None
         assert calls == [47] * 3
 
     def test_place_labels_deterministic(self):
-        cert = run_certificate_checks(G5, 47).certificate
-        low, high = cert.invariants
-        assert low.value < high.value
+        _, cert = run_certificate_checks(5, 47)
+        low = Fraction(cert.inv_low_num, cert.inv_low_den)
+        high = Fraction(cert.inv_high_num, cert.inv_high_den)
+        assert low < high
         # -t image has valuation 2 for this quadruple
-        assert (low.place, high.place) == ("-t", "+t")
+        assert (cert.inv_low_place, cert.inv_high_place) == ("-t", "+t")
+        assert (cert.oracle_val_plus, cert.oracle_val_minus) == (3, 2)
 
 
 class TestGeneralEquation:
@@ -284,7 +269,7 @@ class TestGeneralEquation:
             g = DimensionParam(g_val)
             assert solve_general_p1m(g, p, (g_val - 1) // 2) == (a, s)
         for p, a, s in TABLE3:
-            assert solve_general_p1m(G11, p, 5) == (a, s)
+            assert solve_general_p1m(DimensionParam(11), p, 5) == (a, s)
 
     def test_deeper_exponents(self):
         assert solve_general_p1m(G5, 47, 2) == (12, 2)
