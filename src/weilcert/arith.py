@@ -188,7 +188,20 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
     """
     if legendre_symbol(a, p) != 1:
         return None
+    return _tonelli_shanks(a % p, p)
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int | None:
+    """sqrt_mod_prime for an odd prime p, not tested here."""
     a %= p
+    if pow(a, (p - 1) // 2, p) != 1:  # the Euler criterion
+        return None
+    return _tonelli_shanks(a, p)
+
+
+def _tonelli_shanks(a: int, p: int) -> int:
+    """min(t, p-t) with t^2 = a (mod p), for a nonzero square a < p mod the
+    odd prime p."""
     if p % 4 == 3:
         t = pow(a, (p + 1) // 4, p)
         return min(t, p - t)
@@ -226,8 +239,12 @@ def hensel_sqrt(a: int, p: int, k: int) -> int | None:
     if k < 1:
         raise ValueError(f"precision must be >= 1, got {k}")
     t = sqrt_mod_prime(a, p)
-    if t is None:
-        return None
+    return None if t is None else _hensel_lift(a, p, k, t)
+
+
+def _hensel_lift(a: int, p: int, k: int, t: int) -> int:
+    """The root of a mod p^k congruent to the root t of a mod p, for an
+    odd p not dividing t; p need not be prime."""
     prec = 1
     while prec < k:
         prec = min(2 * prec, k)

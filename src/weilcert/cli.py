@@ -153,6 +153,8 @@ def _stream_rows(series: density_mod.DensitySeries) -> Iterator[report.Columns]:
             f_num, f_den = num // common, den // common
             p = primes[start : start + report.CHUNK_ROWS]
             yield report.Columns((p, f_num, f_den, report.fixed_point(f_num, f_den)))
+            del num, p  # views that keep the window alive
+        del primes, members  # before the next window is sieved
 
 
 def cmd_limit(args) -> int:
@@ -229,6 +231,7 @@ def cmd_plot(args) -> int:
         keep = np.arange(-count % step, len(primes), step)
         xs += primes[keep].tolist()
         fs += (members[keep] / (count + 1 + keep)).tolist()
+        del primes, members  # before the next window is sieved
     svg = report.emit_svg(xs, fs, total, series.limit, g.g, args.x_max)
     with _output(args.out) as fh:
         fh.write(svg)

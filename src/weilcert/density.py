@@ -22,6 +22,7 @@ where h is the quadratic-form class number.
 from __future__ import annotations
 
 import bisect
+import collections
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,8 +75,7 @@ class DensitySeries:
 
     @property
     def records(self) -> tuple[DensityRecord, ...]:
-        for _ in self._windows:
-            pass
+        collections.deque(self._windows, maxlen=0)  # holds no window
         return tuple(self._records)
 
     def _record(self, x: int, count_p: int, count_pg: int, count_split: int) -> None:
@@ -116,6 +116,7 @@ class DensitySeries:
             count_p += len(primes)
             if len(primes):
                 count_pg = int(members[-1])
+            del primes, y, member, members, split  # before the next window is sieved
         for x in checkpoints[done:]:
             self._record(x, count_p, count_pg, count_split)
 

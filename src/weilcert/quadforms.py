@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import sqrt_mod_prime
+from .arith import _sqrt_mod_prime, is_prime
 from .errors import ResourceLimitError
 
 #: The largest |d| whose reduced forms are enumerated. The enumeration takes
@@ -110,9 +110,15 @@ def cornacchia(n: int, m: int, r: int, rhs: int) -> tuple[int, int] | None:
 
 
 def represent_x2_ny2(p: int, n: int) -> Representation | None:
-    """The p = x^2 + n*y^2 (x, y >= 1) of a prime p, if any; unique for n >= 2."""
+    """The p = x^2 + n*y^2 (x, y >= 1) of a prime p, if any; unique for n >= 2.
+
+    p is tested for primality once, here, and raises ValueError if it is
+    not prime.
+    """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    r = None if p == 2 else sqrt_mod_prime(-n, p)  # None unless (-n|p) = 1
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    r = None if p == 2 else _sqrt_mod_prime(-n, p)  # None unless (-n|p) = 1
     xy = None if r is None else cornacchia(n, p, r, p)
     return None if xy is None else Representation(n=n, p=p, x=xy[0], y=xy[1])

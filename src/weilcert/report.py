@@ -156,7 +156,7 @@ def _column(col, fmt: str) -> list[tuple[np.ndarray, np.ndarray | None]]:
     return [_cells(col, fmt)]
 
 
-def _render(parts: list[tuple[np.ndarray, np.ndarray | None]], rows: int) -> bytes:
+def _render(parts: list[tuple[np.ndarray, np.ndarray | None]], rows: int) -> np.ndarray:
     """The rows of the parts laid side by side: one (rows x width) block,
     literal parts broadcast down it, of which the bytes the masks keep."""
     widths = [block.shape[-1] for block, _ in parts]
@@ -168,7 +168,7 @@ def _render(parts: list[tuple[np.ndarray, np.ndarray | None]], rows: int) -> byt
         if mask is not None:
             keep[:, at : at + w] = mask
         at += w
-    return out[keep].tobytes()
+    return out[keep]
 
 
 def _column_chunks(rows: Iterable[Sequence[Cell]]) -> Iterator[Columns]:
@@ -202,6 +202,7 @@ def write_table(
     first = next(rows, None)
     rows = () if first is None else chain([first], rows)
     chunks = rows if isinstance(first, Columns) else _column_chunks(rows)
+    del first
     written = False
     for chunk in chunks:
         lengths = {len(c.whole if isinstance(c, FixedPoint) else c) for c in chunk}
@@ -216,10 +217,13 @@ def write_table(
         parts = [_literal(sep + around[0])]
         for col, after in zip(chunk, around[1:]):
             parts += [*_column(col, fmt), _literal(after)]
-        text = _render(parts, n).decode("utf-8", "surrogatepass")
-        # the table's first row follows head, not sep
-        fh.write(text if written else head + text[len(sep) :])
-        written = True
+        text = _render(parts, n)
+        if not written:  # the table's first row follows head, not sep
+            fh.write(head)
+            text = text[len(sep) :]
+            written = True
+        fh.write(text.tobytes().decode("utf-8", "surrogatepass"))
+        del chunk, col, parts, text  # columns may be views of a window of a pass
     fh.write(tail if written else empty)
 
 

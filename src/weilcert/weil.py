@@ -31,6 +31,7 @@ import numpy as np
 
 from . import kernels
 from .arith import (
+    _hensel_lift,
     hensel_sqrt,
     is_prime,
     multiplicative_order,
@@ -108,11 +109,15 @@ class Certificate(NamedTuple):
 def scan_quadruples(n: int, p_max: int) -> Iterator[tuple[int, int, int]]:
     """(p, a, s) = (p, 2x, 2y) for every prime p <= p_max passing (P1) and
     (P2) at n = 2g+1, ascending p, one window at a time."""
-    return (
-        (p, 2 * math.isqrt(p - n * yp * yp), 2 * yp)
-        for primes, y, member in kernels.classified_windows(p_max, n)
-        for p, yp in zip(primes[member].tolist(), y[member].tolist())
-    )
+    return _quadruples(kernels.classified_windows(p_max, n), n)
+
+
+def _quadruples(windows, n: int) -> Iterator[tuple[int, int, int]]:
+    for primes, y, member in windows:
+        rows = zip(primes[member].tolist(), y[member].tolist())
+        del primes, y, member  # before the next window is sieved
+        for p, yp in rows:
+            yield p, 2 * math.isqrt(p - n * yp * yp), 2 * yp
 
 
 def find_smallest(n: int, p_max: int) -> tuple[int, int, int] | None:
@@ -167,12 +172,19 @@ def valuations_oracle(g: int, p: int, a: int, s: int) -> tuple[int, int]:
     Lifts t with t^2 = -(2g+1) mod p^(g+1), embeds the two roots
     p^((g-1)/2) * (-a +- s*t)/2 as residues mod p^(g+1), and reads off
     their valuations. Independent of the closed form in local_invariants.
+
+    t starts from the root a/s of -(2g+1) mod p that the quadruple's
+    a^2 + (2g+1)*s^2 = 4p gives, taken as min(t, p-t) like
+    `arith.sqrt_mod_prime`; so no square root is searched for and p is not
+    tested for primality here.
     """
     n, k = 2 * g + 1, g + 1
     mod = p**k
-    t = hensel_sqrt(-n, p, k)
-    if t is None:
-        raise ValueError(f"-(2g+1) = {-n} is not a square mod {p}")
+    t = a * pow(s, -1, p) % p
+    t = min(t, p - t)
+    if (t * t + n) % p:
+        raise ValueError(f"-(2g+1) = {-n} is not a square mod {p} of a/s = {t}")
+    t = _hensel_lift(-n, p, k, t)
     inv2 = pow(2, -1, mod)
     scale = pow(p, (g - 1) // 2, mod)
     vals = []
@@ -200,9 +212,9 @@ def run_certificate_checks(
     stopping at the first failure (later identities depend on earlier
     ones); certificate is None unless every identity passed.
 
-    p is tested for primality here, once more by `represent_x2_ny2` and
-    once more by `hensel_sqrt` in `valuations_oracle`; nothing else
-    re-tests it. Three kinds of check only restate earlier work and cannot
+    p is tested for primality once, by `represent_x2_ny2` before the
+    first identity, and raises ValueError if it is not prime; nothing
+    after it re-tests p. Three kinds of check only restate earlier work and cannot
     fail on their own: "quadruple-equation" restates the check
     `Representation` makes of p = x^2 + (2g+1)*y^2 (with a = 2x, s = 2y,
     and 0 < x < p for the odd prime p); "automorphism-order" compares the
@@ -211,9 +223,8 @@ def run_certificate_checks(
     before them. They stay as certificate columns, restating the paper's
     chain in full.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
     n = 2 * g + 1
+    rep = represent_x2_ny2(p, n)
     checks: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str) -> bool:
@@ -222,7 +233,6 @@ def run_certificate_checks(
 
     if not check("p2-congruence", p % n != 1, f"p mod {n} = {p % n}"):
         return checks, None
-    rep = represent_x2_ny2(p, n)
     if not check(
         "p1-representation",
         rep is not None,

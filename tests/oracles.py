@@ -7,6 +7,8 @@ own code paths, so tests can compare the two sides.
 
 import math
 
+import numpy as np
+
 
 def trial_division_is_prime(n: int) -> bool:
     if n < 2:
@@ -160,3 +162,37 @@ def density_counts(
         out[cps[ci]] = (npg, nsplit, len(primes))
         ci += 1
     return out
+
+
+def form_values(a: int, b: int, c: int, lo: int, hi: int) -> np.ndarray:
+    """marks[v - lo] for lo <= v < hi: whether v = a*X^2 + b*X*Y + c*Y^2 for
+    some integers X, Y, for a positive definite form (a > 0, b^2 < 4ac).
+
+    A window sieve over the lattice, one row of X per Y >= 0 (the form is
+    even under (X, Y) -> (-X, -Y)): f(X, Y) <= t exactly when
+    (2aX + bY)^2 <= 4at - (4ac - b^2)Y^2, so the X with lo <= f(X, Y) < hi
+    are the integers of one interval less an inner one.
+    """
+    delta = 4 * a * c - b * b
+    assert a > 0 and delta > 0
+    marks = np.zeros(hi - lo, dtype=bool)
+
+    def x_bounds(t: int, y: int) -> tuple[int, int]:
+        """The least and the largest X with f(X, y) <= t (empty if first > last)."""
+        r = 4 * a * t - delta * y * y
+        if r < 0:
+            return 0, -1
+        s = math.isqrt(r)
+        return -((s + b * y) // (2 * a)), (s - b * y) // (2 * a)
+
+    y = 0
+    while delta * y * y <= 4 * a * (hi - 1):
+        first, last = x_bounds(hi - 1, y)
+        in_first, in_last = x_bounds(lo - 1, y)
+        if in_first > in_last:
+            xs = np.arange(first, last + 1)
+        else:
+            xs = np.concatenate([np.arange(first, in_first), np.arange(in_last + 1, last + 1)])
+        marks[a * xs * xs + b * y * xs + (c * y * y - lo)] = True
+        y += 1
+    return marks

@@ -6,10 +6,11 @@ import pytest
 from weilcert import kernels
 from weilcert.density import asymptotic_limit, density_series, prime_count
 from weilcert.errors import ResourceLimitError
+from weilcert.quadforms import reduced_forms
 from weilcert.report import decimal_string
 from weilcert.weil import DimensionParam, sophie_germain_list
 from conftest import CHECKPOINTS, TABLE4
-from oracles import classify_prime, density_counts, primes_upto
+from oracles import classify_prime, density_counts, form_values, primes_upto
 
 G5 = DimensionParam(5)
 G11 = DimensionParam(11)
@@ -141,3 +142,70 @@ class TestWindows:
         ]
         with pytest.raises(ValueError):
             prime_count(1)
+
+
+def class_sum_gap(g: DimensionParam, checkpoints: tuple[int, ...]) -> list[int]:
+    """At each checkpoint x, 2 * (sum_f w_f N_f(x) - #{odd p <= x, p != n :
+    p mod n is a nonzero square}), which the theory of forms makes 0.
+
+    Here n = 2g+1 is a prime = 3 (mod 4), f runs over the reduced forms of
+    discriminant -4n and N_f(x) counts the primes p <= x, p != n, that f
+    represents; the weight w_f is 1 for an ambiguous form (b = 0, b = a or
+    a = c) and 1/2 otherwise, since an odd prime p != n with (-n|p) = 1 is
+    represented by exactly one class pair {f, f^-1} (Cox, Primes of the
+    Form x^2 + ny^2, section 2), and by reciprocity (-n|p) = (p|n). N_1 is
+    count_pg + count_split_all of the production pass; every other N_f
+    comes from the lattice oracle, and the right side is a congruence count.
+    """
+    n = g.n
+    squares = sorted({k * k % n for k in range(1, n)})
+    others = [
+        (f, 2 if f.b in (0, f.a) or f.a == f.c else 1)  # doubled weights
+        for f in reduced_forms(-4 * n)
+        if (f.a, f.b, f.c) != (1, 0, n)
+    ]
+    gap = np.zeros(len(checkpoints), dtype=np.int64)
+    for lo, hi, primes in kernels.prime_windows(checkpoints[-1]):
+        odd = primes[(primes != 2) & (primes != n)]
+        below = np.searchsorted(odd, checkpoints, side="right")
+
+        def counted(flags):
+            """How many odd primes of the window up to each checkpoint are flagged."""
+            return np.concatenate(([0], np.cumsum(flags)))[below]
+
+        for f, weight in others:
+            gap += weight * counted(form_values(f.a, f.b, f.c, lo, hi)[odd - lo])
+        gap -= 2 * counted(np.isin(odd % n, squares))
+    records = density_series(g, checkpoints).records
+    gap += [2 * (r.count_pg + r.count_split_all) for r in records]
+    return gap.tolist()
+
+
+class TestClassSumIdentity:
+    """An oracle-free check of the whole pass, at bounds beyond the
+    per-prime oracles: the represented primes, weighted over the classes of
+    forms of discriminant -4n, are the primes that are squares mod n."""
+
+    @pytest.mark.parametrize("g", [5, 11, 23])
+    def test_to_1e7(self, g):
+        limit = 10**7
+        # every 10^5, and both sides of each window edge
+        edges = range(kernels.WINDOW, limit, kernels.WINDOW)
+        checkpoints = sorted(
+            {*range(10**5, limit + 1, 10**5), *(e + d for e in edges for d in (-1, 0, 1))}
+        )
+        assert class_sum_gap(DimensionParam(g), tuple(checkpoints)) == [0] * len(checkpoints)
+
+    def test_tiny_windows(self, monkeypatch):
+        monkeypatch.setattr(kernels, "WINDOW", 1000)
+        checkpoints = tuple(range(100, 3 * 10**4 + 1, 100))
+        for g in (G5, G11):
+            assert class_sum_gap(g, checkpoints) == [0] * len(checkpoints), g.g
+
+    def test_non_principal_forms_count(self):
+        # h(-4n) = 3 for n = 11 and 23, 5 for n = 47. At n = 11, 3 = 5^2 mod 11
+        # is represented by 3x^2 +- 2xy + 4y^2 alone (x = 1, y = 0): the gap
+        # closes at x = 3 only through the oracle's forms
+        assert [len(reduced_forms(-4 * n)) for n in (11, 23, 47)] == [3, 3, 5]
+        assert form_values(3, 2, 4, 3, 4).tolist() == [True]
+        assert class_sum_gap(G5, (2, 3)) == [0, 0]

@@ -3,8 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from weilcert import kernels
+from weilcert.density import density_series
+from weilcert.weil import DimensionParam
 from weilcert.errors import ResourceLimitError
 from oracles import (
     classify_prime,
@@ -22,6 +25,15 @@ def classified(limit, n):
 
 def odd_values(lo, hi):
     return list(range(lo | 1, hi, 2))
+
+
+def form_witnesses(lo, hi, n, dtype):
+    """The form-value sieve of one window [lo, hi), its lower x bounds
+    computed with math.isqrt instead of carried from the window before."""
+    y_in = math.isqrt(max(lo - 1, 0) // n)
+    x_lo = [math.isqrt(lo - 1 - n * y * y) + 1 for y in range(1, y_in + 1)]
+    y_of, _ = kernels._odd_form_witnesses(lo, hi, n, dtype, np.array(x_lo, np.int64))
+    return y_of
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +70,8 @@ class TestBackends:
     def test_empty_input(self):
         # no form value below n + 1, and no prime below 2: an error, not
         # empty windows, and raised at the call, before anything is sieved
-        assert not kernels._odd_form_witnesses(0, 24, 23, np.uint8).any()
-        assert kernels._odd_form_witnesses(0, 1, 23, np.uint8).shape == (0,)
+        assert not form_witnesses(0, 24, 23, np.uint8).any()
+        assert form_witnesses(0, 1, 23, np.uint8).shape == (0,)
         with pytest.raises(ValueError):
             kernels.classified_windows(1, 23)
         with pytest.raises(ValueError):
@@ -101,12 +113,14 @@ class TestClassifiedPrimes:
 class TestFormWitnesses:
     def test_every_value_below_3000(self):
         # composites included: any stored y must be a genuine witness; the
-        # sieve covers the odd values only, in windows of any size
+        # sieve covers the odd values only, in windows of any size, each
+        # window's lower x bounds carried from the one before
         for n in (1, 2, 7, 23):
             for width in (3000, 64, 7):
+                x_lo = np.empty(0, np.int64)
                 for lo in range(0, 3000, width):
                     hi = min(lo + width, 3000)
-                    y_of = kernels._odd_form_witnesses(lo, hi, n, np.uint16)
+                    y_of, x_lo = kernels._odd_form_witnesses(lo, hi, n, np.uint16, x_lo)
                     assert len(y_of) == len(odd_values(lo, hi))
                     for v, y in zip(odd_values(lo, hi), y_of.tolist()):
                         assert (y != 0) == early_break_rep_exists(v, n), (n, lo, v)
@@ -136,7 +150,7 @@ class TestFormWitnesses:
         # 59 = 6^2 + 23*1^2 sits exactly at the limit, and at either edge
         # of a window; below it the odd form values are 27 and 39
         def marked(lo, hi):
-            y_of = kernels._odd_form_witnesses(lo, hi, 23, np.uint8)
+            y_of = form_witnesses(lo, hi, 23, np.uint8)
             return [v for v, y in zip(odd_values(lo, hi), y_of.tolist()) if y]
 
         assert marked(0, 59) == [27, 39]
@@ -166,6 +180,58 @@ class TestFormWitnesses:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024  # a window would take 0.5 MB or more
+
+
+class TestIsqrt:
+    """The int64 Newton square root of the form sieve's x bounds."""
+
+    def test_squares_and_neighbours(self):
+        ks = range(1, 2**15)
+        values = [0, 1, 2, 3, *(k * k + d for k in ks for d in (-1, 0, 1))]
+        got = kernels._isqrt(np.array(values, dtype=np.int64))
+        assert got.tolist() == [math.isqrt(v) for v in values]
+
+    @given(st.lists(st.integers(0, kernels.SIEVE_BUDGET), min_size=1, max_size=50))
+    def test_up_to_the_budget(self, values):
+        got = kernels._isqrt(np.array(values, dtype=np.int64))
+        assert got.tolist() == [math.isqrt(v) for v in values]
+
+    def test_whole_range(self):
+        # the bounds need v <= SIEVE_BUDGET; the helper holds below 2^60
+        top = 2**60 - 1
+        values = [top, top - 1, math.isqrt(top) ** 2, math.isqrt(top) ** 2 - 1, 2**59]
+        got = kernels._isqrt(np.array(values, dtype=np.int64))
+        assert got.tolist() == [math.isqrt(v) for v in values]
+
+
+class TestWorkingSet:
+    """The pass holds one window's arrays at a time, whatever n."""
+
+    @pytest.mark.parametrize("n", [11, 23, 47])
+    def test_traced_peak_of_eight_windows(self, n):
+        series = density_series(DimensionParam((n - 1) // 2), (8 * kernels.WINDOW - 1,))
+        tracemalloc.start()
+        try:
+            records = series.records
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert records[0].count_p == 564_163  # pi(8 * 2^20 - 1)
+        # 0.5 bytes of prime flags and 1 of uint16 witnesses per integer,
+        # the primes and their slots (8 bytes each), one block of marks
+        assert peak <= 3 * kernels.WINDOW
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_mark_blocks_match_oracles(self, oracle_1e5, monkeypatch, block):
+        # a block of 1 or 7 marks cuts y-rows at every mark, or mid-row
+        monkeypatch.setattr(kernels, "MARK_BLOCK", block)
+        limit = 2 * 10**4
+        k = len(primes_upto(limit))
+        for g, (want_primes, want_y, want_member) in oracle_1e5.items():
+            primes, y, member = classified(limit, 2 * g + 1)
+            assert primes.tolist() == want_primes[:k], g
+            assert y.tolist() == want_y[:k], g
+            assert member.tolist() == want_member[:k], g
 
 
 class TestWindowEdges:

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weilcert import arith
 from weilcert.arith import is_prime, legendre_symbol
 from weilcert.quadforms import QuadForm, class_number, reduced_forms, represent_x2_ny2
+from conftest import count_primality_tests
 from oracles import full_scan_min_y, is_reduced_form, naive_class_number, primes_upto
 
 
@@ -78,9 +78,9 @@ class TestRepresent:
         assert represent_x2_ny2(61, 23) is None
 
     def test_one_primality_test(self, monkeypatch):
-        # p is tested once, not again by every Legendre symbol on the way
-        calls = []
-        monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        # p is tested once, at the entry, not again by every Legendre symbol
+        # on the way; counted through every module that binds is_prime
+        calls = count_primality_tests(monkeypatch)
         p = 710556311324541868785229746989
         r = represent_x2_ny2(p, 23)
         assert (r.x, r.y) == (600000000000039, 123456789012346)

@@ -247,11 +247,11 @@ class TestCertify:
             assert all(ok for _, ok, _ in checks[:-1])
 
     def test_primality_tests(self, monkeypatch):
-        # its own test, represent_x2_ny2's and hensel_sqrt's in
-        # valuations_oracle; no Legendre pre-check before hensel_sqrt
+        # represent_x2_ny2's, at the entry; valuations_oracle lifts the
+        # root a/s of the quadruple and searches no square root
         calls = count_primality_tests(monkeypatch)
         assert run_certificate_checks(5, 47)[1] is not None
-        assert calls == [47] * 3
+        assert calls == [47]
 
     def test_place_labels_deterministic(self):
         _, cert = run_certificate_checks(5, 47)
