@@ -1,10 +1,12 @@
 """Exact integer arithmetic primitives shared by the whole toolkit.
 
-Primality of single integers, perfect squares, Legendre symbols,
-multiplicative orders, squarefree kernels, and Hensel lifting of square
-roots (the prime sieve lives in `kernels`). Every operation here is exact:
-no floating point enters any arithmetic path. Rationals are
-`fractions.Fraction` throughout the package.
+Primality of single integers, perfect squares, multiplicative orders,
+squarefree kernels, square roots modulo an odd prime and their Hensel
+lifts (the prime sieve lives in `kernels`). The square root does not test
+its prime: `quadforms.represent_x2_ny2` and `weil.solve_general_p1m` test
+p once, at their entry. Every operation here is exact: no floating point
+enters any arithmetic path. Rationals are `fractions.Fraction` throughout
+the package.
 """
 
 from __future__ import annotations
@@ -94,16 +96,6 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
-def legendre_symbol(a: int, p: int) -> int:
-    """Legendre symbol (a|p) in {-1, 0, 1} via the Euler criterion."""
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"modulus {p} is not an odd prime")
-    t = pow(a % p, (p - 1) // 2, p)
-    if t == p - 1:
-        return -1
-    return t
-
-
 def multiplicative_order(a: int, n: int) -> int:
     """Least k >= 1 with a^k = 1 (mod n).
 
@@ -183,25 +175,12 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
     """A square root of a mod the odd prime p, canonicalized to
     min(t, p-t), or None when a is not a nonzero square mod p.
 
-    Tonelli-Shanks. p is tested for primality once, by legendre_symbol;
-    the search for a non-residue z applies the Euler criterion directly.
+    The Euler criterion, then Tonelli-Shanks. p is not tested for
+    primality here: its callers test it once, at their entry.
     """
-    if legendre_symbol(a, p) != 1:
-        return None
-    return _tonelli_shanks(a % p, p)
-
-
-def _sqrt_mod_prime(a: int, p: int) -> int | None:
-    """sqrt_mod_prime for an odd prime p, not tested here."""
     a %= p
     if pow(a, (p - 1) // 2, p) != 1:  # the Euler criterion
         return None
-    return _tonelli_shanks(a, p)
-
-
-def _tonelli_shanks(a: int, p: int) -> int:
-    """min(t, p-t) with t^2 = a (mod p), for a nonzero square a < p mod the
-    odd prime p."""
     if p % 4 == 3:
         t = pow(a, (p + 1) // 4, p)
         return min(t, p - t)
@@ -227,24 +206,13 @@ def _tonelli_shanks(a: int, p: int) -> int:
     return min(r, p - r)
 
 
-def hensel_sqrt(a: int, p: int, k: int) -> int | None:
-    """The square root of a mod p^k lifting the canonical mod-p root, or
-    None when a is not a nonzero square mod the odd prime p.
-
-    Newton iteration t -> (t + a/t)/2 doubles the precision each step;
-    the result is the unique root in [0, p^k) congruent to
-    sqrt_mod_prime(a, p) mod p, so precisions k and k+1 agree mod p^k.
-    p is tested for primality once, by sqrt_mod_prime.
-    """
-    if k < 1:
-        raise ValueError(f"precision must be >= 1, got {k}")
-    t = sqrt_mod_prime(a, p)
-    return None if t is None else _hensel_lift(a, p, k, t)
-
-
-def _hensel_lift(a: int, p: int, k: int, t: int) -> int:
+def hensel_lift(a: int, p: int, k: int, t: int) -> int:
     """The root of a mod p^k congruent to the root t of a mod p, for an
-    odd p not dividing t; p need not be prime."""
+    odd p not dividing t; p need not be prime.
+
+    Newton iteration t -> (t + a/t)/2 doubles the precision each step, so
+    the lifts of one t to precisions k and k+1 agree mod p^k.
+    """
     prec = 1
     while prec < k:
         prec = min(2 * prec, k)

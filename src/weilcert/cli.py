@@ -64,10 +64,8 @@ def cmd_find(args) -> int:
             eq = f"a^2 - 4*{args.p}^{g.g - 2 * args.m} = -{g.n}*s^2"
             print(f"no solution of {eq} with gcd(a, p) = 1", file=sys.stderr)
             return 1
-        a, s = sol
-        with _exact_digits(a, s):
-            row = [g.g, args.p, args.m, a, s]
-            _write_table(["g", "p", "m", "a", "s"], [row], args.format, args.out)
+        row = [g.g, args.p, args.m, *sol]
+        _write_table(["g", "p", "m", "a", "s"], [row], args.format, args.out)
         return 0
     row = find_smallest(g.n, args.p_max)
     if row is None:
@@ -173,27 +171,6 @@ def cmd_classnum(args) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _exact_digits(*values: int) -> Iterator[None]:
-    """Inside the block, int->str renders the values in full.
-
-    CPython caps int->str at 4300 digits by default (certify's q = p^g
-    passes it from g = 1229 on, `find --m`'s a at g = 2339). The cap is
-    raised only as far as these values need and restored on exit, so a
-    caller of `main` keeps its own setting.
-    """
-    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # CPython >= 3.10.7
-    # a b-bit integer has at most floor(b*log10(2)) + 1 digits; 0.30103 > log10(2)
-    need = max(abs(v).bit_length() for v in values) * 30103 // 100000 + 1
-    if 0 < old < need:
-        sys.set_int_max_str_digits(need)
-    try:
-        yield
-    finally:
-        if 0 < old < need:
-            sys.set_int_max_str_digits(old)
-
-
 def cmd_certify(args) -> int:
     g = DimensionParam(args.g)
     checks, cert = run_certificate_checks(g.g, args.p)
@@ -207,9 +184,8 @@ def cmd_certify(args) -> int:
         print(f"certificate failed [{name}]: {detail}", file=sys.stderr)
         return 1
     header = [*cert._fields, *("check_" + n.replace("-", "_") for n, _, _ in checks)]
-    with _exact_digits(cert.q, cert.weil_b):
-        big = {"q": str(cert.q), "weil_b": str(cert.weil_b), "weil_c": str(cert.weil_c)}
-    row = [*cert._replace(**big), *("pass" for _ in checks)]
+    q, b, c = map(report.integer_string, (cert.q, cert.weil_b, cert.weil_c))
+    row = [*cert._replace(q=q, weil_b=b, weil_c=c), *("pass" for _ in checks)]
     if args.format == "markdown":
         _write_table(["field", "value"], zip(header, row), "markdown", args.out)
     else:

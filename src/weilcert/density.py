@@ -64,7 +64,6 @@ class DensitySeries:
     """
 
     def __init__(self, g: DimensionParam, checkpoints: tuple[int, ...]):
-        self.g = g
         self.limit = asymptotic_limit(g)
         self._records: list[DensityRecord] = []
         windows = kernels.classified_windows(checkpoints[-1], g.n)

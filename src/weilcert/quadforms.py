@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import _sqrt_mod_prime, is_prime
+from .arith import is_prime, sqrt_mod_prime
 from .errors import ResourceLimitError
 
 #: The largest |d| whose reduced forms are enumerated. The enumeration takes
@@ -119,6 +119,6 @@ def represent_x2_ny2(p: int, n: int) -> Representation | None:
         raise ValueError(f"n must be >= 2, got {n}")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    r = None if p == 2 else _sqrt_mod_prime(-n, p)  # None unless (-n|p) = 1
+    r = None if p == 2 else sqrt_mod_prime(-n, p)  # None unless (-n|p) = 1
     xy = None if r is None else cornacchia(n, p, r, p)
     return None if xy is None else Representation(n=n, p=p, x=xy[0], y=xy[1])

@@ -10,6 +10,7 @@ density stream builds no Python object per row or cell.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _json_str
@@ -44,6 +45,15 @@ def decimal_string(q: Fraction) -> str:
     scaled = _half_up(abs(q.numerator), q.denominator)
     whole, frac = divmod(scaled, 10**DECIMAL_PLACES)
     return f"{sign}{whole}.{frac:0{DECIMAL_PLACES}d}"
+
+
+def integer_string(v: int) -> str:
+    """The decimal digits of an int of any size, with its sign.
+
+    Through decimal.Decimal, which is exact and, unlike int.__str__, is
+    not subject to CPython's interpreter-wide int-to-str digit cap.
+    """
+    return str(Decimal(v))
 
 
 class FixedPoint(NamedTuple):
@@ -128,14 +138,17 @@ def _digits(col: np.ndarray, width: int = 0) -> tuple[np.ndarray, np.ndarray | N
 
 
 def _cells(values: Sequence[Cell], fmt: str) -> tuple[np.ndarray, np.ndarray]:
-    """str of each value, one cell at a time (JSON strings encoded as
-    json.dumps does), as a (rows x w) UTF-8 block, left-aligned, with the
-    mask of the bytes each cell keeps."""
+    """Each value, one cell at a time, as a (rows x w) UTF-8 block,
+    left-aligned, with the mask of the bytes each cell keeps: an int (or
+    numpy integer) through integer_string, a string as it is, or in JSON
+    encoded as json.dumps does."""
     as_json = fmt == "json"
     cells = [
-        (_json_str(c) if as_json and isinstance(c, str) else str(c)).encode(
-            "utf-8", "surrogatepass"
-        )
+        (
+            (_json_str(c) if as_json else c)
+            if isinstance(c, str)
+            else integer_string(int(c))
+        ).encode("utf-8", "surrogatepass")
         for c in values
     ]
     lengths = np.fromiter(map(len, cells), np.int64, len(cells))
@@ -193,7 +206,7 @@ def write_table(
     written before the next is read, so at most one chunk of text is
     ever held: a column of nonnegative int64 values (and each half of a
     FixedPoint) becomes digits through repeated divmod by 10 into one
-    uint8 block, every other column goes through str one cell at a time,
+    uint8 block, every other column goes through _cells one cell at a time,
     and the layout's literals are broadcast between them. One mask then
     drops each cell's padding, and the chunk is written as one string.
     """

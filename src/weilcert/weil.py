@@ -31,11 +31,11 @@ import numpy as np
 
 from . import kernels
 from .arith import (
-    _hensel_lift,
-    hensel_sqrt,
+    hensel_lift,
     is_prime,
     multiplicative_order,
     padic_valuation,
+    sqrt_mod_prime,
     squarefree_kernel,
 )
 from .quadforms import cornacchia, represent_x2_ny2
@@ -184,7 +184,7 @@ def valuations_oracle(g: int, p: int, a: int, s: int) -> tuple[int, int]:
     t = min(t, p - t)
     if (t * t + n) % p:
         raise ValueError(f"-(2g+1) = {-n} is not a square mod {p} of a/s = {t}")
-    t = _hensel_lift(-n, p, k, t)
+    t = hensel_lift(-n, p, k, t)
     inv2 = pow(2, -1, mod)
     scale = pow(p, (g - 1) // 2, mod)
     vals = []
@@ -306,7 +306,8 @@ def run_certificate_checks(
 def solve_general_p1m(g: DimensionParam, p: int, m: int) -> tuple[int, int] | None:
     """The solution a, s >= 1 of a^2 - 4*p^(g-2m) = -(2g+1)*s^2, gcd(a, p) = 1.
 
-    p is prime. (a + s*sqrt(-n))/2, n = 2g+1, has norm p^k, k = g-2m; with
+    p is 2 or an odd prime, tested for primality once, here (ValueError
+    otherwise). (a + s*sqrt(-n))/2, n = 2g+1, has norm p^k, k = g-2m; with
     units +-1, (a, s) is unique and a = r*s mod 2p^k, r an odd root of -n
     mod 4p^k. None when there is no solution.
     """
@@ -321,10 +322,13 @@ def solve_general_p1m(g: DimensionParam, p: int, m: int) -> tuple[int, int] | No
         for j in range(3, k + 2):
             if (r * r + n) % 2 ** (j + 1):
                 r += 2 ** (j - 1)
+    elif p < 3 or not is_prime(p):
+        raise ValueError(f"modulus {p} is not an odd prime")
     else:
-        r = hensel_sqrt(-n, p, k)
+        r = sqrt_mod_prime(-n, p)
         if r is None:  # -n is not a nonzero square mod p (also p = n)
             return None
+        r = hensel_lift(-n, p, k, r)
         r += pk * (1 - r % 2)  # the odd one of r, r + p^k
     sol = cornacchia(n, 2 * pk, r, 4 * pk)  # 0 < r < 2p^k
     return sol if sol is not None and math.gcd(sol[0], p) == 1 else None

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from weilcert import arith, kernels
 from weilcert.arith import (
-    hensel_sqrt,
+    hensel_lift,
     is_perfect_square,
     is_prime,
-    legendre_symbol,
     multiplicative_order,
     sqrt_mod_prime,
     squarefree_kernel,
@@ -138,33 +137,6 @@ class TestIntegerSqrt:
         assert n == 0 or not any(is_perfect_square(n * n + k) for k in (1, n, 2 * n))
 
 
-class TestLegendre:
-    def test_examples(self):
-        assert legendre_symbol(-23, 59) == 1  # 59 = 6^2 + 23
-        assert legendre_symbol(-11, 47) == 1  # 47 = 6^2 + 11
-        assert legendre_symbol(59, 59) == 0
-
-    def test_rejects_non_odd_prime(self):
-        for p in (2, 9, 15, 1):
-            with pytest.raises(ValueError):
-                legendre_symbol(3, p)
-
-    @given(
-        st.integers(min_value=-10**6, max_value=10**6),
-        st.sampled_from(ODD_PRIMES),
-    )
-    def test_matches_euler_criterion(self, a, p):
-        assert legendre_symbol(a, p) == euler_criterion(a, p)
-
-    @given(
-        st.integers(min_value=1, max_value=10**4),
-        st.integers(min_value=1, max_value=10**4),
-        st.sampled_from(ODD_PRIMES),
-    )
-    def test_multiplicative(self, a, b, p):
-        assert legendre_symbol(a * b, p) == legendre_symbol(a, p) * legendre_symbol(b, p)
-
-
 class TestMultiplicativeOrder:
     def test_examples(self):
         assert multiplicative_order(47, 11) == 5
@@ -224,30 +196,34 @@ class TestSquarefreeKernel:
         assert squarefree_kernel(1009 * 1009) == 1
 
 
+def lifted_root(a, p, k):
+    """The root of a mod p^k that hensel_lift makes of sqrt_mod_prime's
+    canonical root mod p, or None where there is none."""
+    t = sqrt_mod_prime(a, p)
+    return None if t is None else hensel_lift(a, p, k, t)
+
+
 class TestHenselSqrt:
     def test_base_root_mod_47(self):
         # brute force: t^2 = -11 mod 47 has roots {6, 41}; 6 is canonical
         assert brute_sqrt_roots(-11, 47) == [6, 41]
         assert sqrt_mod_prime(-11, 47) == 6
-        assert hensel_sqrt(-11, 47, 1) == 6
+        assert lifted_root(-11, 47, 1) == 6
 
     def test_trivial_root(self):
-        assert hensel_sqrt(1, 97, 5) == 1
+        assert lifted_root(1, 97, 5) == 1
 
     def test_lift_consistency(self):
         for k in range(1, 12):
-            t_k = hensel_sqrt(-11, 47, k)
-            t_k1 = hensel_sqrt(-11, 47, k + 1)
+            t_k = lifted_root(-11, 47, k)
+            t_k1 = lifted_root(-11, 47, k + 1)
             assert t_k1 % 47**k == t_k
 
     def test_rejects_non_residue(self):
-        # None, as sqrt_mod_prime gives; a modulus that is not an odd prime raises
-        assert legendre_symbol(5, 47) == -1
-        assert hensel_sqrt(5, 47, 3) is None
-        assert hensel_sqrt(47, 47, 2) is None  # divisible by p: symbol 0
-        for p in (2, 9, 1):
-            with pytest.raises(ValueError):
-                hensel_sqrt(3, p, 2)
+        # None, as sqrt_mod_prime gives, so there is nothing to lift
+        assert euler_criterion(5, 47) == -1
+        assert lifted_root(5, 47, 3) is None
+        assert lifted_root(47, 47, 2) is None  # divisible by p: symbol 0
 
     @settings(max_examples=150)
     @given(
@@ -259,7 +235,7 @@ class TestHenselSqrt:
         a = x * x % p
         if a == 0:
             a = 1
-        t = hensel_sqrt(a, p, k)
+        t = lifted_root(a, p, k)
         assert 0 <= t < p**k
         assert (t * t - a) % p**k == 0
 
@@ -269,20 +245,18 @@ class TestSqrtModPrime:
         assert sqrt_mod_prime(5, 47) is None
         assert sqrt_mod_prime(47, 47) is None  # 0 mod p
         assert sqrt_mod_prime(-23, 10**12 + 177) is not None
-        for p in (2, 9, 1):
-            with pytest.raises(ValueError):
-                sqrt_mod_prime(3, p)
 
     def test_one_primality_test(self, monkeypatch):
-        # p = 1 mod 8 takes the Tonelli-Shanks branch, whose search for a
-        # non-residue tries z = 2, 3, 4, 5 with the Euler criterion
+        # none: p is tested by the callers. p = 1 mod 8 takes the
+        # Tonelli-Shanks branch, whose search for a non-residue tries
+        # z = 2, 3, 4, 5 with the Euler criterion
         p = 10**12 + 177
         calls = []
         monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
         t = sqrt_mod_prime(-23, p)
         assert (t * t + 23) % p == 0 and t <= p - t
         assert [z for z in (2, 3, 4, 5) if euler_criterion(z, p) == -1] == [5]
-        assert calls == [p]
+        assert calls == []
 
     @given(st.sampled_from(ODD_PRIMES), st.integers(min_value=-10**4, max_value=10**4))
     def test_matches_brute_force(self, p, a):

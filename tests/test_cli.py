@@ -28,6 +28,11 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def forbid_cap_change(limit):
+    """Stands in for sys.set_int_max_str_digits where no call may reach it."""
+    raise AssertionError(f"int-to-str digit cap set to {limit}")
+
+
 def child_peak_rss_mb(*argv):
     """Peak RSS in MB of one weilcert command, which must exit 0.
 
@@ -77,7 +82,7 @@ class TestFind:
         rc, out, _ = run(capsys, "find", "--g", "5", "--p", "47", "--m", "1")
         assert rc == 0
         assert out == "g,p,m,a,s\n5,47,1,36,194\n"
-        # g and 2g+1 by DimensionParam, p once by hensel_sqrt
+        # g and 2g+1 by DimensionParam, p once by solve_general_p1m
         assert calls == [5, 11, 47]
 
     def test_general_equation_past_old_s_bound(self):
@@ -94,29 +99,34 @@ class TestFind:
         assert "Traceback" not in child.stderr
         assert child.stdout == "g,p,m,a,s\n5,15013,1,161998,1108188\n"
 
-    def test_general_equation_past_int_str_digit_limit(self, capsys):
-        # a has 4323 digits, past CPython's default 4300-digit int-to-str limit
+    def test_general_equation_past_int_str_digit_limit(self, capsys, monkeypatch):
+        # a has 4323 digits, past CPython's default 4300-digit int-to-str
+        # limit, and is written without touching that interpreter-wide cap
+        set_cap = sys.set_int_max_str_digits
         saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
+        set_cap(4300)
         try:
-            rc, out, err = run(capsys, "find", "--g", "2339", "--p", "5003", "--m", "1")
-            # the interpreter-wide cap is back where it was
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "set_int_max_str_digits", forbid_cap_change)
+                rc, out, err = run(
+                    capsys, "find", "--g", "2339", "--p", "5003", "--m", "1"
+                )
             assert sys.get_int_max_str_digits() == 4300
             assert rc == 0, err
-            sys.set_int_max_str_digits(0)  # to read the row back
+            set_cap(0)  # to read the row back
             header, row = out.splitlines()
             g, p, m, a, s = (int(v) for v in row.split(","))
             digits = len(str(a))
         finally:
-            sys.set_int_max_str_digits(saved)
+            set_cap(saved)
         assert header == "g,p,m,a,s" and (g, p, m) == (2339, 5003, 1)
         assert digits == 4323
         assert a * a - 4 * p ** (g - 2 * m) == -(2 * g + 1) * s * s
         assert math.gcd(a, p) == 1
 
     def test_general_equation_needs_prime_p(self, capsys):
-        # hensel_sqrt's square-root step rejects p
-        for p in ("15", "1", "-7"):
+        # solve_general_p1m rejects p at its entry, before any square root
+        for p in ("15", "1", "-7", "4", "9"):
             rc, out, err = run(capsys, "find", "--g", "5", "--p", p, "--m", "1")
             assert rc == 2 and out == ""
             assert err == f"error: modulus {p} is not an odd prime\n"
@@ -496,17 +506,19 @@ class TestCertify:
         assert obj["aut_order"] == 46
         assert obj["dimension"] == 11
 
-    def test_q_past_int_str_digit_limit(self, capsys):
+    def test_q_past_int_str_digit_limit(self, capsys, monkeypatch):
         # q = 3359^1229 has 4334 digits, past CPython's default 4300-digit
-        # int-to-str limit
+        # int-to-str limit, and is written without touching that cap
+        set_cap = sys.set_int_max_str_digits
         saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
+        set_cap(4300)
         try:
-            rc, out, err = run(capsys, "certify", "--g", "1229", "--p", "3359")
-            # the interpreter-wide cap is back where it was
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "set_int_max_str_digits", forbid_cap_change)
+                rc, out, err = run(capsys, "certify", "--g", "1229", "--p", "3359")
             assert sys.get_int_max_str_digits() == 4300
         finally:
-            sys.set_int_max_str_digits(saved)
+            set_cap(saved)
         assert rc == 0, err
         header, row = out.strip().split("\n")
         q = dict(zip(header.split(","), row.split(",")))["q"]

@@ -4,10 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weilcert.arith import is_prime, legendre_symbol
+from weilcert.arith import is_prime
 from weilcert.quadforms import QuadForm, class_number, reduced_forms, represent_x2_ny2
 from conftest import count_primality_tests
-from oracles import full_scan_min_y, is_reduced_form, naive_class_number, primes_upto
+from oracles import (
+    euler_criterion,
+    full_scan_min_y,
+    is_reduced_form,
+    naive_class_number,
+    primes_upto,
+)
 
 
 class TestIsReduced:
@@ -78,7 +84,7 @@ class TestRepresent:
         assert represent_x2_ny2(61, 23) is None
 
     def test_one_primality_test(self, monkeypatch):
-        # p is tested once, at the entry, not again by every Legendre symbol
+        # p is tested once, at the entry, not again by the square root
         # on the way; counted through every module that binds is_prime
         calls = count_primality_tests(monkeypatch)
         p = 710556311324541868785229746989
@@ -139,5 +145,5 @@ class TestRepresent:
                 r = represent_x2_ny2(p, n)
                 if r is not None and p % (4 * n) != 0 and p not in (2, n):
                     assert r.x**2 + n * r.y**2 == p
-                    assert legendre_symbol(-n, p) == 1
+                    assert euler_criterion(-n, p) == 1
 

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -181,6 +182,24 @@ class TestWriteTable:
         assert fh.pulled_at_first_write < total
         rows = [(i, str(i)) for i in range(total)]
         assert fh.getvalue() == joined_table(["a", "b"], rows, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_ints_past_int_str_digit_limit(self, fmt):
+        # +-5000-digit ints, past CPython's default 4300-digit int-to-str
+        # limit, are written in full under that limit
+        big = 10**5000 // 7
+        rows = [[big, "x", -big], [-big - 1, "y", 7]]
+        header = ["a", "b", "c"]
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            text = written(header, rows, fmt)
+            sys.set_int_max_str_digits(0)  # for the reference's str and json.dumps
+            want = joined_table(header, rows, fmt)
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert text == want
+        assert 10**4999 <= big < 10**5000  # 5000 digits
 
 
 # the digit-count edges of the int64 digit kernel

@@ -15,6 +15,10 @@ steps, and belongs in the function body or a module constant.
 No module calls a function that returns a float root, logarithm or
 exponential, or float() itself: the package computes exactly, and an
 integer root goes through math.isqrt.
+
+No module calls sys.set_int_max_str_digits: the digit cap is the
+interpreter's, and an int of any size is written through
+report.integer_string, which it does not bind.
 """
 
 import ast
@@ -131,17 +135,18 @@ def unpassed_defaults(sources: dict[str, str]) -> list[str]:
 
 # Called by name or as an attribute (np.sqrt, math.log10), each yields a float.
 FLOAT_CALLS = {"sqrt", "cbrt", "float", "log", "log2", "log10", "exp"}
+CAP_CALLS = {"set_int_max_str_digits"}
 
 
-def float_calls(sources: dict[str, str]) -> list[str]:
-    """module:line name for each call of a FLOAT_CALLS function, given the
-    source text of each module by name."""
+def calls_to(names: set[str], sources: dict[str, str]) -> list[str]:
+    """module:line name for each call of a function in names, called by
+    name or as an attribute, given the source text of each module by name."""
     found = []
     for module, text in sources.items():
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                if name in FLOAT_CALLS:
+                if name in names:
                     found.append(f"{module}:{node.lineno} {name}")
     return sorted(found)
 
@@ -177,7 +182,7 @@ def test_scan_flags_unused_names():
 
 
 def test_no_float_calls_in_the_package():
-    assert float_calls(package_sources()) == []
+    assert calls_to(FLOAT_CALLS, package_sources()) == []
 
 
 def test_scan_flags_float_calls():
@@ -187,8 +192,27 @@ def test_scan_flags_float_calls():
         "def digits(b):\n    return float(b) * log2(10)  # sqrt in a comment\n"
     )
     b = "import a\nsqrt = 'sqrt'\nprint(a.math.exp(1), sqrt)\n"
-    assert float_calls({"a": a, "b": b}) == [
+    assert calls_to(FLOAT_CALLS, {"a": a, "b": b}) == [
         "a:5 sqrt", "a:7 float", "a:7 log2", "b:3 exp",
+    ]
+
+
+def test_no_int_str_cap_calls_in_the_package():
+    assert calls_to(CAP_CALLS, package_sources()) == []
+
+
+def test_scan_flags_int_str_cap_calls():
+    a = (
+        "import sys\n"
+        "def render(v):\n    sys.set_int_max_str_digits(0)\n    return str(v)\n"
+        "old = sys.get_int_max_str_digits()  # set_int_max_str_digits(old)\n"
+    )
+    b = (
+        "import a\nfrom sys import set_int_max_str_digits\n"
+        "set_int_max_str_digits(a.old)\n"
+    )
+    assert calls_to(CAP_CALLS, {"a": a, "b": b}) == [
+        "a:3 set_int_max_str_digits", "b:3 set_int_max_str_digits",
     ]
 
 

@@ -284,7 +284,7 @@ class TestGeneralEquation:
         assert solve_general_p1m(G5, 13, 2) is None
 
     def test_one_primality_test(self, monkeypatch):
-        # hensel_sqrt's; a non-residue (-11 mod 13) or p = 2g+1 ends there too
+        # at its entry; a non-residue (-11 mod 13) or p = 2g+1 ends there too
         calls = count_primality_tests(monkeypatch)
         assert solve_general_p1m(G5, 47, 1) == (36, 194)
         assert solve_general_p1m(G5, 13, 1) is None
