@@ -197,7 +197,8 @@ def cmd_plot(args) -> int:
     g = DimensionParam(args.g)
     if args.x_max < 2:
         raise ValueError(f"--x-max must be >= 2, got {args.x_max}")
-    # the decimation step needs pi(x_max) before the first point is kept
+    # the decimation step needs pi(x_max) before the first point is kept;
+    # prime_count finds it without a sieve, so the pass below is the only one
     total = density_mod.prime_count(args.x_max)
     step = report.decimation(total)
     series = density_mod.density_series(g, (args.x_max,))

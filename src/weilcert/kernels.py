@@ -5,9 +5,10 @@ conditions (P1) p = x^2 + n*y^2 and (P2) p != 1 (mod n), with n = 2g+1.
 reads (`density`, `plot`, `scan`, `find`, `table2`). It walks [0, limit]
 in fixed windows [lo, hi) of WINDOW integers and yields, per window, the
 primes, their (P1) witness y and the (P1)-and-(P2) member mask. A window's
-working set is fixed, whatever the limit and n: no array of the pass
-outlives its window, so a caller that drops each window before taking the
-next holds one at a time, and a caller that has what it needs stops early.
+working set is fixed, whatever the limit and n, at about 2.1 bytes per
+integer of the window: no array of the pass outlives its window, so a
+caller that drops each window before taking the next holds one at a time,
+and a caller that has what it needs stops early.
 
 Per window, two integer-only sieves run over the odd integers only (2 is
 the one even prime):
@@ -39,15 +40,16 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-#: Integers per window. A window's working set peaks at about 2.4 bytes per
-#: integer (2.5 MB), whatever n and the limit: 1 MB of uint16 witnesses,
-#: the int64 primes and their slots (0.6 MB each near the bottom of a pass)
-#: and one block of form marks, after 0.5 MB of prime flags are dropped;
-#: 2^21 would halve the per-window Python work and double the memory.
+#: Integers per window. A window's working set peaks at about 2.1 bytes per
+#: integer (2.2 MB), whatever n and the limit: 1 MB of uint16 witnesses,
+#: the int64 primes (0.6 MB near the bottom of a pass) and one block of
+#: form marks, after 0.5 MB of prime flags are dropped; 2^21 would halve
+#: the per-window Python work and double the memory.
 WINDOW = 1 << 20
 
 #: Form-sieve marks computed at once: 2^14 marks take 0.4 MB of int64 and
-#: witness temporaries, against 124,000 marks per window at n = 11.
+#: witness temporaries, against 124,000 marks per window at n = 11. The
+#: witnesses of the primes are gathered as many primes at a time.
 MARK_BLOCK = 1 << 14
 
 #: The largest limit a pass accepts. It bounds the time of a pass (about
@@ -76,11 +78,16 @@ def prime_windows(limit: int) -> Iterator[tuple[int, int, np.ndarray]]:
     primes holds the window's primes as ascending int64. Checks limit
     against SIEVE_BUDGET before any window is allocated.
     """
+    check_sieve_limit(limit)
+    return _prime_windows(limit)
+
+
+def check_sieve_limit(limit: int) -> None:
+    """Raise unless 2 <= limit <= SIEVE_BUDGET."""
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     if limit > SIEVE_BUDGET:
         raise ResourceLimitError(f"sieve limit {limit} exceeds budget {SIEVE_BUDGET}")
-    return _prime_windows(limit)
 
 
 def _prime_windows(limit: int) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -222,15 +229,18 @@ def _classified_windows(windows, n: int, dtype: np.dtype):
     x_lo = np.empty(0, dtype=np.int64)  # below lo = 0 every x starts at 1
     for lo, hi, primes in windows:
         y_of, x_lo = _odd_form_witnesses(lo, hi, n, dtype, x_lo)
-        slot = primes - (lo | 1)
-        slot >>= 1
-        y = y_of[slot]
-        del y_of
+        # gathered MARK_BLOCK primes at a time: no slot array for the window
+        y = np.empty(len(primes), dtype)
+        for at in range(0, len(primes), MARK_BLOCK):
+            slot = primes[at : at + MARK_BLOCK] - (lo | 1)
+            slot >>= 1
+            y[at : at + MARK_BLOCK] = y_of[slot]
+            del slot
+        del y_of  # before (P2) takes its temporaries
         if lo <= 2 < hi:
             # the odd-value sieve has no slot for 2, which is 1 + n*1^2 for n = 1 only
             y[0] = n == 1
         member = y != 0
-        member &= np.remainder(primes, n, out=slot) != 1
-        del slot
+        member &= primes % n != 1
         yield primes, y, member
         del primes, y, member  # before the next window is sieved

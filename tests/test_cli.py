@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -243,9 +244,8 @@ class TestDensity:
               "--series", str(tmp_path / "series.csv")], 1, 1, 3),
             (["scan", "--g", "11", "--p-max", "1000"], 1, 1, 3),
             (["find", "--g", "11"], 1, 1, 1),
-            # plus the prime-only count of pi(x_max) for the decimation step
             (["plot", "--g", "11", "--x-max", "1000", "--out", str(tmp_path / "f.svg")],
-             1, 2, 3),
+             1, 1, 3),
             # one pass per g in 5, 11, 23, 29, plus the g and the 2g+1 of the
             # Sophie Germain list
             (["table2", "--g-max", "29"], 4, 6, 4),
@@ -283,6 +283,27 @@ class TestDensity:
             assert column.dtype == np.int64 and len(column) == sizes[0]
         assert all(len(c[0]) <= report.CHUNK_ROWS for c in chunks)
         assert sum(sizes) == 78498  # pi(10^6), one fixed_point per chunk
+
+    def test_series_peak_is_the_pass(self, capsys, tmp_path):
+        # writing the per-prime stream adds at most a quarter of the pass's
+        # own working set: one render chunk, not a copy of the window
+        argv = ["density", "--g", "5", "--format", "json",
+                "--series", str(tmp_path / "S.json")]
+        assert run(capsys, *argv)[0] == 0  # the modules argparse imports on first use
+        peaks = []
+        for command in (
+            lambda: density_series(DimensionParam(5), (10**6,)).records,
+            lambda: main(argv),
+        ):
+            tracemalloc.start()
+            try:
+                command()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        bare, whole = peaks
+        assert whole <= 1.25 * bare
 
     def test_series_matches_per_prime_fractions(self, capsys, tmp_path):
         # the stream as one Fraction and one decimal_string per prime, each

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weilcert import kernels
 from weilcert.density import asymptotic_limit, density_series, prime_count
@@ -9,7 +11,7 @@ from weilcert.errors import ResourceLimitError
 from weilcert.quadforms import reduced_forms
 from weilcert.report import decimal_string
 from weilcert.weil import DimensionParam, sophie_germain_list
-from conftest import CHECKPOINTS, TABLE4
+from conftest import CHECKPOINTS, TABLE4, sieved_primes
 from oracles import classify_prime, density_counts, form_values, primes_upto
 
 G5 = DimensionParam(5)
@@ -137,11 +139,33 @@ class TestWindows:
         assert series.records[0].count_pg == members
 
     def test_prime_count(self):
-        assert [prime_count(x) for x in (2, 3, 100, 10**4, 10**6)] == [
-            1, 2, 25, 1229, 78498
+        # from 10^7 on OEIS A006880; no window is sieved
+        assert [prime_count(x) for x in (2, 3, 100, 10**4, 10**6, 10**7, 10**8, 10**9)] == [
+            1, 2, 25, 1229, 78498, 664_579, 5_761_455, 50_847_534
         ]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sieve limit must be >= 2, got 1"):
             prime_count(1)
+        budget = kernels.SIEVE_BUDGET
+        with pytest.raises(ResourceLimitError, match=f"limit {budget + 1} exceeds budget"):
+            prime_count(budget + 1)
+        # checked before any work: the arrays for 10^30 would not fit
+        with pytest.raises(ResourceLimitError):
+            prime_count(10**30)
+
+
+class TestPrimeCount:
+    """prime_count runs no sieve, so the sieve is its oracle."""
+
+    def test_matches_sieve_to_3000_and_around_squares(self):
+        primes = sieved_primes(200**2 + 1)
+        small = primes[primes <= 200].tolist()
+        xs = [*range(2, 3001), *(p * p + d for p in small for d in (-1, 0, 1))]
+        want = np.searchsorted(primes, xs, side="right").tolist()
+        assert [prime_count(x) for x in xs] == want
+
+    @given(st.integers(2, 10**6))
+    def test_matches_sieve_to_1e6(self, sieve_1e6, x):
+        assert prime_count(x) == np.searchsorted(sieve_1e6, x, side="right")
 
 
 def class_sum_gap(g: DimensionParam, checkpoints: tuple[int, ...]) -> list[int]:

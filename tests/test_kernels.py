@@ -217,13 +217,14 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert records[0].count_p == 564_163  # pi(8 * 2^20 - 1)
-        # 0.5 bytes of prime flags and 1 of uint16 witnesses per integer,
-        # the primes and their slots (8 bytes each), one block of marks
-        assert peak <= 3 * kernels.WINDOW
+        # 1 byte of uint16 witnesses per integer, the int64 primes and one
+        # block of marks; the witnesses are gathered a block of primes at a time
+        assert peak <= 2.25 * kernels.WINDOW
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_mark_blocks_match_oracles(self, oracle_1e5, monkeypatch, block):
-        # a block of 1 or 7 marks cuts y-rows at every mark, or mid-row
+        # a block of 1 or 7 marks cuts y-rows at every mark, or mid-row, and
+        # the witnesses are gathered 1 or 7 primes at a time
         monkeypatch.setattr(kernels, "MARK_BLOCK", block)
         limit = 2 * 10**4
         k = len(primes_upto(limit))
