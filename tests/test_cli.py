@@ -301,7 +301,6 @@ class TestDensity:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        capsys.readouterr()
         bare, whole = peaks
         assert whole <= 1.25 * bare
 

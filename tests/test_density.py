@@ -139,7 +139,7 @@ class TestWindows:
         assert series.records[0].count_pg == members
 
     def test_prime_count(self):
-        # from 10^7 on OEIS A006880; no window is sieved
+        # from 10^7 on: OEIS A006880
         assert [prime_count(x) for x in (2, 3, 100, 10**4, 10**6, 10**7, 10**8, 10**9)] == [
             1, 2, 25, 1229, 78498, 664_579, 5_761_455, 50_847_534
         ]
