@@ -21,6 +21,14 @@ from weilcert.report import (
 )
 
 
+# row counts around one chunk's end, and many-chunk tables that end on a
+# chunk's end, one row past it and three rows into a chunk
+MANY_CHUNK_ROWS = [8192, 8193, 16387]
+CHUNK_BOUNDARY_ROWS = sorted(
+    {0, 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3, *MANY_CHUNK_ROWS}
+)
+
+
 def decimal_strings(num, den):
     """The f_decimal cells that write_table renders from fixed_point columns."""
     fh = io.StringIO()
@@ -151,7 +159,7 @@ class TestWriteTable:
         header, rows = table
         assert written(header, rows, "markdown") == joined_table(header, rows, "markdown")
 
-    @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3])
+    @pytest.mark.parametrize("n", CHUNK_BOUNDARY_ROWS)
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_chunk_boundaries(self, fmt, n):
         header = ["p", "f_num", "f_decimal"]
@@ -212,7 +220,7 @@ NOT_INT64 = st.one_of(
     st.integers(min_value=2**63, max_value=2**70),
     ODD_TEXT,
 )
-ROW_COUNTS = [0, 1, CHUNK_ROWS, CHUNK_ROWS + 1]
+ROW_COUNTS = sorted({0, 1, CHUNK_ROWS, CHUNK_ROWS + 1, *MANY_CHUNK_ROWS[:2]})
 
 
 def lines(text):
