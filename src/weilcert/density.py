@@ -93,32 +93,30 @@ class DensitySeries:
         )
 
     def _fold(self, checkpoints: tuple[int, ...], windows):
-        done = count_p = count_pg = count_split = 0
+        # count_rep counts the representable primes: the members and the split ones
+        done = count_p = count_pg = count_rep = 0
         for primes, y, member in windows:
             members = np.cumsum(member)
             members += count_pg
-            split = (y != 0) & ~member
             # checkpoints below the window's last prime have all their primes here
             top = done
             if len(primes):
                 top = bisect.bisect_left(checkpoints, int(primes[-1]), done)
             ks = np.searchsorted(primes, checkpoints[done:top], side="right").tolist()
-            counted = 0  # split primes among primes[:counted] are in count_split
             for x, k in zip(checkpoints[done:top], ks):
-                count_split += int(np.count_nonzero(split[counted:k]))
-                counted = k
-                self._record(
-                    x, count_p + k, int(members[k - 1]) if k else count_pg, count_split
-                )
+                pg = int(members[k - 1]) if k else count_pg
+                rep = count_rep + int(np.count_nonzero(y[:k]))
+                self._record(x, count_p + k, pg, rep - pg)
             done = top
-            count_split += int(np.count_nonzero(split[counted:]))
+            count_rep += int(np.count_nonzero(y))
+            del y, member  # used up: not held while the reader has the window
             yield primes, members, count_p
             count_p += len(primes)
             if len(primes):
                 count_pg = int(members[-1])
-            del primes, y, member, members, split  # before the next window is sieved
+            del primes, members  # before the next window is sieved
         for x in checkpoints[done:]:
-            self._record(x, count_p, count_pg, count_split)
+            self._record(x, count_p, count_pg, count_rep - count_pg)
 
 
 def asymptotic_limit(g: DimensionParam) -> Fraction:

@@ -22,10 +22,11 @@ the one even prime):
 - the form-value sieve (after Atkin and Bernstein, "Prime sieves using
   binary quadratic forms", Math. Comp. 73, 2004) marks, for each y, the
   odd values x^2 + n*y^2 with x in [ceil(sqrt(lo - n*y^2)),
-  isqrt(hi - 1 - n*y^2)], storing y. The upper bounds come from one
-  integer Newton square root over all y; each lower bound is the previous
-  window's upper bound plus one. The marks, about pi*(hi - lo)/(8*sqrt(n))
-  lattice points per window, are written MARK_BLOCK at a time.
+  isqrt(hi - 1 - n*y^2)], storing y. Both bounds come from integer Newton
+  square roots over all y, so each window is classified from its bounds
+  alone and no state passes from one window to the next. The marks, about
+  pi*(hi - lo)/(8*sqrt(n)) lattice points per window, are written
+  MARK_BLOCK at a time.
 
 For a prime p and n >= 2 the representation with x, y >= 1 is unique, so
 the stored y is the witness `quadforms.represent_x2_ny2` finds.
@@ -33,6 +34,8 @@ the stored y is the witness `quadforms.represent_x2_ny2` finds.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from typing import Iterator
 
@@ -157,32 +160,26 @@ def _isqrt(v: np.ndarray) -> np.ndarray:
         np.minimum(x, step, out=x)
 
 
-def _odd_form_witnesses(
-    lo: int, hi: int, n: int, dtype: np.dtype, x_lo: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(y_of, x_next) for the odd values lo|1 + 2i in [lo, hi).
-
-    y_of[i] is some y >= 1 with lo|1 + 2i = x^2 + n*y^2 (x >= 1), 0 if
-    none. x_lo[y - 1] is the least x >= 1 with x^2 + n*y^2 >= lo for
-    y = 1, ..., len(x_lo), and every larger y has n*y^2 >= lo - 1, so its x
-    starts at 1; x_next is the same for the window starting at hi.
-    """
+def _odd_form_witnesses(lo: int, hi: int, n: int, dtype: np.dtype) -> np.ndarray:
+    """y_of for the odd values lo|1 + 2i in [lo, hi): y_of[i] is some y >= 1
+    with lo|1 + 2i = x^2 + n*y^2 (x >= 1), 0 if none."""
     first = lo | 1
     y_of = np.zeros(max(hi - first + 1, 0) // 2, dtype=dtype)
     # x >= 1 forces n*y^2 <= hi - 2
     y_top = math.isqrt(max(hi - 2, 0) // n)
     if y_top < 1:
-        return y_of, x_lo
+        return y_of
     y = np.arange(1, y_top + 1, dtype=np.int64)
     base = n * y * y
-    x_next = _isqrt(hi - 1 - base)  # the largest x of each y
-    x_next += 1
-    x = np.ones(y_top, dtype=np.int64)
-    x[: len(x_lo)] = x_lo
+    # x runs from the least x >= 1 with x^2 + n*y^2 >= lo
+    x = _isqrt(np.maximum(lo - 1 - base, 0))
+    x += 1
     x += (x + base + 1) % 2  # x^2 + n*y^2 is odd iff x + n*y is
-    counts = x_next - x
+    # to the largest x_hi with x_hi^2 + n*y^2 < hi: (x_hi - x) // 2 + 1 values
+    counts = _isqrt(hi - 1 - base)
+    counts -= x
+    counts >>= 1
     counts += 1
-    counts >>= 1  # (x_hi - x) // 2 + 1 values of x per y, x_hi = x_next - 1
     np.maximum(counts, 0, out=counts)
     ends = np.cumsum(counts)
     starts = ends - counts
@@ -204,7 +201,7 @@ def _odd_form_witnesses(
         marks += np.repeat(base[rows], taken)
         marks >>= 1  # the slot of the odd value x^2 + n*y^2
         y_of[marks] = np.repeat(y[rows], taken)
-    return y_of, x_next
+    return y_of
 
 
 def classified_windows(
@@ -222,25 +219,27 @@ def classified_windows(
         raise ValueError(f"n must be positive, got {n}")
     windows = prime_windows(limit)
     dtype = np.min_scalar_type(math.isqrt(limit // n))
-    return _classified_windows(windows, n, dtype)
+    # each window is handed over as it is classified: no frame keeps it
+    return itertools.starmap(functools.partial(_classify, n=n, dtype=dtype), windows)
 
 
-def _classified_windows(windows, n: int, dtype: np.dtype):
-    x_lo = np.empty(0, dtype=np.int64)  # below lo = 0 every x starts at 1
-    for lo, hi, primes in windows:
-        y_of, x_lo = _odd_form_witnesses(lo, hi, n, dtype, x_lo)
-        # gathered MARK_BLOCK primes at a time: no slot array for the window
-        y = np.empty(len(primes), dtype)
-        for at in range(0, len(primes), MARK_BLOCK):
-            slot = primes[at : at + MARK_BLOCK] - (lo | 1)
-            slot >>= 1
-            y[at : at + MARK_BLOCK] = y_of[slot]
-            del slot
-        del y_of  # before (P2) takes its temporaries
-        if lo <= 2 < hi:
-            # the odd-value sieve has no slot for 2, which is 1 + n*1^2 for n = 1 only
-            y[0] = n == 1
-        member = y != 0
-        member &= primes % n != 1
-        yield primes, y, member
-        del primes, y, member  # before the next window is sieved
+def _classify(
+    lo: int, hi: int, primes: np.ndarray, n: int, dtype: np.dtype
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(primes, y, member) of the window [lo, hi) with the given primes, from
+    nothing of any other window."""
+    y_of = _odd_form_witnesses(lo, hi, n, dtype)
+    # gathered MARK_BLOCK primes at a time: no slot array for the window
+    y = np.empty(len(primes), dtype)
+    for at in range(0, len(primes), MARK_BLOCK):
+        slot = primes[at : at + MARK_BLOCK] - (lo | 1)
+        slot >>= 1
+        y[at : at + MARK_BLOCK] = y_of[slot]
+        del slot
+    del y_of  # before (P2) takes its temporaries
+    if lo <= 2 < hi:
+        # the odd-value sieve has no slot for 2, which is 1 + n*1^2 for n = 1 only
+        y[0] = n == 1
+    member = y != 0
+    member &= primes % n != 1
+    return primes, y, member

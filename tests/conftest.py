@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,16 @@ def count_primality_tests(monkeypatch):
         if getattr(module, "is_prime", None) is is_prime:
             monkeypatch.setattr(module, "is_prime", counted)
     return calls
+
+
+def traced_peak(command):
+    """The tracemalloc peak, in bytes, of calling command()."""
+    tracemalloc.start()
+    try:
+        command()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def sieved_primes(limit):

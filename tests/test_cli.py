@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import time
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from weilcert.density import density_series
 from weilcert.report import FORMATS, decimal_string, fixed_point
 from weilcert.weil import DimensionParam
 import oracles
-from conftest import TABLE3, count_primality_tests
+from conftest import TABLE3, count_primality_tests, traced_peak
 
 
 def run(capsys, *argv):
@@ -163,6 +162,16 @@ class TestScan:
         assert (rc, out) == (0, "g,p,a,s\n29,317,18,4\n")
         assert calls == [11, 23, 29, 59]
 
+    def test_scan_peak_is_the_pass(self, capsys, tmp_path):
+        # writing a window's rows adds at most a tenth of the pass's own
+        # working set: no frame keeps a window's arrays while its rows are written
+        argv = ["scan", "--g", "11", "--p-max", "1000000", "--out", str(tmp_path / "S.csv")]
+        assert run(capsys, *argv)[0] == 0  # the modules argparse imports on first use
+        bare = traced_peak(
+            lambda: collections.deque(kernels.classified_windows(10**6, 23), maxlen=0)
+        )
+        assert traced_peak(lambda: main(argv)) <= 1.10 * bare
+
     def test_table2_does_not_retest_g(self, capsys, monkeypatch):
         # every g and 2g+1 comes from the Sophie Germain sieve
         calls = count_primality_tests(monkeypatch)
@@ -285,24 +294,14 @@ class TestDensity:
         assert sum(sizes) == 78498  # pi(10^6), one fixed_point per chunk
 
     def test_series_peak_is_the_pass(self, capsys, tmp_path):
-        # writing the per-prime stream adds at most a quarter of the pass's
-        # own working set: one render chunk, not a copy of the window
+        # writing the per-prime stream adds at most a tenth of the pass's
+        # own working set: one render chunk, and no window array the fold
+        # has used up
         argv = ["density", "--g", "5", "--format", "json",
                 "--series", str(tmp_path / "S.json")]
         assert run(capsys, *argv)[0] == 0  # the modules argparse imports on first use
-        peaks = []
-        for command in (
-            lambda: density_series(DimensionParam(5), (10**6,)).records,
-            lambda: main(argv),
-        ):
-            tracemalloc.start()
-            try:
-                command()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        bare, whole = peaks
-        assert whole <= 1.25 * bare
+        bare = traced_peak(lambda: density_series(DimensionParam(5), (10**6,)).records)
+        assert traced_peak(lambda: main(argv)) <= 1.10 * bare
 
     def test_series_matches_per_prime_fractions(self, capsys, tmp_path):
         # the stream as one Fraction and one decimal_string per prime, each

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from weilcert import kernels
 from weilcert.density import density_series
 from weilcert.weil import DimensionParam
 from weilcert.errors import ResourceLimitError
+from conftest import traced_peak
 from oracles import (
     classify_prime,
     early_break_rep_exists,
@@ -27,13 +27,15 @@ def odd_values(lo, hi):
     return list(range(lo | 1, hi, 2))
 
 
-def form_witnesses(lo, hi, n, dtype):
-    """The form-value sieve of one window [lo, hi), its lower x bounds
-    computed with math.isqrt instead of carried from the window before."""
-    y_in = math.isqrt(max(lo - 1, 0) // n)
-    x_lo = [math.isqrt(lo - 1 - n * y * y) + 1 for y in range(1, y_in + 1)]
-    y_of, _ = kernels._odd_form_witnesses(lo, hi, n, dtype, np.array(x_lo, np.int64))
-    return y_of
+def check_witnesses(lo, hi, n, y_of):
+    """y_of marks every odd value of [lo, hi) that is x^2 + n*y^2 with x, y
+    >= 1, composites included, and each stored y is a genuine witness."""
+    assert len(y_of) == len(odd_values(lo, hi))
+    for v, y in zip(odd_values(lo, hi), y_of.tolist()):
+        assert (y != 0) == early_break_rep_exists(v, n), (n, lo, v)
+        if y:
+            x2 = v - n * y * y
+            assert x2 > 0 and math.isqrt(x2) ** 2 == x2
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +72,8 @@ class TestBackends:
     def test_empty_input(self):
         # no form value below n + 1, and no prime below 2: an error, not
         # empty windows, and raised at the call, before anything is sieved
-        assert not form_witnesses(0, 24, 23, np.uint8).any()
-        assert form_witnesses(0, 1, 23, np.uint8).shape == (0,)
+        assert not kernels._odd_form_witnesses(0, 24, 23, np.uint8).any()
+        assert kernels._odd_form_witnesses(0, 1, 23, np.uint8).shape == (0,)
         with pytest.raises(ValueError):
             kernels.classified_windows(1, 23)
         with pytest.raises(ValueError):
@@ -112,21 +114,28 @@ class TestClassifiedPrimes:
 
 class TestFormWitnesses:
     def test_every_value_below_3000(self):
-        # composites included: any stored y must be a genuine witness; the
-        # sieve covers the odd values only, in windows of any size, each
-        # window's lower x bounds carried from the one before
+        # the sieve covers the odd values only, in windows of any size
         for n in (1, 2, 7, 23):
             for width in (3000, 64, 7):
-                x_lo = np.empty(0, np.int64)
                 for lo in range(0, 3000, width):
                     hi = min(lo + width, 3000)
-                    y_of, x_lo = kernels._odd_form_witnesses(lo, hi, n, np.uint16, x_lo)
-                    assert len(y_of) == len(odd_values(lo, hi))
-                    for v, y in zip(odd_values(lo, hi), y_of.tolist()):
-                        assert (y != 0) == early_break_rep_exists(v, n), (n, lo, v)
-                        if y:
-                            x2 = v - n * y * y
-                            assert x2 > 0 and math.isqrt(x2) ** 2 == x2
+                    y_of = kernels._odd_form_witnesses(lo, hi, n, np.uint16)
+                    check_witnesses(lo, hi, n, y_of)
+
+    def test_windows_far_from_zero(self):
+        # each window finds its own least x for every y: windows at the
+        # budget, and windows whose first odd value is a form value
+        # k^2 + n*y^2 (least x k) or whose lower edge is one past it (k + 1)
+        top = kernels.SIEVE_BUDGET
+        for n in (7, 23):
+            starts = [top - 40, top - 41]
+            for y in (1, 2, 1000, math.isqrt(top // n) - 2):
+                k = math.isqrt(top - 100 - n * y * y)
+                k -= (k + n * y) % 2 == 0  # an odd value
+                starts += [k * k + n * y * y, k * k + n * y * y + 1]
+            for lo in starts:
+                hi = min(lo + 40, top + 1)
+                check_witnesses(lo, hi, n, kernels._odd_form_witnesses(lo, hi, n, np.uint16))
 
     def test_prime_witness_is_smallest_y(self, primes_1e5):
         for n in (7, 23, 59):
@@ -150,7 +159,7 @@ class TestFormWitnesses:
         # 59 = 6^2 + 23*1^2 sits exactly at the limit, and at either edge
         # of a window; below it the odd form values are 27 and 39
         def marked(lo, hi):
-            y_of = form_witnesses(lo, hi, 23, np.uint8)
+            y_of = kernels._odd_form_witnesses(lo, hi, 23, np.uint8)
             return [v for v, y in zip(odd_values(lo, hi), y_of.tolist()) if y]
 
         assert marked(0, 59) == [27, 39]
@@ -170,16 +179,14 @@ class TestFormWitnesses:
         monkeypatch.setattr(kernels, "SIEVE_BUDGET", 10**4)
         assert len(list(kernels.classified_windows(10**4, 23))) == 1
         monkeypatch.setattr(kernels, "SIEVE_BUDGET", 10**6)
-        tracemalloc.start()
-        try:
+
+        def over_budget():
             with pytest.raises(ResourceLimitError):
                 kernels.classified_windows(10**6 + 1, 23)
             with pytest.raises(ResourceLimitError):
                 kernels.prime_windows(10**6 + 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024  # a window would take 0.5 MB or more
+
+        assert traced_peak(over_budget) < 64 * 1024  # a window would take 0.5 MB or more
 
 
 class TestIsqrt:
@@ -210,13 +217,8 @@ class TestWorkingSet:
     @pytest.mark.parametrize("n", [11, 23, 47])
     def test_traced_peak_of_eight_windows(self, n):
         series = density_series(DimensionParam((n - 1) // 2), (8 * kernels.WINDOW - 1,))
-        tracemalloc.start()
-        try:
-            records = series.records
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert records[0].count_p == 564_163  # pi(8 * 2^20 - 1)
+        peak = traced_peak(lambda: series.records)
+        assert series.records[0].count_p == 564_163  # pi(8 * 2^20 - 1)
         # 1 byte of uint16 witnesses per integer, the int64 primes and one
         # block of marks; the witnesses are gathered a block of primes at a time
         assert peak <= 2.25 * kernels.WINDOW
