@@ -1,8 +1,8 @@
 """Exact integer arithmetic primitives shared by the whole toolkit.
 
-Primality of single integers, perfect squares, multiplicative orders,
-squarefree kernels, square roots modulo an odd prime and their Hensel
-lifts (the prime sieve lives in `kernels`). The square root does not test
+Primality of single integers, perfect squares, p-adic valuations, square
+roots modulo an odd prime and their Hensel lifts (the prime sieve lives in
+`kernels`). Nothing here factors an integer. The square root does not test
 its prime: `quadforms.represent_x2_ny2` and `weil.solve_general_p1m` test
 p once, at their entry. Every operation here is exact: no floating point
 enters any arithmetic path. Rationals are `fractions.Fraction` throughout
@@ -14,8 +14,6 @@ from __future__ import annotations
 import bisect
 import math
 import random
-
-from .errors import ResourceLimitError
 
 # A014233: psi_k is the smallest odd composite that passes Miller-Rabin to
 # each of the first k prime bases, so those k bases decide every n < psi_k
@@ -44,9 +42,6 @@ _MR_PSI = (
 _MR_LARGE_ROUNDS = 64
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-#: squarefree_kernel trial-divides up to this bound.
-FACTOR_BOUND = 1_000_000
 
 
 def _mr_composite_witness(n: int, a: int, d: int, r: int) -> bool:
@@ -94,81 +89,6 @@ def is_perfect_square(n: int) -> bool:
         return False
     r = math.isqrt(n)
     return r * r == n
-
-
-def multiplicative_order(a: int, n: int) -> int:
-    """Least k >= 1 with a^k = 1 (mod n).
-
-    Starts from the Euler totient and strips prime factors, so it needs
-    the factorization of n; fine for the small moduli this toolkit uses.
-    """
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    a %= n
-    if math.gcd(a, n) != 1:
-        raise ValueError(f"gcd({a}, {n}) != 1, order undefined")
-    phi = 1
-    # bound = n never binds (a factor f <= sqrt(n) <= n), so no residual
-    for p, e in _trial_factor(n, n).items():
-        phi *= (p - 1) * p ** (e - 1)
-    order = phi
-    for q in _trial_factor(phi, phi):
-        while order % q == 0 and pow(a, order // q, n) == 1:
-            order //= q
-    return order
-
-
-def squarefree_kernel(n: int) -> int:
-    """The unique squarefree d with n = d * m^2, sign preserved.
-
-    Trial-factors up to FACTOR_BOUND. A residual cofactor is then either
-    prime, a perfect square (kernel 1), or, below FACTOR_BOUND^2, provably
-    prime; anything else is ambiguous and raises rather than guessing.
-    """
-    if n == 0:
-        raise ValueError("squarefree kernel of 0 is undefined")
-    bound = FACTOR_BOUND
-    kernel = -1 if n < 0 else 1
-    factors = _trial_factor(abs(n), bound)
-    residual = factors.pop(0, 1)
-    for p, e in factors.items():
-        if e % 2:
-            kernel *= p
-    if residual > 1:
-        if residual <= bound * bound or is_prime(residual):
-            # <= bound^2 with no factor <= bound forces primality
-            kernel *= residual
-        elif is_perfect_square(residual):
-            pass  # any perfect square contributes nothing squarefree
-        else:
-            raise ResourceLimitError(
-                f"cannot resolve residual cofactor {residual} "
-                f"(> {bound}^2, not prime, not square)"
-            )
-    return kernel
-
-
-def _trial_factor(n: int, bound: int) -> dict[int, int]:
-    """Factor by trial division up to `bound`; key 0 holds any residual
-    cofactor whose factors all exceed the bound."""
-    factors: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    f = 5
-    while f * f <= n and f <= bound:
-        for p in (f, f + 2):
-            while n % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                n //= p
-        f += 6
-    if n > 1:
-        if f * f > n:
-            factors[n] = factors.get(n, 0) + 1  # no divisor <= sqrt(n): prime
-        else:
-            factors[0] = n
-    return factors
 
 
 def sqrt_mod_prime(a: int, p: int) -> int | None:

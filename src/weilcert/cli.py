@@ -173,7 +173,7 @@ def cmd_classnum(args) -> int:
 
 def cmd_certify(args) -> int:
     g = DimensionParam(args.g)
-    checks, cert = run_certificate_checks(g.g, args.p)
+    checks, cert = run_certificate_checks(g, args.p)
     if cert is None:
         header = ["identity", "status", "detail"]
         rows = [
@@ -184,8 +184,8 @@ def cmd_certify(args) -> int:
         print(f"certificate failed [{name}]: {detail}", file=sys.stderr)
         return 1
     header = [*cert._fields, *("check_" + n.replace("-", "_") for n, _, _ in checks)]
-    q, b, c = map(report.integer_string, (cert.q, cert.weil_b, cert.weil_c))
-    row = [*cert._replace(q=q, weil_b=b, weil_c=c), *("pass" for _ in checks)]
+    q, b = map(report.integer_string, (cert.q, cert.weil_b))  # weil_c is q
+    row = [*cert._replace(q=q, weil_b=b, weil_c=q), *("pass" for _ in checks)]
     if args.format == "markdown":
         _write_table(["field", "value"], zip(header, row), "markdown", args.out)
     else:

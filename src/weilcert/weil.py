@@ -11,7 +11,10 @@ whose roots have modulus p^(g/2). `run_certificate_checks` checks the full
 chain of exact identities that pin down the associated division algebra:
 CM discriminant -(2g+1), splitting order g, Brauer local invariants
 ((g-1)/2)/g and ((g+1)/2)/g (closed form against an independent p-adic
-oracle), degree g, dimension g, and automorphism order 4g+2.
+oracle), degree g, dimension g, and automorphism order 4g+2. No identity
+factors an integer: with g and 2g+1 prime, the CM discriminant is one exact
+division and a square test, the splitting order is the first of four
+candidates, and the oracle reads the root valuations mod p^2.
 
 Quadruples and certificates are plain integers: `scan_quadruples` and
 `find_smallest` hand over (p, a, s) int tuples at n = 2g+1, and
@@ -30,14 +33,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import kernels
-from .arith import (
-    hensel_lift,
-    is_prime,
-    multiplicative_order,
-    padic_valuation,
-    sqrt_mod_prime,
-    squarefree_kernel,
-)
+from .arith import hensel_lift, is_perfect_square, is_prime, padic_valuation, sqrt_mod_prime
 from .quadforms import cornacchia, represent_x2_ny2
 
 
@@ -131,26 +127,32 @@ def weil_polynomial(g: int, p: int, a: int) -> tuple[int, int]:
     return a * p ** ((g - 1) // 2), p**g
 
 
-def cm_field_discriminant(b: int, c: int) -> int:
-    """Squarefree kernel of b^2 - 4c, identifying the imaginary quadratic
-    field generated by a root of t^2 + b*t + c."""
+def cm_field_discriminant(b: int, c: int, n: int) -> int | None:
+    """-n if the squarefree kernel of b^2 - 4c is -n, so that a root of
+    t^2 + b*t + c generates Q(sqrt(-n)); None otherwise.
+
+    For the prime n = 2g+1 that kernel is -n exactly when 4c - b^2 = n*m^2
+    for an integer m: one exact division and a square test, no factoring.
+    """
     disc = b * b - 4 * c
     if disc >= 0:
         raise ValueError(f"discriminant {disc} is not negative")
-    return squarefree_kernel(disc)
+    m2, r = divmod(-disc, n)
+    return -n if r == 0 and is_perfect_square(m2) else None
 
 
 def splitting_order(g: int, p: int) -> int:
-    """Multiplicative order of p mod 2g+1.
+    """Multiplicative order of p mod 2g+1, for a Sophie Germain prime g.
 
     Value g certifies that p has exactly two primes above it, each with
     residue degree g, in the cyclotomic field of the (4g+2)nd roots of
-    unity.
+    unity. The order divides 2g, whose divisors are 1, 2, g and 2g for
+    prime g, so it is the first of them with p^d = 1 (mod 2g+1).
     """
     n = 2 * g + 1
     if p % n == 0:
         raise ValueError(f"p = {p} is not coprime to 2g+1 = {n}")
-    return multiplicative_order(p, n)
+    return next(d for d in (1, 2, g, 2 * g) if pow(p, d, n) == 1)
 
 
 def local_invariants(g: int, p: int, a: int) -> tuple[Fraction, Fraction]:
@@ -169,30 +171,28 @@ def local_invariants(g: int, p: int, a: int) -> tuple[Fraction, Fraction]:
 def valuations_oracle(g: int, p: int, a: int, s: int) -> tuple[int, int]:
     """Root valuations ((+t)-place first) computed by explicit p-adic lifting.
 
-    Lifts t with t^2 = -(2g+1) mod p^(g+1), embeds the two roots
-    p^((g-1)/2) * (-a +- s*t)/2 as residues mod p^(g+1), and reads off
-    their valuations. Independent of the closed form in local_invariants.
+    The roots are p^((g-1)/2) * (-a +- s*t)/2 with t^2 = -(2g+1) in Z_p.
+    The two factors (-a +- s*t)/2 multiply to (a^2 + (2g+1)*s^2)/4 = p, so
+    each has valuation 0 or 1, and t lifted to p^2 reads them off their
+    residues mod p^2. A residue 0 mod p^2 (valuation >= 2, impossible when
+    the quadruple equation holds) raises ValueError. Independent of the
+    closed form in local_invariants.
 
     t starts from the root a/s of -(2g+1) mod p that the quadruple's
     a^2 + (2g+1)*s^2 = 4p gives, taken as min(t, p-t) like
     `arith.sqrt_mod_prime`; so no square root is searched for and p is not
     tested for primality here.
     """
-    n, k = 2 * g + 1, g + 1
-    mod = p**k
+    n, mod = 2 * g + 1, p * p
     t = a * pow(s, -1, p) % p
     t = min(t, p - t)
     if (t * t + n) % p:
         raise ValueError(f"-(2g+1) = {-n} is not a square mod {p} of a/s = {t}")
-    t = hensel_lift(-n, p, k, t)
+    t = hensel_lift(-n, p, 2, t)
     inv2 = pow(2, -1, mod)
-    scale = pow(p, (g - 1) // 2, mod)
-    vals = []
-    for sign in (1, -1):
-        root = scale * ((-a + sign * s * t) * inv2 % mod) % mod
-        # valuations are at most (g+1)/2 < k, so the residue is nonzero
-        vals.append(padic_valuation(root, p))
-    return vals[0], vals[1]
+    plus, minus = ((-a + sign * s * t) * inv2 % mod for sign in (1, -1))
+    base = (g - 1) // 2
+    return base + padic_valuation(plus, p), base + padic_valuation(minus, p)
 
 
 def endomorphism_degree(invariants: tuple[Fraction, ...]) -> int:
@@ -204,9 +204,13 @@ def endomorphism_degree(invariants: tuple[Fraction, ...]) -> int:
 
 
 def run_certificate_checks(
-    g: int, p: int
+    dim: DimensionParam, p: int
 ) -> tuple[list[tuple[str, bool, str]], Certificate | None]:
-    """(checks, certificate) for a Sophie Germain prime g and a prime p.
+    """(checks, certificate) for a Sophie Germain dimension g and a prime p.
+
+    g comes validated as a DimensionParam, because the cm-discriminant and
+    splitting-order tests hold only for prime g and 2g+1; no other g
+    reaches the chain.
 
     checks lists (identity, ok, detail) for every identity run, in order,
     stopping at the first failure (later identities depend on earlier
@@ -223,7 +227,7 @@ def run_certificate_checks(
     before them. They stay as certificate columns, restating the paper's
     chain in full.
     """
-    n = 2 * g + 1
+    g, n = dim.g, dim.n
     rep = represent_x2_ny2(p, n)
     checks: list[tuple[str, bool, str]] = []
 
@@ -254,8 +258,9 @@ def run_certificate_checks(
     if not check("weil-modulus", b * b < 4 * c, "b^2 < 4c and c = q = p^g"):
         return checks, None
 
-    disc = cm_field_discriminant(b, c)
-    if not check("cm-discriminant", disc == -n, f"kernel(b^2 - 4c) = {disc}"):
+    disc = cm_field_discriminant(b, c, n)
+    relation = "=" if disc == -n else "!="
+    if not check("cm-discriminant", disc == -n, f"kernel(b^2 - 4c) {relation} {-n}"):
         return checks, None
 
     order = splitting_order(g, p)

@@ -196,3 +196,53 @@ def form_values(a: int, b: int, c: int, lo: int, hi: int) -> np.ndarray:
         marks[a * xs * xs + b * y * xs + (c * y * y - lo)] = True
         y += 1
     return marks
+
+
+def brute_force_order(a: int, n: int) -> int:
+    """Least k >= 1 with a^k = 1 (mod n), by repeated multiplication; a is
+    coprime to n."""
+    k, x = 1, a % n
+    while x != 1:
+        x = x * a % n
+        k += 1
+    return k
+
+
+def trial_division_kernel(d: int) -> int:
+    """The squarefree d0 with d = d0 * m^2, sign kept, for d != 0: trial
+    division, keeping each prime of odd exponent."""
+    kernel = -1 if d < 0 else 1
+    d = abs(d)
+    f = 2
+    while f * f <= d:
+        e = 0
+        while d % f == 0:
+            d //= f
+            e += 1
+        if e % 2:
+            kernel *= f
+        f += 1
+    return kernel * d  # the cofactor is 1 or a prime
+
+
+def lifted_root_valuations(g: int, p: int, a: int, s: int) -> tuple[int, int]:
+    """Valuations of the roots p^((g-1)/2) * (-a +- s*t)/2 ((+t) first),
+    read off their residues mod p^(g+1), where t^2 = -(2g+1) is lifted one
+    power of p at a time from the root min(t, p-t) of t = a/s mod p."""
+    n, k = 2 * g + 1, g + 1
+    t = a * pow(s, -1, p) % p
+    t = min(t, p - t)
+    u = pow(2 * t, -1, p)
+    for j in range(2, k + 1):  # t^2 = -n mod p^(j-1): one step fixes t mod p^j
+        t = (t - (t * t + n) * u) % p**j
+    mod = p**k
+    vals = []
+    for sign in (1, -1):
+        root = p ** ((g - 1) // 2) * ((-a + sign * s * t) * pow(2, -1, mod)) % mod
+        assert root != 0
+        v = 0
+        while root % p == 0:
+            root //= p
+            v += 1
+        vals.append(v)
+    return vals[0], vals[1]

@@ -96,7 +96,7 @@ def test_4_limit_values(capsys):
 def test_5_certificate_suite(capsys):
     t0 = time.monotonic()
     for g, p, a, s in TABLE2:
-        checks, cert = run_certificate_checks(g, p)
+        checks, cert = run_certificate_checks(DimensionParam(g), p)
         assert cert is not None, (g, p, checks[-1])
         n = 2 * g + 1
         assert (cert.a, cert.s) == (a, s)

@@ -7,14 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weilcert import arith, kernels
-from weilcert.arith import (
-    hensel_lift,
-    is_perfect_square,
-    is_prime,
-    multiplicative_order,
-    sqrt_mod_prime,
-    squarefree_kernel,
-)
+from weilcert.arith import hensel_lift, is_perfect_square, is_prime, sqrt_mod_prime
 from weilcert.errors import ResourceLimitError
 from conftest import sieved_primes
 from oracles import (
@@ -135,65 +128,6 @@ class TestIntegerSqrt:
         assert is_perfect_square(n * n)
         # n^2 < n^2 + k < (n+1)^2 for n >= 1 and k in {1, n, 2n}
         assert n == 0 or not any(is_perfect_square(n * n + k) for k in (1, n, 2 * n))
-
-
-class TestMultiplicativeOrder:
-    def test_examples(self):
-        assert multiplicative_order(47, 11) == 5
-        assert multiplicative_order(1, 97) == 1
-        assert multiplicative_order(59, 23) == 11
-
-    def test_brute_force_agreement(self):
-        for n in (7, 11, 23, 46, 100, 101):
-            for a in range(1, n):
-                if math.gcd(a, n) != 1:
-                    continue
-                k, x = 1, a % n
-                while x != 1:
-                    x = x * a % n
-                    k += 1
-                assert multiplicative_order(a, n) == k
-
-    def test_divides_group_order(self):
-        for p in ODD_PRIMES[:30]:
-            for a in (2, 3, p - 1):
-                if a % p == 0:
-                    continue
-                assert (p - 1) % multiplicative_order(a, p) == 0
-
-    def test_rejects_common_factor(self):
-        with pytest.raises(ValueError):
-            multiplicative_order(6, 9)
-        with pytest.raises(ValueError):
-            multiplicative_order(3, 1)
-
-
-class TestSquarefreeKernel:
-    def test_examples(self):
-        assert squarefree_kernel(-44) == -11  # 144 - 4*47
-        assert squarefree_kernel(1) == 1
-        assert squarefree_kernel(-23 * 4 * 59**10) == -23
-
-    def test_zero(self):
-        with pytest.raises(ValueError):
-            squarefree_kernel(0)
-
-    @given(
-        st.integers(min_value=-5000, max_value=5000).filter(lambda n: n != 0),
-        st.integers(min_value=1, max_value=100),
-    )
-    def test_square_scaling(self, n, m):
-        assert squarefree_kernel(n * m * m) == squarefree_kernel(n)
-
-    def test_unresolvable_residual(self, monkeypatch):
-        # 1009 * 1013 > 1000^2 with both factors above the bound
-        monkeypatch.setattr(arith, "FACTOR_BOUND", 1000)
-        with pytest.raises(ResourceLimitError):
-            squarefree_kernel(1009 * 1013)
-        # but a residual that is prime, or a perfect square, resolves
-        monkeypatch.setattr(arith, "FACTOR_BOUND", 100)
-        assert squarefree_kernel(1009) == 1009
-        assert squarefree_kernel(1009 * 1009) == 1
 
 
 def lifted_root(a, p, k):

@@ -411,6 +411,10 @@ WHOLE_OUTPUTS = {
         ["certify", "--g", "1229", "--p", "3359", "--out"],
         "71cca7aaa24a385327d0c2ee7833cdced902197e20c85fe8aa7aa36c2e46d3aa",
     ),
+    "certify-g10061": (
+        ["certify", "--g", "10061", "--p", "21023", "--out"],
+        "4a36d90ab6a43e72ea45650ff64f5add23bb1d5d19e982b6b78bc7a466ea2237",
+    ),
     "find-m-json": (
         ["find", "--g", "5", "--p", "47", "--m", "1", "--format", "json", "--out"],
         "488d6104f4af16e3e988b4f3c98b389bea9f2a7e7f22c52b67012221433c9a2c",
@@ -543,6 +547,17 @@ class TestCertify:
         q = dict(zip(header.split(","), row.split(",")))["q"]
         assert len(q) == math.floor(1229 * math.log10(3359)) + 1 == 4334
         assert int(q[-40:]) == pow(3359, 1229, 10**40)
+
+    def test_renders_q_once(self, capsys, monkeypatch):
+        # q and weil_c are the same int p^g, rendered once for both columns
+        rendered = []
+        render = report.integer_string
+        monkeypatch.setattr(report, "integer_string", lambda v: rendered.append(v) or render(v))
+        rc, out, _ = run(capsys, "certify", "--g", "5", "--p", "47")
+        assert rc == 0
+        assert rendered.count(47**5) == 1
+        cols = dict(zip(*(line.split(",") for line in out.strip().split("\n"))))
+        assert cols["q"] == cols["weil_c"] == str(47**5)
 
     def test_composite_p_is_argument_error(self, capsys):
         rc, _, err = run(capsys, "certify", "--g", "5", "--p", "15")

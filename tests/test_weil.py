@@ -23,14 +23,18 @@ from weilcert.weil import (
 )
 from conftest import TABLE2, TABLE3, count_primality_tests
 from oracles import (
+    brute_force_order,
     classify_prime,
     general_equation_walk,
+    lifted_root_valuations,
     primes_upto,
     trial_division_is_prime,
+    trial_division_kernel,
     weil_quadruple,
 )
 
 G5 = DimensionParam(5)
+G11 = DimensionParam(11)
 
 
 def polynomial(g: int, p: int) -> tuple[int, int]:
@@ -83,17 +87,17 @@ class TestConditions:
 
     def test_p2(self):
         # the first identity certify checks; 47 = 2*23 + 1
-        checks, cert = run_certificate_checks(11, 47)
+        checks, cert = run_certificate_checks(G11, 47)
         assert checks == [("p2-congruence", False, "p mod 23 = 1")] and cert is None
-        assert run_certificate_checks(5, 47)[0][0] == ("p2-congruence", True, "p mod 11 = 3")
-        checks, _ = run_certificate_checks(11, 6 * 23 + 1)  # 139 is prime
+        assert run_certificate_checks(G5, 47)[0][0] == ("p2-congruence", True, "p mod 11 = 3")
+        checks, _ = run_certificate_checks(G11, 6 * 23 + 1)  # 139 is prime
         assert checks[0][:2] == ("p2-congruence", False)
 
     def test_membership(self):
         # (P1) and (P2) together against the definition-direct classification;
         # 47 fails (P2) and 61 fails (P1)
         for p, member in ((59, True), (47, False), (61, False)):
-            checks, _ = run_certificate_checks(11, p)
+            checks, _ = run_certificate_checks(G11, p)
             passed = [name for name, ok, _ in checks[:2] if ok]
             assert (passed == ["p2-congruence", "p1-representation"]) == member
             assert (classify_prime(p, 11) == "pg") == member
@@ -103,11 +107,11 @@ class TestQuadruples:
     def test_build(self):
         # the certificate chain builds the quadruple the oracle builds
         for g, p, a, s in ((5, 47, 12, 2), (11, 853, 10, 12), (239, 1997, 18, 4)):
-            _, cert = run_certificate_checks(g, p)
+            _, cert = run_certificate_checks(DimensionParam(g), p)
             assert cert[:4] == (g, p, a, s)
             assert (a, s) == weil_quadruple(p, g)
         for p in (47, 61):
-            assert run_certificate_checks(11, p)[1] is None
+            assert run_certificate_checks(G11, p)[1] is None
             assert weil_quadruple(p, 11) is None
 
     def test_find_smallest(self):
@@ -158,13 +162,36 @@ class TestWeilPolynomial:
 
 class TestCMDiscriminant:
     def test_examples(self):
-        assert cm_field_discriminant(*polynomial(5, 47)) == -11
-        assert cm_field_discriminant(*polynomial(11, 59)) == -23
-        assert cm_field_discriminant(*polynomial(173, 383)) == -347
+        assert cm_field_discriminant(*polynomial(5, 47), 11) == -11
+        assert cm_field_discriminant(*polynomial(11, 59), 23) == -23
+        assert cm_field_discriminant(*polynomial(173, 383), 347) == -347
+        # b^2 - 4c = -44 = -11 * 2^2, so its kernel is -11 and not -23
+        assert cm_field_discriminant(12, 47, 11) == -11
+        assert cm_field_discriminant(12, 47, 23) is None
+        # -88 = -22 * 2^2: a multiple of 11 whose kernel is -22
+        assert cm_field_discriminant(0, 22, 11) is None
 
     def test_rejects_nonnegative(self):
         with pytest.raises(ValueError):
-            cm_field_discriminant(10, 4)
+            cm_field_discriminant(10, 4, 7)
+
+    def test_matches_trial_division_kernel(self):
+        # every D = 4c - b^2 < 10^6 next to the n*m^2*k with k in {1, 2, 3},
+        # and every D < 2000, from two b each: k = 1 is the kernel -n, and
+        # the others are multiples of n, or near ones, with another kernel
+        for n in (7, 11, 23, 47):
+            ds = set(range(1, 2000))
+            for m in range(1, math.isqrt(10**6 // n) + 1):
+                ds.update(n * m * m * k + j for k in (1, 2, 3) for j in (-1, 0, 1))
+            outcomes = set()
+            for d in ds:
+                if d >= 10**6 or d % 4 in (1, 2):  # -d is not b^2 - 4c
+                    continue
+                want = -n if trial_division_kernel(-d) == -n else None
+                for b in (d % 2, d % 2 + 1000):
+                    assert cm_field_discriminant(b, (d + b * b) // 4, n) == want, (n, b, d)
+                outcomes.add(want)
+            assert outcomes == {-n, None}
 
 
 class TestSplittingOrder:
@@ -176,6 +203,18 @@ class TestSplittingOrder:
     def test_rejects_p_equal_n(self):
         with pytest.raises(ValueError):
             splitting_order(11, 23)
+
+    def test_matches_brute_force_order(self):
+        # each of the candidates 1, 2, g and 2g is the order somewhere
+        hit = set()
+        for g in sophie_germain_list(100):
+            n = 2 * g + 1
+            for p in primes_upto(2000):
+                if p != n:
+                    order = brute_force_order(p, n)
+                    assert splitting_order(g, p) == order, (g, p)
+                    hit.add((1, 2, g, 2 * g).index(order))
+        assert hit == {0, 1, 2, 3}
 
     def test_always_g_on_members_to_1e5(self):
         primes = primes_upto(10**5)
@@ -209,6 +248,21 @@ class TestLocalInvariants:
         with pytest.raises(ValueError, match=r"-\(2g\+1\) = -11 is not a square mod 13"):
             valuations_oracle(5, 13, 2, 2)
 
+    def test_oracle_matches_lift_to_p_g_plus_1(self):
+        # every TABLE2 row, and every member p < 10^4 at g = 5, 11, 23
+        cases = [(g, p) for g, p, _, _ in TABLE2]
+        cases += [(g, p) for g in (5, 11, 23) for p, _, _ in scan_quadruples(2 * g + 1, 10**4)]
+        for g, p in cases:
+            a, s = weil_quadruple(p, g)
+            assert valuations_oracle(g, p, a, s) == lifted_root_valuations(g, p, a, s), (g, p)
+
+    def test_oracle_fails_past_p_squared(self):
+        # (25 + 12*sqrt(-11)) = (6 + sqrt(-11))^2 has norm 47^2, so one
+        # factor has valuation 2 and its residue mod 47^2 is 0
+        assert 50**2 + 11 * 24**2 == 4 * 47**2
+        with pytest.raises(ValueError, match="valuation of 0"):
+            valuations_oracle(5, 47, 50, 24)
+
     def test_oracle_agrees_with_formula_on_all_rows(self):
         for g, p, _, _ in TABLE2:
             a, s = weil_quadruple(p, g)
@@ -225,7 +279,7 @@ class TestLocalInvariants:
 
 class TestCertify:
     def test_g5(self):
-        checks, cert = run_certificate_checks(5, 47)
+        checks, cert = run_certificate_checks(G5, 47)
         assert all(ok for _, ok, _ in checks) and len(checks) == 11
         assert cert.cm_discriminant == -11
         assert cert.splitting_order == 5
@@ -235,13 +289,13 @@ class TestCertify:
         assert cert.dimension == 5 and cert.aut_order == 22
 
     def test_g11(self):
-        _, cert = run_certificate_checks(11, 59)
+        _, cert = run_certificate_checks(G11, 59)
         assert cert.aut_order == 46 and cert.dimension == 11
         assert cert.cm_discriminant == -23
 
     def test_failure_names_identity(self):
         for p, identity in ((47, "p2-congruence"), (61, "p1-representation")):
-            checks, cert = run_certificate_checks(11, p)
+            checks, cert = run_certificate_checks(G11, p)
             assert cert is None
             assert checks[-1][:2] == (identity, False)
             assert all(ok for _, ok, _ in checks[:-1])
@@ -250,11 +304,33 @@ class TestCertify:
         # represent_x2_ny2's, at the entry; valuations_oracle lifts the
         # root a/s of the quadruple and searches no square root
         calls = count_primality_tests(monkeypatch)
-        assert run_certificate_checks(5, 47)[1] is not None
+        assert run_certificate_checks(G5, 47)[1] is not None
         assert calls == [47]
 
+    def test_refuses_non_sophie_germain(self):
+        # the cm-discriminant and splitting-order tests need g and 2g+1
+        # prime: 4 is not prime, and 2*7 + 1 = 15 is not
+        for bad in (4, 7):
+            with pytest.raises(ValueError):
+                run_certificate_checks(DimensionParam(bad), 47)
+
+    def test_every_g_to_1e4(self):
+        # the paper's theorem for each Sophie Germain g in [5, 10^4], with
+        # its smallest p
+        gs = [g for g in sophie_germain_list(10**4) if g >= 5]
+        assert len(gs) == 188
+        for g in gs:
+            p, a, s = find_smallest(2 * g + 1, 10**6)
+            checks, cert = run_certificate_checks(DimensionParam(g), p)
+            assert cert is not None, (g, p, checks[-1])
+            assert cert[:4] == (g, p, a, s)
+            assert (cert.cm_discriminant, cert.splitting_order) == (-2 * g - 1, g)
+            assert sorted((cert.oracle_val_plus, cert.oracle_val_minus)) == [
+                (g - 1) // 2, (g + 1) // 2
+            ]
+
     def test_place_labels_deterministic(self):
-        _, cert = run_certificate_checks(5, 47)
+        _, cert = run_certificate_checks(G5, 47)
         low = Fraction(cert.inv_low_num, cert.inv_low_den)
         high = Fraction(cert.inv_high_num, cert.inv_high_den)
         assert low < high
