@@ -5,9 +5,10 @@ largest checkpoint, one fixed window at a time, and classifies each prime
 p by whether it is representable as x^2 + (2g+1)*y^2 and whether
 p = 1 (mod 2g+1): the representable primes failing the congruence form
 the target set, those satisfying it are exactly the primes splitting
-completely one field higher up. `DensitySeries` folds the windows into
-the checkpoint records with running pi, member and split counts, and
-hands each window with its running member counts to whoever reads the
+completely one field higher up. `DensitySeries` counts the slots of each
+window into the checkpoint records, with running pi, representable and
+split counts and no per-prime array, and lists the primes of a window a
+block at a time, with their running member counts, to whoever reads the
 pass: `density --series` streams every prime from it and `plot` keeps
 every step-th one. Nothing is held for the whole range, so memory does
 not grow with the checkpoint. The counting function
@@ -23,9 +24,11 @@ from __future__ import annotations
 
 import bisect
 import collections
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -35,6 +38,12 @@ from .weil import DimensionParam
 
 #: Checkpoints used by the convergence tables.
 DEFAULT_CHECKPOINTS = (100, 150, 200, 10**3, 10**4, 10**5, 10**6)
+
+#: Odd slots per block of the per-prime view, a multiple of 8. The view
+#: holds a window's slots as bits, and one block's primes as int64: at most
+#: 6542 (pi(65535)), so a reader that renders them `report.CHUNK_ROWS` at a
+#: time stays below the pass's own peak.
+BLOCK_SLOTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -56,30 +65,72 @@ class DensityRecord:
 class DensitySeries:
     """One sieve-and-classify pass up to the last checkpoint, read once.
 
-    Iterating yields one (primes, members, count) per window: the window's
-    primes in ascending order, the running member count at each of them
-    (target primes among all primes <= p) and the number of primes below
-    the window, so f(primes[i]) = members[i] / (count + i + 1). `records`,
-    the exact counts at each checkpoint, runs whatever part of the pass the
-    iteration has not.
+    Iterating yields one (primes, members, count) per block of at most
+    BLOCK_SLOTS odd slots of a window: the block's primes in
+    ascending order, the running member count at each of them (target
+    primes among all primes <= p) and the number of primes below the
+    block, so f(primes[i]) = members[i] / (count + i + 1). `records`, the
+    exact counts at each checkpoint, runs whatever part of the pass the
+    iteration has not, and builds no per-prime array.
     """
 
     def __init__(self, g: DimensionParam, checkpoints: tuple[int, ...]):
         self.limit = asymptotic_limit(g)
+        self._n = g.n
         self._records: list[DensityRecord] = []
-        windows = kernels.classified_windows(checkpoints[-1], g.n)
-        self._windows = self._fold(checkpoints, windows)
+        self._checkpoints = checkpoints
+        # primes, (P1) primes and those of them = 1 (mod n), below the
+        # windows counted so far: 2 has no slot, and is x^2 + n*y^2 for no n > 1
+        self._counts = np.array([1, 0, 0], dtype=np.int64)
+        self._windows = kernels.classified_windows(checkpoints[-1], g.n, witnesses=False)
 
-    def __iter__(self):
-        return self._windows
+    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+        count = members = 0
+        for first, flags, rep in self._windows:
+            self._count(first, flags, rep)
+            rep[kernels.split_slots(first, self._n)] = False  # the members are left
+            # one bit a slot while the reader has the window's primes
+            prime_bits, member_bits = np.packbits(flags), np.packbits(rep)
+            del flags, rep
+            for at in range(0, len(prime_bits), BLOCK_SLOTS // 8):
+                block = slice(at, at + BLOCK_SLOTS // 8)
+                slots = np.flatnonzero(np.unpackbits(prime_bits[block]))
+                running = np.cumsum(np.unpackbits(member_bits[block])[slots], dtype=np.int64)
+                running += members
+                slots *= 2
+                slots += first + 16 * at
+                if first == 1 and at == 0:  # 2, below every odd prime
+                    slots = np.concatenate(([2], slots))
+                    running = np.concatenate(([members], running))
+                yield slots, running, count
+                count += len(slots)
+                if len(running):
+                    members = int(running[-1])
+            del prime_bits, member_bits  # before the next window is sieved
 
     @property
     def records(self) -> tuple[DensityRecord, ...]:
-        collections.deque(self._windows, maxlen=0)  # holds no window
+        # each window is counted and dropped: none is held
+        collections.deque(itertools.starmap(self._count, self._windows), maxlen=0)
         return tuple(self._records)
 
-    def _record(self, x: int, count_p: int, count_pg: int, count_split: int) -> None:
+    def _count(self, first: int, flags: np.ndarray, rep: np.ndarray) -> None:
+        """Count one window's slots, and record the checkpoints below the
+        odd integer past its last slot, whose primes are all counted then."""
+        checkpoints = self._checkpoints
+        done = len(self._records)
+        top = bisect.bisect_left(checkpoints, first + 2 * len(flags), done)
+        at = 0
+        for x in checkpoints[done:top]:
+            k = (x - first) // 2 + 1  # the slots of the odd values <= x
+            self._counts += _slot_counts(flags, rep, at, k, first, self._n)
+            at = k
+            self._record(x, *self._counts.tolist())
+        self._counts += _slot_counts(flags, rep, at, len(flags), first, self._n)
+
+    def _record(self, x: int, count_p: int, count_rep: int, count_split: int) -> None:
         # every checkpoint is >= 2, so count_p >= 1
+        count_pg = count_rep - count_split
         f = Fraction(count_pg, count_p)
         self._records.append(
             DensityRecord(
@@ -92,31 +143,15 @@ class DensitySeries:
             )
         )
 
-    def _fold(self, checkpoints: tuple[int, ...], windows):
-        # count_rep counts the representable primes: the members and the split ones
-        done = count_p = count_pg = count_rep = 0
-        for primes, y, member in windows:
-            members = np.cumsum(member)
-            members += count_pg
-            # checkpoints below the window's last prime have all their primes here
-            top = done
-            if len(primes):
-                top = bisect.bisect_left(checkpoints, int(primes[-1]), done)
-            ks = np.searchsorted(primes, checkpoints[done:top], side="right").tolist()
-            for x, k in zip(checkpoints[done:top], ks):
-                pg = int(members[k - 1]) if k else count_pg
-                rep = count_rep + int(np.count_nonzero(y[:k]))
-                self._record(x, count_p + k, pg, rep - pg)
-            done = top
-            count_rep += int(np.count_nonzero(y))
-            del y, member  # used up: not held while the reader has the window
-            yield primes, members, count_p
-            count_p += len(primes)
-            if len(primes):
-                count_pg = int(members[-1])
-            del primes, members  # before the next window is sieved
-        for x in checkpoints[done:]:
-            self._record(x, count_p, count_pg, count_rep - count_pg)
+
+def _slot_counts(
+    flags: np.ndarray, rep: np.ndarray, a: int, b: int, first: int, n: int
+) -> tuple[int, int, int]:
+    """The primes, the (P1) primes and those of them = 1 (mod n) among the
+    slots a .. b - 1 of the window from the odd integer first."""
+    rep = rep[a:b]
+    split = rep[kernels.split_slots(first + 2 * a, n)]
+    return np.count_nonzero(flags[a:b]), np.count_nonzero(rep), np.count_nonzero(split)
 
 
 def asymptotic_limit(g: DimensionParam) -> Fraction:

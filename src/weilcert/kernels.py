@@ -3,30 +3,35 @@ conditions (P1) p = x^2 + n*y^2 and (P2) p != 1 (mod n), with n = 2g+1.
 
 `classified_windows` is the one pass every command covering many primes
 reads (`density`, `plot`, `scan`, `find`, `table2`). It walks [0, limit]
-in fixed windows [lo, hi) of WINDOW integers and yields, per window, the
-primes, their (P1) witness y and the (P1)-and-(P2) member mask. A window's
-working set is fixed, whatever the limit and n, at about 2.1 bytes per
-integer of the window: no array of the pass outlives its window, so a
-caller that drops each window before taking the next holds one at a time,
-and a caller that has what it needs stops early.
+in fixed windows [lo, hi) of WINDOW integers and classifies each in odd
+slots: slot i of a window is the odd integer lo|1 + 2i. Per window it
+yields the slots' prime flags and, among the primes, the (P1) ones, as
+1-byte marks or with their witness y; the (P2) failures are one residue
+class of slots, `split_slots`. The pass builds no per-prime array: a
+reader that counts counts slots, and a reader that lists primes or
+members takes `np.flatnonzero` of the slots it lists. A window's working
+set is fixed, whatever the limit and n, at about 1.3 bytes per integer of
+the window with marks and 1.8 with uint16 witnesses: no array of the pass
+outlives its window, so a caller that drops each window before taking the
+next holds one at a time, and a caller that has what it needs stops early.
 
 Per window, two integer-only sieves run over the odd integers only (2 is
-the one even prime):
+the one even prime, and has no slot):
 
+- the form-value sieve (after Atkin and Bernstein, "Prime sieves using
+  binary quadratic forms", Math. Comp. 73, 2004) marks, for each y, the
+  odd values x^2 + n*y^2 with x in [ceil(sqrt(lo - n*y^2)),
+  isqrt(hi - 1 - n*y^2)], storing y or True. Both bounds come from integer
+  Newton square roots over all y, so each window is classified from its
+  bounds alone and no state passes from one window to the next. The marks,
+  about pi*(hi - lo)/(8*sqrt(n)) lattice points per window, are written
+  MARK_BLOCK at a time;
 - the prime sieve is a segmented Eratosthenes (Bays and Hudson, BIT 17,
   1977). Its flags start as a tile of the odd integers prime to
   3*5*7*11*13, a pre-sieve (Oliveira e Silva, Herzog and Pardi, Math.
   Comp. 83, 2014); the odd base primes from 17 up to sqrt(limit), sieved
   once by the same window sieve, then cross off their odd multiples in
-  the window;
-- the form-value sieve (after Atkin and Bernstein, "Prime sieves using
-  binary quadratic forms", Math. Comp. 73, 2004) marks, for each y, the
-  odd values x^2 + n*y^2 with x in [ceil(sqrt(lo - n*y^2)),
-  isqrt(hi - 1 - n*y^2)], storing y. Both bounds come from integer Newton
-  square roots over all y, so each window is classified from its bounds
-  alone and no state passes from one window to the next. The marks, about
-  pi*(hi - lo)/(8*sqrt(n)) lattice points per window, are written
-  MARK_BLOCK at a time.
+  the window. The marks are then multiplied by the flags in place.
 
 For a prime p and n >= 2 the representation with x, y >= 1 is unique, so
 the stored y is the witness `quadforms.represent_x2_ny2` finds.
@@ -43,16 +48,15 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-#: Integers per window. A window's working set peaks at about 2.1 bytes per
-#: integer (2.2 MB), whatever n and the limit: 1 MB of uint16 witnesses,
-#: the int64 primes (0.6 MB near the bottom of a pass) and one block of
-#: form marks, after 0.5 MB of prime flags are dropped; 2^21 would halve
-#: the per-window Python work and double the memory.
+#: Integers per window. A window's working set peaks at about 1.3 bytes per
+#: integer (1.4 MB), whatever n and the limit: 0.5 MB of form marks and
+#: 0.5 MB of prime flags, in one allocation, and one block of form-sieve
+#: temporaries; uint16 witnesses take 0.5 MB more. 2^21 would halve the
+#: per-window Python work and double the memory.
 WINDOW = 1 << 20
 
-#: Form-sieve marks computed at once: 2^14 marks take 0.4 MB of int64 and
-#: witness temporaries, against 124,000 marks per window at n = 11. The
-#: witnesses of the primes are gathered as many primes at a time.
+#: Form-sieve marks computed at once: 2^14 marks take 0.3 MB of int64
+#: temporaries, against 124,000 marks per window at n = 11.
 MARK_BLOCK = 1 << 14
 
 #: The largest limit a pass accepts. It bounds the time of a pass (about
@@ -82,7 +86,7 @@ def prime_windows(limit: int) -> Iterator[tuple[int, int, np.ndarray]]:
     against SIEVE_BUDGET before any window is allocated.
     """
     check_sieve_limit(limit)
-    return _prime_windows(limit)
+    return itertools.starmap(_primes, _windows(limit))
 
 
 def check_sieve_limit(limit: int) -> None:
@@ -93,25 +97,44 @@ def check_sieve_limit(limit: int) -> None:
         raise ResourceLimitError(f"sieve limit {limit} exceeds budget {SIEVE_BUDGET}")
 
 
-def _prime_windows(limit: int) -> Iterator[tuple[int, int, np.ndarray]]:
+def _windows(limit: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(lo, hi, base) for each window [lo, hi) up to limit: base holds the
+    primes p >= 17 with p^2 < hi, all a window's prime sieve needs."""
     root = math.isqrt(limit)
     # the base primes from 17 to root, from one window sieved by every odd
     # c >= 17 up to sqrt(root): an odd composite c crosses off only composites
     trial = np.arange(17, math.isqrt(root) + 1, 2, dtype=np.int64)
-    base = _window_primes(0, root + 1, trial)
+    _, _, base = _primes(0, root + 1, trial)
     base = base[np.searchsorted(base, 17) :]
     squares = base * base
     for lo in range(0, limit + 1, WINDOW):
         hi = min(lo + WINDOW, limit + 1)
-        yield lo, hi, _window_primes(lo, hi, base[: np.searchsorted(squares, hi)])
+        yield lo, hi, base[: np.searchsorted(squares, hi)]
 
 
-def _window_primes(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """The primes in [lo, hi), given odd integers c >= 17 with c^2 < hi that
-    include every prime p >= 17 with p^2 < hi."""
+def _primes(lo: int, hi: int, base: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """(lo, hi, primes): the primes of [lo, hi) as ascending int64."""
+    flags = np.empty(_slot_count(lo, hi), dtype=bool)
+    _prime_flags(lo, hi, base, flags)
+    primes = np.flatnonzero(flags)
+    del flags
+    primes *= 2
+    primes += lo | 1
+    if lo <= 2 < hi:
+        primes = np.concatenate(([2], primes))
+    return lo, hi, primes
+
+
+def _slot_count(lo: int, hi: int) -> int:
+    """The number of odd integers in [lo, hi)."""
+    return max(hi - (lo | 1) + 1, 0) // 2
+
+
+def _prime_flags(lo: int, hi: int, base: np.ndarray, flags: np.ndarray) -> None:
+    """Set flags[i] to say whether the odd integer lo|1 + 2i of [lo, hi) is
+    prime, given odd integers c >= 17 with c^2 < hi that include every
+    prime p >= 17 with p^2 < hi."""
     first = lo | 1
-    # flags[i] covers the odd integer first + 2i
-    flags = np.empty(max(hi - first + 1, 0) // 2, dtype=bool)
     done = min(len(flags), _PERIOD)
     rotation = first // 2 % _PERIOD
     flags[:done] = _COPRIME[rotation : rotation + done]
@@ -129,13 +152,6 @@ def _window_primes(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     start = np.maximum(start + base * (start % 2 == 0), base * base)
     for p, i in zip(base.tolist(), ((start - first) // 2).tolist()):
         flags[i::p] = False
-    primes = np.flatnonzero(flags)
-    del flags
-    primes *= 2
-    primes += first
-    if lo <= 2 < hi:
-        primes = np.concatenate(([2], primes))
-    return primes
 
 
 def _isqrt(v: np.ndarray) -> np.ndarray:
@@ -160,15 +176,15 @@ def _isqrt(v: np.ndarray) -> np.ndarray:
         np.minimum(x, step, out=x)
 
 
-def _odd_form_witnesses(lo: int, hi: int, n: int, dtype: np.dtype) -> np.ndarray:
-    """y_of for the odd values lo|1 + 2i in [lo, hi): y_of[i] is some y >= 1
-    with lo|1 + 2i = x^2 + n*y^2 (x >= 1), 0 if none."""
+def _odd_form_witnesses(lo: int, hi: int, n: int, y_of: np.ndarray) -> None:
+    """Mark the odd values lo|1 + 2i in [lo, hi) in y_of, all 0 before:
+    y_of[i] becomes some y >= 1 with lo|1 + 2i = x^2 + n*y^2 (x >= 1), or
+    True for a bool y_of, and stays 0 if there is none."""
     first = lo | 1
-    y_of = np.zeros(max(hi - first + 1, 0) // 2, dtype=dtype)
     # x >= 1 forces n*y^2 <= hi - 2
     y_top = math.isqrt(max(hi - 2, 0) // n)
     if y_top < 1:
-        return y_of
+        return
     y = np.arange(1, y_top + 1, dtype=np.int64)
     base = n * y * y
     # x runs from the least x >= 1 with x^2 + n*y^2 >= lo
@@ -186,7 +202,7 @@ def _odd_form_witnesses(lo: int, hi: int, n: int, dtype: np.dtype) -> np.ndarray
     # mark j of the window, counted across the y in order, is at x + 2*j
     x -= 2 * starts
     base -= first
-    y = y.astype(dtype)
+    y = y.astype(y_of.dtype)
     total = int(ends[-1])
     for at in range(0, total, MARK_BLOCK):
         stop = min(at + MARK_BLOCK, total)
@@ -201,45 +217,57 @@ def _odd_form_witnesses(lo: int, hi: int, n: int, dtype: np.dtype) -> np.ndarray
         marks += np.repeat(base[rows], taken)
         marks >>= 1  # the slot of the odd value x^2 + n*y^2
         y_of[marks] = np.repeat(y[rows], taken)
-    return y_of
 
 
 def classified_windows(
-    limit: int, n: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(primes, y, member) for the primes of each window up to limit.
+    limit: int, n: int, witnesses: bool = True
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(first, flags, rep) for each window of [0, limit], ascending, in odd
+    slots: slot i of a window is the odd integer first + 2i.
 
-    primes is ascending int64; y[i] is the (P1) witness of primes[i] (0 if
-    none), in the smallest unsigned dtype that holds any y up to limit, and
-    member[i] says primes[i] passes (P1) and (P2). Arguments are checked
-    when called, before any window is sieved. Convert with `.tolist()`
-    before big-integer arithmetic: numpy int64 wraps silently.
+    flags[i] says slot i is prime, and rep[i] is nonzero iff it is a prime
+    x^2 + n*y^2 with x, y >= 1, (P1). With witnesses, rep[i] is that y, in
+    the smallest unsigned dtype that holds any y up to limit; without, rep
+    is a bool array, one byte a slot. The (P1) primes at
+    `split_slots(first, n)` fail (P2); the others are the members. 2, the
+    one even prime, has no slot: it is x^2 + n*y^2 for n = 1 only, and
+    passes (P2) there. Arguments are checked when called, before any window
+    is sieved. Convert with `.tolist()` before big-integer arithmetic:
+    numpy int64 wraps silently.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    windows = prime_windows(limit)
-    dtype = np.min_scalar_type(math.isqrt(limit // n))
+    check_sieve_limit(limit)
+    dtype = np.min_scalar_type(math.isqrt(limit // n)) if witnesses else np.bool_
     # each window is handed over as it is classified: no frame keeps it
-    return itertools.starmap(functools.partial(_classify, n=n, dtype=dtype), windows)
+    return itertools.starmap(functools.partial(_classify, n=n, dtype=dtype), _windows(limit))
+
+
+def split_slots(first: int, n: int) -> slice:
+    """The slots of a window from the odd integer first whose values are
+    = 1 (mod n), so p % n == 1: first + 2i = 1 (mod n) iff i = (1 - first)/2
+    modulo n, or modulo n/2 for even n. None for n = 1."""
+    if n == 1:
+        return slice(0, 0)
+    step = n if n % 2 else n // 2
+    return slice((1 - first) // 2 % step, None, step)
 
 
 def _classify(
-    lo: int, hi: int, primes: np.ndarray, n: int, dtype: np.dtype
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(primes, y, member) of the window [lo, hi) with the given primes, from
-    nothing of any other window."""
-    y_of = _odd_form_witnesses(lo, hi, n, dtype)
-    # gathered MARK_BLOCK primes at a time: no slot array for the window
-    y = np.empty(len(primes), dtype)
-    for at in range(0, len(primes), MARK_BLOCK):
-        slot = primes[at : at + MARK_BLOCK] - (lo | 1)
-        slot >>= 1
-        y[at : at + MARK_BLOCK] = y_of[slot]
-        del slot
-    del y_of  # before (P2) takes its temporaries
-    if lo <= 2 < hi:
-        # the odd-value sieve has no slot for 2, which is 1 + n*1^2 for n = 1 only
-        y[0] = n == 1
-    member = y != 0
-    member &= primes % n != 1
-    return primes, y, member
+    lo: int, hi: int, base: np.ndarray, n: int, dtype: np.dtype
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """(first, flags, rep) of the window [lo, hi), from nothing of any other
+    window."""
+    # the marks and the flags are one allocation: once the first window's is
+    # freed, glibc serves blocks of its size from the heap and trims the heap
+    # only past twice that size, so every later window reuses the same pages
+    # and none is returned and faulted in again
+    size = _slot_count(lo, hi)
+    cut = size * np.dtype(dtype).itemsize
+    block = np.zeros(cut + size, dtype=np.uint8)
+    rep, flags = block[:cut].view(dtype), block[cut:].view(bool)
+    del block
+    _odd_form_witnesses(lo, hi, n, rep)
+    _prime_flags(lo, hi, base, flags)
+    rep *= flags  # in place: no temporary the size of the window
+    return lo | 1, flags, rep

@@ -109,11 +109,21 @@ def scan_quadruples(n: int, p_max: int) -> Iterator[tuple[int, int, int]]:
 
 
 def _quadruples(windows, n: int) -> Iterator[tuple[int, int, int]]:
-    for primes, y, member in windows:
-        rows = zip(primes[member].tolist(), y[member].tolist())
-        del primes, y, member  # before the next window is sieved
+    if n == 1:  # 2 = 1^2 + 1*1^2, the one even prime, has no slot
+        yield 2, 2, 2
+    for first, flags, y_of in windows:
+        del flags
+        y_of[kernels.split_slots(first, n)] = 0  # the members are left
+        slots = np.flatnonzero(y_of)
+        ys = y_of[slots]
+        del y_of  # before the rows are built
+        slots *= 2
+        slots += first
+        rows = zip(slots.tolist(), ys.tolist())
+        del slots, ys  # before the next window is sieved
         for p, yp in rows:
             yield p, 2 * math.isqrt(p - n * yp * yp), 2 * yp
+        del rows  # a spent zip still holds its second list
 
 
 def find_smallest(n: int, p_max: int) -> tuple[int, int, int] | None:

@@ -67,6 +67,22 @@ def traced_peak(command):
         tracemalloc.stop()
 
 
+def classified(limit, n):
+    """The windows of one pass joined into whole per-prime (primes, y,
+    member) arrays: the slots' primes, their witnesses and the (P1)-and-(P2)
+    mask that clears `kernels.split_slots`, after 2, which has no slot and
+    is 1 + n*1^2 for n = 1 only."""
+    primes, ys, members = [np.array([2])], [], [np.array([n == 1])]
+    for first, flags, rep in kernels.classified_windows(limit, n):
+        slots = np.flatnonzero(flags)
+        ys.append(rep[slots])
+        rep[kernels.split_slots(first, n)] = 0
+        members.append(rep[slots] != 0)
+        primes.append(first + 2 * slots)
+    ys.insert(0, np.array([n == 1], dtype=ys[0].dtype))
+    return np.concatenate(primes), np.concatenate(ys), np.concatenate(members)
+
+
 def sieved_primes(limit):
     """All primes <= limit: the windows of kernels.prime_windows joined."""
     return np.concatenate([primes for _, _, primes in kernels.prime_windows(limit)])

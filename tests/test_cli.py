@@ -244,7 +244,7 @@ class TestDensity:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("classified_windows", "prime_windows", "_odd_form_witnesses"):
+        for name in ("classified_windows", "_windows", "_odd_form_witnesses"):
             monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
         monkeypatch.setattr(kernels, "WINDOW", 400)
         commands = (
@@ -265,7 +265,7 @@ class TestDensity:
             assert rc == 0, argv
             assert calls == {
                 "classified_windows": passes,
-                "prime_windows": prime_passes,
+                "_windows": prime_passes,
                 "_odd_form_witnesses": windows,
             }, argv
 

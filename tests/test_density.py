@@ -10,8 +10,8 @@ from weilcert.density import asymptotic_limit, density_series, prime_count
 from weilcert.errors import ResourceLimitError
 from weilcert.quadforms import reduced_forms
 from weilcert.report import decimal_string
-from weilcert.weil import DimensionParam, sophie_germain_list
-from conftest import CHECKPOINTS, TABLE4, sieved_primes
+from weilcert.weil import DimensionParam, scan_quadruples, sophie_germain_list
+from conftest import CHECKPOINTS, TABLE4, classified, sieved_primes
 from oracles import classify_prime, density_counts, form_values, primes_upto
 
 G5 = DimensionParam(5)
@@ -93,9 +93,9 @@ class TestConvergenceReport:
 class TestClassificationConsistency:
     def test_flags_match_membership(self):
         for g in (G5, G11):
-            for primes, _, member in kernels.classified_windows(3000, g.n):
-                for p, is_member in zip(primes.tolist(), member.tolist()):
-                    assert is_member == (classify_prime(p, g.g) == "pg"), (g.g, p)
+            primes, _, member = classified(3000, g.n)
+            for p, is_member in zip(primes.tolist(), member.tolist()):
+                assert is_member == (classify_prime(p, g.g) == "pg"), (g.g, p)
 
     def test_member_counts(self):
         series = density_series(G11, (10**4,))
@@ -151,6 +151,73 @@ class TestWindows:
         # checked before any work: the arrays for 10^30 would not fit
         with pytest.raises(ResourceLimitError):
             prime_count(10**30)
+
+
+class TestCountOnlyFold:
+    """The fold counts slots and builds no per-prime array; the per-prime
+    view, the witness-keeping pass and scan_quadruples list primes and
+    members. With window edges every 400 or 1000 integers, all must agree at
+    every checkpoint."""
+
+    @staticmethod
+    def fold_counts(g, checkpoints):
+        records = density_series(DimensionParam(g), checkpoints).records
+        return [(r.count_p, r.count_pg, r.count_split_all) for r in records]
+
+    @staticmethod
+    def listed_counts(g, checkpoints):
+        n = 2 * g + 1
+        limit = checkpoints[-1]
+        blocks = list(density_series(DimensionParam(g), (limit,)))
+        primes = np.concatenate([b[0] for b in blocks])
+        running = np.concatenate([b[1] for b in blocks])
+        members = [p for p, _, _ in scan_quadruples(n, limit)]
+        # the witnesses, with (P2) as p % n, not as a class of slots
+        witnessed, y, _ = classified(limit, n)
+        assert witnessed.tolist() == primes.tolist()
+        split = witnessed[(y != 0) & (witnessed % n == 1)]
+        got = []
+        for x in checkpoints:
+            pi = int(np.searchsorted(primes, x, side="right"))
+            pg = int(running[pi - 1])
+            assert pg == int(np.searchsorted(members, x, side="right")), (g, x)
+            got.append((pi, pg, int(np.searchsorted(split, x, side="right"))))
+        return got
+
+    @pytest.mark.parametrize("width", [400, 1000])
+    @pytest.mark.parametrize("g", [3, 5, 11, 23])
+    def test_every_window_edge(self, monkeypatch, width, g):
+        monkeypatch.setattr(kernels, "WINDOW", width)
+        limit = 20 * width
+        edges = (e + d for e in range(width, limit + 1, width) for d in (-1, 0, 1))
+        checkpoints = tuple(sorted({2, 2 * g + 1, *edges}))
+        assert self.fold_counts(g, checkpoints) == self.listed_counts(g, checkpoints)
+
+    @given(st.sampled_from([3, 5, 11, 23]), st.sampled_from([400, 1000]), st.data())
+    def test_random_checkpoints(self, g, width, data):
+        xs = st.lists(st.integers(2, 3 * width), min_size=1, max_size=12, unique=True)
+        checkpoints = tuple(sorted(data.draw(xs)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "WINDOW", width)
+            assert self.fold_counts(g, checkpoints) == self.listed_counts(g, checkpoints)
+
+
+class TestPrimeCountTwoWays:
+    """count_p of the pass against prime_count, which shares no code with the
+    window sieve beyond check_sieve_limit."""
+
+    def test_every_window_edge_to_1e8(self):
+        width = kernels.WINDOW
+        edges = (k * width + d for k in range(1, 10**8 // width + 1) for d in (-1, 0, 1))
+        checkpoints = (*edges, 10**8)
+        records = density_series(G11, checkpoints).records
+        assert [r.count_p for r in records] == [prime_count(x) for x in checkpoints]
+
+    @pytest.mark.slow
+    def test_pass_to_1e9(self):
+        (record,) = density_series(G11, (10**9,)).records
+        assert record.count_p == 50_847_534 == prime_count(10**9)
+        assert record.count_pg == 7_703_727
 
 
 class TestPrimeCount:

@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from weilcert import kernels
 from weilcert.density import density_series
-from weilcert.weil import DimensionParam
+from weilcert.weil import DimensionParam, scan_quadruples
 from weilcert.errors import ResourceLimitError
-from conftest import traced_peak
+from conftest import classified, traced_peak
 from oracles import (
     classify_prime,
     early_break_rep_exists,
@@ -17,10 +17,11 @@ from oracles import (
 )
 
 
-def classified(limit, n):
-    """The windows of one pass joined into whole (primes, y, member) arrays."""
-    primes, y, member = zip(*kernels.classified_windows(limit, n))
-    return np.concatenate(primes), np.concatenate(y), np.concatenate(member)
+def form_witnesses(lo, hi, n, dtype):
+    """The form marks of the odd values of [lo, hi), in a fresh array."""
+    y_of = np.zeros(len(odd_values(lo, hi)), dtype=dtype)
+    kernels._odd_form_witnesses(lo, hi, n, y_of)
+    return y_of
 
 
 def odd_values(lo, hi):
@@ -72,8 +73,8 @@ class TestBackends:
     def test_empty_input(self):
         # no form value below n + 1, and no prime below 2: an error, not
         # empty windows, and raised at the call, before anything is sieved
-        assert not kernels._odd_form_witnesses(0, 24, 23, np.uint8).any()
-        assert kernels._odd_form_witnesses(0, 1, 23, np.uint8).shape == (0,)
+        assert not form_witnesses(0, 24, 23, np.uint8).any()
+        assert form_witnesses(0, 1, 23, np.uint8).shape == (0,)
         with pytest.raises(ValueError):
             kernels.classified_windows(1, 23)
         with pytest.raises(ValueError):
@@ -119,7 +120,7 @@ class TestFormWitnesses:
             for width in (3000, 64, 7):
                 for lo in range(0, 3000, width):
                     hi = min(lo + width, 3000)
-                    y_of = kernels._odd_form_witnesses(lo, hi, n, np.uint16)
+                    y_of = form_witnesses(lo, hi, n, np.uint16)
                     check_witnesses(lo, hi, n, y_of)
 
     def test_windows_far_from_zero(self):
@@ -135,7 +136,7 @@ class TestFormWitnesses:
                 starts += [k * k + n * y * y, k * k + n * y * y + 1]
             for lo in starts:
                 hi = min(lo + 40, top + 1)
-                check_witnesses(lo, hi, n, kernels._odd_form_witnesses(lo, hi, n, np.uint16))
+                check_witnesses(lo, hi, n, form_witnesses(lo, hi, n, np.uint16))
 
     def test_prime_witness_is_smallest_y(self, primes_1e5):
         for n in (7, 23, 59):
@@ -159,7 +160,7 @@ class TestFormWitnesses:
         # 59 = 6^2 + 23*1^2 sits exactly at the limit, and at either edge
         # of a window; below it the odd form values are 27 and 39
         def marked(lo, hi):
-            y_of = kernels._odd_form_witnesses(lo, hi, 23, np.uint8)
+            y_of = form_witnesses(lo, hi, 23, np.uint8)
             return [v for v, y in zip(odd_values(lo, hi), y_of.tolist()) if y]
 
         assert marked(0, 59) == [27, 39]
@@ -219,8 +220,20 @@ class TestWorkingSet:
         series = density_series(DimensionParam((n - 1) // 2), (8 * kernels.WINDOW - 1,))
         peak = traced_peak(lambda: series.records)
         assert series.records[0].count_p == 564_163  # pi(8 * 2^20 - 1)
-        # 1 byte of uint16 witnesses per integer, the int64 primes and one
-        # block of marks; the witnesses are gathered a block of primes at a time
+        # half a byte of form marks and half a byte of prime flags per
+        # integer, and one block of form-sieve temporaries: the counts are
+        # read off the slots, with no per-prime array
+        assert peak <= 1.5 * kernels.WINDOW
+
+    @pytest.mark.parametrize("n", [11, 23, 47])
+    def test_traced_peak_of_eight_windows_of_scan(self, n):
+        # the witness-keeping pass and its reader: a byte of uint16 witnesses
+        # per integer on top, and the members' rows after the window is dropped
+        limit = 8 * kernels.WINDOW - 1
+        counted = []
+        peak = traced_peak(lambda: counted.append(sum(1 for _ in scan_quadruples(n, limit))))
+        series = density_series(DimensionParam((n - 1) // 2), (limit,))
+        assert counted == [series.records[0].count_pg]
         assert peak <= 2.25 * kernels.WINDOW
 
     @pytest.mark.parametrize("block", [1, 7])
