@@ -246,7 +246,7 @@ def classified_windows(
 def split_slots(first: int, n: int) -> slice:
     """The slots of a window from the odd integer first whose values are
     = 1 (mod n), so p % n == 1: first + 2i = 1 (mod n) iff i = (1 - first)/2
-    modulo n, or modulo n/2 for even n. None for n = 1."""
+    modulo n, or modulo n/2 for even n. No slot for n = 1."""
     if n == 1:
         return slice(0, 0)
     step = n if n % 2 else n // 2
@@ -266,7 +266,6 @@ def _classify(
     cut = size * np.dtype(dtype).itemsize
     block = np.zeros(cut + size, dtype=np.uint8)
     rep, flags = block[:cut].view(dtype), block[cut:].view(bool)
-    del block
     _odd_form_witnesses(lo, hi, n, rep)
     _prime_flags(lo, hi, base, flags)
     rep *= flags  # in place: no temporary the size of the window
