@@ -60,7 +60,7 @@ WINDOW = 1 << 20
 MARK_BLOCK = 1 << 14
 
 #: The largest limit a pass accepts. It bounds the time of a pass (about
-#: 5 s at n = 23 on a 2-core Xeon); the memory does not grow with the limit.
+#: 2.7 s at n = 23 on a 2-core Xeon); the memory does not grow with the limit.
 SIEVE_BUDGET = 10**9
 
 # _COPRIME[i] says the odd integer 2i + 1 is prime to 3*5*7*11*13, which

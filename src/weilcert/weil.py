@@ -112,7 +112,7 @@ def _quadruples(windows, n: int) -> Iterator[tuple[int, int, int]]:
     if n == 1:  # 2 = 1^2 + 1*1^2, the one even prime, has no slot
         yield 2, 2, 2
     for first, flags, y_of in windows:
-        del flags
+        del flags  # shares y_of's allocation, freed with it below
         y_of[kernels.split_slots(first, n)] = 0  # the members are left
         slots = np.flatnonzero(y_of)
         ys = y_of[slots]
