@@ -209,9 +209,8 @@ def cmd_plot(args) -> int:
         xs += primes[keep].tolist()
         fs += (members[keep] / (count + 1 + keep)).tolist()
         del primes, members  # before the next window is sieved
-    svg = report.emit_svg(xs, fs, total, series.limit, g.g, args.x_max)
     with _output(args.out) as fh:
-        fh.write(svg)
+        report.emit_svg(xs, fs, total, series.limit, g.g, args.x_max, fh)
     return 0
 
 

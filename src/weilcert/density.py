@@ -86,12 +86,13 @@ class DensitySeries:
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
         count = members = 0
-        for first, flags, rep in self._windows:
-            self._count(first, flags, rep)
-            rep[kernels.split_slots(first, self._n)] = False  # the members are left
+        for first, arr in self._windows:
             # one bit a slot while the reader has the window's primes
-            prime_bits, member_bits = np.packbits(flags), np.packbits(rep)
-            del flags, rep
+            prime_bits = np.packbits(arr)
+            self._count(first, arr)  # leaves the (P1) marks
+            arr[kernels.split_slots(first, self._n)] = 0  # the members are left
+            member_bits = np.packbits(arr)
+            del arr
             for at in range(0, len(prime_bits), BLOCK_SLOTS // 8):
                 block = slice(at, at + BLOCK_SLOTS // 8)
                 slots = np.flatnonzero(np.unpackbits(prime_bits[block]))
@@ -114,19 +115,23 @@ class DensitySeries:
         collections.deque(itertools.starmap(self._count, self._windows), maxlen=0)
         return tuple(self._records)
 
-    def _count(self, first: int, flags: np.ndarray, rep: np.ndarray) -> None:
+    def _count(self, first: int, arr: np.ndarray) -> None:
         """Count one window's slots, and record the checkpoints below the
-        odd integer past its last slot, whose primes are all counted then."""
-        checkpoints = self._checkpoints
+        odd integer past its last slot, whose primes are all counted then.
+        Shifts arr right by one in place, which leaves the (P1) marks."""
         done = len(self._records)
-        top = bisect.bisect_left(checkpoints, first + 2 * len(flags), done)
-        at = 0
-        for x in checkpoints[done:top]:
-            k = (x - first) // 2 + 1  # the slots of the odd values <= x
-            self._counts += _slot_counts(flags, rep, at, k, first, self._n)
-            at = k
-            self._record(x, *self._counts.tolist())
-        self._counts += _slot_counts(flags, rep, at, len(flags), first, self._n)
+        top = bisect.bisect_left(self._checkpoints, first + 2 * len(arr), done)
+        xs = self._checkpoints[done:top]
+        # the slots of the odd values <= each checkpoint, then the rest
+        spans = list(itertools.pairwise([0, *((x - first) // 2 + 1 for x in xs), len(arr)]))
+        primes = [np.count_nonzero(arr[a:b]) for a, b in spans]
+        arr >>= 1
+        for (a, b), count_p, x in zip(spans, primes, [*xs, None]):
+            rep = arr[a:b]
+            split = rep[kernels.split_slots(first + 2 * a, self._n)]
+            self._counts += (count_p, np.count_nonzero(rep), np.count_nonzero(split))
+            if x is not None:
+                self._record(x, *self._counts.tolist())
 
     def _record(self, x: int, count_p: int, count_rep: int, count_split: int) -> None:
         # every checkpoint is >= 2, so count_p >= 1
@@ -142,16 +147,6 @@ class DensitySeries:
                 diff=self.limit - f,
             )
         )
-
-
-def _slot_counts(
-    flags: np.ndarray, rep: np.ndarray, a: int, b: int, first: int, n: int
-) -> tuple[int, int, int]:
-    """The primes, the (P1) primes and those of them = 1 (mod n) among the
-    slots a .. b - 1 of the window from the odd integer first."""
-    rep = rep[a:b]
-    split = rep[kernels.split_slots(first + 2 * a, n)]
-    return np.count_nonzero(flags[a:b]), np.count_nonzero(rep), np.count_nonzero(split)
 
 
 def asymptotic_limit(g: DimensionParam) -> Fraction:

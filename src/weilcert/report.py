@@ -25,12 +25,12 @@ FORMATS = ("csv", "json", "markdown")
 DECIMAL_PLACES = 8
 SVG_MAX_POINTS = 5000
 #: Rows rendered at once. A chunk's text is held three times over while it
-#: is rendered (the padded block, its keep mask and the kept bytes): 0.7 MB
-#: with its column blocks at 2048 rows of the json series stream, against
-#: 2.7 MB at 8192, so the window pass it is drawn from stays the peak. Each
-#: halving halves that and doubles the chunks, each a few numpy calls per
-#: column.
-CHUNK_ROWS = 2048
+#: is rendered (the padded block, its keep mask and the kept bytes): 0.34 MB
+#: with its column blocks at 1024 rows of the json series stream, against
+#: 0.7 MB at 2048, so the window pass it is drawn from (0.8 MB) stays the
+#: peak. Each halving halves that and doubles the chunks, each a few numpy
+#: calls per column.
+CHUNK_ROWS = 1024
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -258,12 +258,15 @@ def emit_svg(
     limit: Fraction,
     g: int,
     x_max: int,
-) -> str:
-    """Scatter of (x, f) points with a single dashed horizontal limit line.
+    fh: TextIO,
+) -> None:
+    """Write to fh a scatter of (x, f) points with a single dashed
+    horizontal limit line, one element a line, each point as it is made.
 
     xs and fs are the points kept from a series of total points: every
-    `decimation(total)`-th one, from the first. The decimation factor and
-    raw point count are recorded in the <desc> metadata element.
+    `decimation(total)`-th one, from the first, checked before anything is
+    written. The decimation factor and raw point count are recorded in the
+    <desc> metadata element.
     """
     step = decimation(total)
     kept = len(range(0, total, step))
@@ -323,14 +326,11 @@ def emit_svg(
         f'font-size="14" transform="rotate(-90 18 {margin_t + plot_h / 2})">'
         f"f_{g}(x)</text>"
     )
+    fh.write("\n".join(parts) + "\n")
     for x, f in zip(xs, fs):
-        parts.append(
-            f'<circle cx="{sx(x):.2f}" cy="{sy(f):.2f}" r="1.5" fill="red"/>'
-        )
-    parts.append(
+        fh.write(f'<circle cx="{sx(x):.2f}" cy="{sy(f):.2f}" r="1.5" fill="red"/>\n')
+    fh.write(
         f'<line class="limit-line" x1="{margin_l}" y1="{sy(limit_f):.2f}" '
         f'x2="{width - margin_r}" y2="{sy(limit_f):.2f}" stroke="blue" '
-        'stroke-width="1.5" stroke-dasharray="6 4"/>'
+        'stroke-width="1.5" stroke-dasharray="6 4"/>\n</svg>\n'
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"

@@ -12,9 +12,10 @@ chain of exact identities that pin down the associated division algebra:
 CM discriminant -(2g+1), splitting order g, Brauer local invariants
 ((g-1)/2)/g and ((g+1)/2)/g (closed form against an independent p-adic
 oracle), degree g, dimension g, and automorphism order 4g+2. No identity
-factors an integer: with g and 2g+1 prime, the CM discriminant is one exact
-division and a square test, the splitting order is the first of four
-candidates, and the oracle reads the root valuations mod p^2.
+factors an integer: with g and 2g+1 prime, the CM discriminant is exact
+divisions and a square test on numbers of a few digits, the splitting
+order is the first of four candidates, and the oracle reads the root
+valuations mod p^2.
 
 Quadruples and certificates are plain integers: `scan_quadruples` and
 `find_smallest` hand over (p, a, s) int tuples at n = 2g+1, and
@@ -111,8 +112,7 @@ def scan_quadruples(n: int, p_max: int) -> Iterator[tuple[int, int, int]]:
 def _quadruples(windows, n: int) -> Iterator[tuple[int, int, int]]:
     if n == 1:  # 2 = 1^2 + 1*1^2, the one even prime, has no slot
         yield 2, 2, 2
-    for first, flags, y_of in windows:
-        del flags  # shares y_of's allocation, freed with it below
+    for first, y_of in windows:
         y_of[kernels.split_slots(first, n)] = 0  # the members are left
         slots = np.flatnonzero(y_of)
         ys = y_of[slots]
@@ -137,13 +137,20 @@ def weil_polynomial(g: int, p: int, a: int) -> tuple[int, int]:
     return a * p ** ((g - 1) // 2), p**g
 
 
-def cm_field_discriminant(b: int, c: int, n: int) -> int | None:
+def cm_field_discriminant(b: int, c: int, n: int, scale: int = 1) -> int | None:
     """-n if the squarefree kernel of b^2 - 4c is -n, so that a root of
     t^2 + b*t + c generates Q(sqrt(-n)); None otherwise.
 
-    For the prime n = 2g+1 that kernel is -n exactly when 4c - b^2 = n*m^2
-    for an integer m: one exact division and a square test, no factoring.
+    scale must divide b, and its square c (ValueError otherwise): b^2 - 4c
+    = scale^2 * ((b/scale)^2 - 4c/scale^2) has the kernel of the second
+    factor, which is all that is computed. For the prime n = 2g+1 that
+    kernel is -n exactly when 4c - b^2 = n*m^2 for an integer m: one exact
+    division and a square test, no factoring.
     """
+    b, rest_b = divmod(b, scale)
+    c, rest_c = divmod(c, scale * scale)
+    if rest_b or rest_c:
+        raise ValueError(f"{scale} does not divide b, or its square c")
     disc = b * b - 4 * c
     if disc >= 0:
         raise ValueError(f"discriminant {disc} is not negative")
@@ -268,7 +275,8 @@ def run_certificate_checks(
     if not check("weil-modulus", b * b < 4 * c, "b^2 < 4c and c = q = p^g"):
         return checks, None
 
-    disc = cm_field_discriminant(b, c, n)
+    # b = a*p^((g-1)/2) and c = p^g: the kernel of b^2 - 4c is that of a^2 - 4p
+    disc = cm_field_discriminant(b, c, n, p ** ((g - 1) // 2))
     relation = "=" if disc == -n else "!="
     if not check("cm-discriminant", disc == -n, f"kernel(b^2 - 4c) {relation} {-n}"):
         return checks, None

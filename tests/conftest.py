@@ -69,16 +69,18 @@ def traced_peak(command):
 
 def classified(limit, n):
     """The windows of one pass joined into whole per-prime (primes, y,
-    member) arrays: the slots' primes, their witnesses and the (P1)-and-(P2)
-    mask that clears `kernels.split_slots`, after 2, which has no slot and
-    is 1 + n*1^2 for n = 1 only."""
+    member) arrays: the primes of `kernels.prime_windows`, their witnesses
+    and the (P1)-and-(P2) mask that clears `kernels.split_slots`, after 2,
+    which has no slot and is 1 + n*1^2 for n = 1 only."""
     primes, ys, members = [np.array([2])], [], [np.array([n == 1])]
-    for first, flags, rep in kernels.classified_windows(limit, n):
-        slots = np.flatnonzero(flags)
+    windows = zip(kernels.prime_windows(limit), kernels.classified_windows(limit, n))
+    for (_, _, odd), (first, rep) in windows:
+        odd = odd[odd > 2]
+        slots = (odd - first) // 2
         ys.append(rep[slots])
         rep[kernels.split_slots(first, n)] = 0
         members.append(rep[slots] != 0)
-        primes.append(first + 2 * slots)
+        primes.append(odd)
     ys.insert(0, np.array([n == 1], dtype=ys[0].dtype))
     return np.concatenate(primes), np.concatenate(ys), np.concatenate(members)
 

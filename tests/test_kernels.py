@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from weilcert import kernels
 from weilcert.density import density_series
+from weilcert.quadforms import represent_x2_ny2
 from weilcert.weil import DimensionParam, scan_quadruples
 from weilcert.errors import ResourceLimitError
 from conftest import classified, traced_peak
@@ -220,27 +222,38 @@ class TestWorkingSet:
         series = density_series(DimensionParam((n - 1) // 2), (8 * kernels.WINDOW - 1,))
         peak = traced_peak(lambda: series.records)
         assert series.records[0].count_p == 564_163  # pi(8 * 2^20 - 1)
-        # half a byte of form marks and half a byte of prime flags per
-        # integer, and one block of form-sieve temporaries: the counts are
-        # read off the slots, with no per-prime array
-        assert peak <= 1.5 * kernels.WINDOW
+        # half a byte of marks per integer, the composites crossed off in
+        # the same array, and one block of form-sieve temporaries: the
+        # counts are read off the slots, with no per-prime array
+        assert peak <= 1.0 * kernels.WINDOW
 
     @pytest.mark.parametrize("n", [11, 23, 47])
     def test_traced_peak_of_eight_windows_of_scan(self, n):
         # the witness-keeping pass and its reader: a byte of uint16 witnesses
-        # per integer on top, and the members' rows after the window is dropped
+        # per integer in place of the marks, and the members' rows after
+        # the window is dropped
         limit = 8 * kernels.WINDOW - 1
         counted = []
         peak = traced_peak(lambda: counted.append(sum(1 for _ in scan_quadruples(n, limit))))
         series = density_series(DimensionParam((n - 1) // 2), (limit,))
         assert counted == [series.records[0].count_pg]
-        assert peak <= 2.25 * kernels.WINDOW
+        assert peak <= 1.5 * kernels.WINDOW
+
+    @pytest.mark.parametrize("n", [7, 23])
+    def test_traced_peak_near_the_budget(self, n):
+        # a full window below 10^9 has 11,952 form-sieve rows at n = 7, taken
+        # ROW_BLOCK at a time: its peak is that of a window near 10^7
+        lo, hi, base = collections.deque(kernels._windows(kernels.SIEVE_BUDGET), maxlen=2)[0]
+        assert hi - lo == kernels.WINDOW
+        peak = traced_peak(lambda: kernels._classify(lo, hi, base, n, np.dtype(np.uint8), 3))
+        assert peak <= 0.9 * kernels.WINDOW
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_mark_blocks_match_oracles(self, oracle_1e5, monkeypatch, block):
         # a block of 1 or 7 marks cuts y-rows at every mark, or mid-row, and
-        # the witnesses are gathered 1 or 7 primes at a time
+        # the rows are taken 1 or 7 at a time, each block of them afresh
         monkeypatch.setattr(kernels, "MARK_BLOCK", block)
+        monkeypatch.setattr(kernels, "ROW_BLOCK", block)
         limit = 2 * 10**4
         k = len(primes_upto(limit))
         for g, (want_primes, want_y, want_member) in oracle_1e5.items():
@@ -248,6 +261,31 @@ class TestWorkingSet:
             assert primes.tolist() == want_primes[:k], g
             assert y.tolist() == want_y[:k], g
             assert member.tolist() == want_member[:k], g
+
+
+class TestPreSieve:
+    """3 to 13 are zeroed with their multiples by the pre-sieve's tile, and
+    keep the class the form sieve gave them, wherever the window edges fall."""
+
+    @pytest.mark.parametrize("width", [64, 8, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_small_primes_keep_their_class(self, monkeypatch, width, n):
+        # for example 11 = 2^2 + 7*1^2 at n = 7, and 13 = 2^2 + 3^2 at n = 1
+        monkeypatch.setattr(kernels, "WINDOW", width)
+        for witnesses in (True, False):
+            got = {}
+            for first, arr in kernels.classified_windows(60, n, witnesses):
+                got.update(zip(range(first, 61, 2), arr.tolist()))
+            assert got[1] == got[9] == got[15] == 0, (n, width, witnesses)
+            for p in (3, 5, 7, 11, 13):
+                marked = early_break_rep_exists(p, n)
+                if not witnesses:
+                    assert got[p] == (3 if marked else 1), (n, width, p)
+                elif n == 1:  # the witness is not unique
+                    assert (got[p] != 0) == marked, (width, p)
+                else:
+                    rep = represent_x2_ny2(p, n)
+                    assert got[p] == (0 if rep is None else rep.y), (n, width, p)
 
 
 class TestWindowEdges:

@@ -295,32 +295,43 @@ class TestColumnKernel:
             written(["a", "b"], [[1, 2], [3, 4, 5]], "csv")
 
 
+def svg(*args):
+    """The text emit_svg writes."""
+    fh = io.StringIO()
+    emit_svg(*args, fh)
+    return fh.getvalue()
+
+
 class TestEmitSvg:
     def test_single_limit_line(self):
-        svg = emit_svg([10, 20, 30], [0.1, 0.12, 0.14], 3, Fraction(5, 33), 11, 100)
-        assert svg.count('class="limit-line"') == 1
-        assert 'stroke-dasharray' in svg
-        assert "f_11(x)" in svg
+        text = svg([10, 20, 30], [0.1, 0.12, 0.14], 3, Fraction(5, 33), 11, 100)
+        assert text.count('class="limit-line"') == 1
+        assert 'stroke-dasharray' in text
+        assert "f_11(x)" in text
+        assert text.startswith("<svg ") and text.endswith("\n</svg>\n")
 
     def test_decimation_above_threshold(self):
         n = 12000
         step = decimation(n)
         assert step == 3  # ceil(12000/5000)
         xs = list(range(1, n + 1))[::step]
-        svg = emit_svg(xs, [0.1] * len(xs), n, Fraction(1, 10), 5, n)
-        assert "points=12000 kept=4000 decimation=3" in svg
-        assert svg.count("<circle") == len(range(0, n, 3))
+        text = svg(xs, [0.1] * len(xs), n, Fraction(1, 10), 5, n)
+        assert "points=12000 kept=4000 decimation=3" in text
+        assert text.count("<circle") == len(range(0, n, 3))
         assert decimation(10000) == 2 and decimation(10001) == 3
 
     def test_no_decimation_below_threshold(self):
-        svg = emit_svg([1, 2], [0.5, 0.5], 2, Fraction(1, 2), 5, 10)
-        assert "decimation=1" in svg
-        assert svg.count("<circle") == 2
+        text = svg([1, 2], [0.5, 0.5], 2, Fraction(1, 2), 5, 10)
+        assert "decimation=1" in text
+        assert text.count("<circle") == 2
         assert decimation(0) == decimation(5000) == 1
 
     def test_length_mismatch(self):
+        # checked before any byte is written
+        fh = io.StringIO()
         with pytest.raises(ValueError):
-            emit_svg([1, 2], [0.5], 2, Fraction(1, 2), 5, 10)
+            emit_svg([1, 2], [0.5], 2, Fraction(1, 2), 5, 10, fh)
         # two points kept are every 3rd of 6 or fewer, not of 12000
         with pytest.raises(ValueError):
-            emit_svg([1, 2], [0.5, 0.5], 12000, Fraction(1, 2), 5, 10)
+            emit_svg([1, 2], [0.5, 0.5], 12000, Fraction(1, 2), 5, 10, fh)
+        assert fh.getvalue() == ""
