@@ -242,7 +242,7 @@ class TestWorkingSet:
     @pytest.mark.parametrize("n", [7, 23])
     def test_traced_peak_near_the_budget(self, n):
         # a full window below 10^9 has 11,952 form-sieve rows at n = 7, taken
-        # ROW_BLOCK at a time: its peak is that of a window near 10^7
+        # ROW_BLOCK at a time, so its working set does not grow with the limit
         lo, hi, base = collections.deque(kernels._windows(kernels.SIEVE_BUDGET), maxlen=2)[0]
         assert hi - lo == kernels.WINDOW
         peak = traced_peak(lambda: kernels._classify(lo, hi, base, n, np.dtype(np.uint8), 3))
