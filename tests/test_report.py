@@ -23,7 +23,7 @@ from weilcert.report import (
 
 # row counts around one chunk's end, and many-chunk tables that end on a
 # chunk's end, one row past it and three rows into a chunk
-MANY_CHUNK_ROWS = [8192, 8193, 16387]
+MANY_CHUNK_ROWS = [2048, 2049, 4099, 8192, 8193, 16387]
 CHUNK_BOUNDARY_ROWS = sorted(
     {0, 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3, *MANY_CHUNK_ROWS}
 )
@@ -220,7 +220,7 @@ NOT_INT64 = st.one_of(
     st.integers(min_value=2**63, max_value=2**70),
     ODD_TEXT,
 )
-ROW_COUNTS = sorted({0, 1, CHUNK_ROWS, CHUNK_ROWS + 1, *MANY_CHUNK_ROWS[:2]})
+ROW_COUNTS = sorted({0, 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2048, 2049, 8192, 8193})
 
 
 def lines(text):
