@@ -209,6 +209,7 @@ def cmd_plot(args) -> int:
         xs += primes[keep].tolist()
         fs += (members[keep] / (count + 1 + keep)).tolist()
         del primes, members  # before the next window is sieved
+    report.check_svg_points(xs, fs, total)  # before --out is opened
     with _output(args.out) as fh:
         report.emit_svg(xs, fs, total, series.limit, g.g, args.x_max, fh)
     return 0

@@ -12,11 +12,11 @@ primes are its nonzero slots and the (P1) marks are left by `>>= 1`. The
 (P2) failures are one residue class of slots, `split_slots`. The pass
 builds no per-prime array: a reader that counts counts slots, and a
 reader that lists primes or members takes `np.flatnonzero` of the slots
-it lists. A window's working set is fixed, whatever the limit and n, at
-about 0.8 bytes per integer of the window without witnesses and 1.3 with
-uint16 witnesses: no array of the pass outlives its window, so a caller
-that drops each window before taking the next holds one at a time, and a
-caller that has what it needs stops early.
+it lists. A window's working set is about 0.8 bytes per integer of the
+window without witnesses and 1.3 with uint16 witnesses, plus about 32
+bytes per form-sieve row y <= sqrt(hi/n): no array of the pass outlives
+its window, so a caller that drops each window before taking the next
+holds one at a time, and a caller that has what it needs stops early.
 
 Per window, two integer-only sieves run over the odd integers only (2 is
 the one even prime, and has no slot), both in the window's one array:
@@ -26,10 +26,9 @@ the one even prime, and has no slot), both in the window's one array:
   odd values x^2 + n*y^2 with x in [ceil(sqrt(lo - n*y^2)),
   isqrt(hi - 1 - n*y^2)], storing y or 3. Both bounds come from integer
   Newton square roots over all y, so each window is classified from its
-  bounds alone and no state passes from one window to the next. The rows
-  are taken ROW_BLOCK at a time, and their marks, about
-  pi*(hi - lo)/(8*sqrt(n)) lattice points per window, written MARK_BLOCK
-  at a time;
+  bounds alone and no state passes from one window to the next. The marks,
+  about pi*(hi - lo)/(8*sqrt(n)) lattice points per window, are written
+  MARK_BLOCK at a time;
 - the prime sieve, a segmented Eratosthenes (Bays and Hudson, BIT 17,
   1977), then crosses the composites off in place. It first multiplies
   the array by a tile of the odd integers prime to 3*5*7*11*13, a
@@ -53,16 +52,12 @@ import numpy as np
 from .errors import ResourceLimitError
 
 #: Integers per window. A window's working set peaks at about 0.8 bytes per
-#: integer (0.8 MB), whatever n and the limit: 0.5 MB for its one array of
-#: 1-byte marks and one block of form-sieve temporaries; uint16 witnesses
-#: take 0.5 MB more. 2^21 would halve the per-window Python work and double
-#: the memory.
+#: integer (0.8 MB): 0.5 MB for its one array of 1-byte marks and one block
+#: of form-sieve temporaries; uint16 witnesses take 0.5 MB more. The int64
+#: bounds of its form-sieve rows add 32 bytes a row, 0.4 MB for the 11,952
+#: rows of a window near 10^9 at n = 7. 2^21 would halve the per-window
+#: Python work and double the memory.
 WINDOW = 1 << 20
-
-#: Form-sieve rows y taken at once: each int64 array of their bounds takes
-#: 32 KB at most, whatever the limit and n, against 96 KB for the 11,952 rows
-#: of a window near 10^9 at n = 7.
-ROW_BLOCK = 1 << 12
 
 #: Form-sieve marks computed at once: 2^14 marks take 0.3 MB of int64
 #: temporaries, against 124,000 marks per window at n = 11.
@@ -194,43 +189,44 @@ def _odd_form_witnesses(
     first = lo | 1
     # x >= 1 forces n*y^2 <= hi - 2
     y_top = math.isqrt(max(hi - 2, 0) // n)
-    for y0 in range(1, y_top + 1, ROW_BLOCK):
-        y = np.arange(y0, min(y0 + ROW_BLOCK, y_top + 1), dtype=np.int64)
-        base = n * y * y
-        # x runs from the least x >= 1 with x^2 + n*y^2 >= lo
-        x = _isqrt(np.maximum(lo - 1 - base, 0))
-        x += 1
-        x += (x + base + 1) % 2  # x^2 + n*y^2 is odd iff x + n*y is
-        # to the largest x_hi with x_hi^2 + n*y^2 < hi: (x_hi - x) // 2 + 1 values
-        counts = _isqrt(hi - 1 - base)
-        counts -= x
-        counts >>= 1
-        counts += 1
-        np.maximum(counts, 0, out=counts)
-        # the marks of row r, counted across the y in order, are starts[r] up
-        # to ends[r]: one array, so the rows hold three arrays through the blocks
-        edges = np.zeros(len(y) + 1, dtype=np.int64)
-        np.cumsum(counts, out=edges[1:])
-        del counts
-        starts, ends = edges[:-1], edges[1:]
-        # mark j of these rows is at x + 2*j
-        x -= 2 * starts
-        base -= first
-        y = y.astype(y_of.dtype)
-        total = int(ends[-1])
-        for at in range(0, total, MARK_BLOCK):
-            stop = min(at + MARK_BLOCK, total)
-            # the y-rows of marks at .. stop - 1, the first and last one cut
-            r0, r1 = np.searchsorted(ends, (at, stop - 1), side="right").tolist()
-            rows = slice(r0, r1 + 1)
-            taken = np.minimum(ends[rows], stop)
-            taken -= np.maximum(starts[rows], at)
-            marks = np.repeat(x[rows], taken)
-            marks += np.arange(2 * at, 2 * stop, 2)
-            marks *= marks
-            marks += np.repeat(base[rows], taken)
-            marks >>= 1  # the slot of the odd value x^2 + n*y^2
-            y_of[marks] = np.repeat(y[rows], taken) if mark is None else mark
+    if y_top < 1:
+        return
+    y = np.arange(1, y_top + 1, dtype=np.int64)
+    base = n * y * y
+    # x runs from the least x >= 1 with x^2 + n*y^2 >= lo
+    x = _isqrt(np.maximum(lo - 1 - base, 0))
+    x += 1
+    x += (x + base + 1) % 2  # x^2 + n*y^2 is odd iff x + n*y is
+    # to the largest x_hi with x_hi^2 + n*y^2 < hi: (x_hi - x) // 2 + 1 values
+    counts = _isqrt(hi - 1 - base)
+    counts -= x
+    counts >>= 1
+    counts += 1
+    np.maximum(counts, 0, out=counts)
+    # the marks of row r, counted across the y in order, are starts[r] up to
+    # ends[r]: one array, so the rows hold three arrays through the blocks
+    edges = np.zeros(y_top + 1, dtype=np.int64)
+    np.cumsum(counts, out=edges[1:])
+    del counts
+    starts, ends = edges[:-1], edges[1:]
+    # mark j of the window is at x + 2*j
+    x -= 2 * starts
+    base -= first
+    y = y.astype(y_of.dtype)
+    total = int(ends[-1])
+    for at in range(0, total, MARK_BLOCK):
+        stop = min(at + MARK_BLOCK, total)
+        # the y-rows of marks at .. stop - 1, the first and last one cut
+        r0, r1 = np.searchsorted(ends, (at, stop - 1), side="right").tolist()
+        rows = slice(r0, r1 + 1)
+        taken = np.minimum(ends[rows], stop)
+        taken -= np.maximum(starts[rows], at)
+        marks = np.repeat(x[rows], taken)
+        marks += np.arange(2 * at, 2 * stop, 2)
+        marks *= marks
+        marks += np.repeat(base[rows], taken)
+        marks >>= 1  # the slot of the odd value x^2 + n*y^2
+        y_of[marks] = np.repeat(y[rows], taken) if mark is None else mark
 
 
 def classified_windows(
@@ -281,8 +277,8 @@ def _classify(
     slot is zeroed."""
     # one allocation per window: once the first window's is freed, glibc
     # serves blocks of its size from the heap and trims the heap only past
-    # twice that size, so every later window reuses the same pages and none
-    # is returned and faulted in again
+    # twice that size, so while the working set stays below that every later
+    # window reuses the same pages and none is returned and faulted in again
     arr = np.full(_slot_count(lo, hi), 0 if mark is None else 1, dtype)
     _odd_form_witnesses(lo, hi, n, arr, mark)
     _cross_off(lo, hi, base, arr)

@@ -251,6 +251,14 @@ def decimation(total: int) -> int:
     return max(1, -(-total // SVG_MAX_POINTS))  # ceil division
 
 
+def check_svg_points(xs: Sequence[int], fs: Sequence[float], total: int) -> None:
+    """ValueError unless xs and fs are the points kept from a series of total
+    points: every `decimation(total)`-th one, from the first."""
+    kept = len(range(0, total, decimation(total)))
+    if not len(xs) == len(fs) == kept:
+        raise ValueError(f"xs and fs must be the {kept} points kept of {total}")
+
+
 def emit_svg(
     xs: Sequence[int],
     fs: Sequence[float],
@@ -263,15 +271,12 @@ def emit_svg(
     """Write to fh a scatter of (x, f) points with a single dashed
     horizontal limit line, one element a line, each point as it is made.
 
-    xs and fs are the points kept from a series of total points: every
-    `decimation(total)`-th one, from the first, checked before anything is
-    written. The decimation factor and raw point count are recorded in the
-    <desc> metadata element.
+    xs and fs are the points kept from a series of total points, checked by
+    `check_svg_points` before anything is written. The decimation factor and
+    raw point count are recorded in the <desc> metadata element.
     """
+    check_svg_points(xs, fs, total)
     step = decimation(total)
-    kept = len(range(0, total, step))
-    if not len(xs) == len(fs) == kept:
-        raise ValueError(f"xs and fs must be the {kept} points kept of {total}")
 
     width, height = 840, 520
     margin_l, margin_r, margin_t, margin_b = 70, 20, 20, 50

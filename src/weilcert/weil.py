@@ -12,10 +12,9 @@ chain of exact identities that pin down the associated division algebra:
 CM discriminant -(2g+1), splitting order g, Brauer local invariants
 ((g-1)/2)/g and ((g+1)/2)/g (closed form against an independent p-adic
 oracle), degree g, dimension g, and automorphism order 4g+2. No identity
-factors an integer: with g and 2g+1 prime, the CM discriminant is exact
-divisions and a square test on numbers of a few digits, the splitting
-order is the first of four candidates, and the oracle reads the root
-valuations mod p^2.
+factors an integer: with g and 2g+1 prime, the CM discriminant is one exact
+division and a square test on a^2 - 4p, the splitting order is the first
+of four candidates, and the oracle reads the root valuations mod p^2.
 
 Quadruples and certificates are plain integers: `scan_quadruples` and
 `find_smallest` hand over (p, a, s) int tuples at n = 2g+1, and
@@ -137,20 +136,13 @@ def weil_polynomial(g: int, p: int, a: int) -> tuple[int, int]:
     return a * p ** ((g - 1) // 2), p**g
 
 
-def cm_field_discriminant(b: int, c: int, n: int, scale: int = 1) -> int | None:
+def cm_field_discriminant(b: int, c: int, n: int) -> int | None:
     """-n if the squarefree kernel of b^2 - 4c is -n, so that a root of
     t^2 + b*t + c generates Q(sqrt(-n)); None otherwise.
 
-    scale must divide b, and its square c (ValueError otherwise): b^2 - 4c
-    = scale^2 * ((b/scale)^2 - 4c/scale^2) has the kernel of the second
-    factor, which is all that is computed. For the prime n = 2g+1 that
-    kernel is -n exactly when 4c - b^2 = n*m^2 for an integer m: one exact
-    division and a square test, no factoring.
+    For the prime n = 2g+1 that kernel is -n exactly when 4c - b^2 = n*m^2
+    for an integer m: one exact division and a square test, no factoring.
     """
-    b, rest_b = divmod(b, scale)
-    c, rest_c = divmod(c, scale * scale)
-    if rest_b or rest_c:
-        raise ValueError(f"{scale} does not divide b, or its square c")
     disc = b * b - 4 * c
     if disc >= 0:
         raise ValueError(f"discriminant {disc} is not negative")
@@ -275,8 +267,9 @@ def run_certificate_checks(
     if not check("weil-modulus", b * b < 4 * c, "b^2 < 4c and c = q = p^g"):
         return checks, None
 
-    # b = a*p^((g-1)/2) and c = p^g: the kernel of b^2 - 4c is that of a^2 - 4p
-    disc = cm_field_discriminant(b, c, n, p ** ((g - 1) // 2))
+    # b^2 - 4c = p^(g-1) * (a^2 - 4p), and p^(g-1) is an even power: both
+    # have one kernel, read from the small factor
+    disc = cm_field_discriminant(a, p, n)
     relation = "=" if disc == -n else "!="
     if not check("cm-discriminant", disc == -n, f"kernel(b^2 - 4c) {relation} {-n}"):
         return checks, None

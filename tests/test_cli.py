@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import weilcert
-from weilcert import cli, kernels, quadforms, report
+from weilcert import cli, density, kernels, quadforms, report
 from weilcert.cli import main
 from weilcert.density import density_series
 from weilcert.report import FORMATS, decimal_string, fixed_point
@@ -596,6 +596,17 @@ class TestPlotAndOutput:
         assert "points=78498 kept=4907 decimation=16" in svgs[0]
         primes = oracles.primes_upto(10**6)[::16]
         assert svgs[0].count("<circle") == len(primes) == 4907
+
+    def test_plot_point_mismatch_writes_no_file(self, capsys, tmp_path, monkeypatch):
+        # a pi(x_max) one too many keeps one point too many: the check fails
+        # before --out is opened
+        monkeypatch.setattr(density, "prime_count", lambda x: 1230)
+        path = tmp_path / "f.svg"
+        rc, out, err = run(capsys, "plot", "--g", "11", "--x-max", "10000",
+                           "--out", str(path))
+        assert (rc, out) == (2, "")
+        assert err == "error: xs and fs must be the 1230 points kept of 1230\n"
+        assert not path.exists()
 
     def test_out_writes_file(self, capsys, tmp_path):
         path = tmp_path / "t.csv"

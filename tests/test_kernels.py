@@ -1,4 +1,3 @@
-import collections
 import math
 
 import numpy as np
@@ -239,21 +238,10 @@ class TestWorkingSet:
         assert counted == [series.records[0].count_pg]
         assert peak <= 1.5 * kernels.WINDOW
 
-    @pytest.mark.parametrize("n", [7, 23])
-    def test_traced_peak_near_the_budget(self, n):
-        # a full window below 10^9 has 11,952 form-sieve rows at n = 7, taken
-        # ROW_BLOCK at a time, so its working set does not grow with the limit
-        lo, hi, base = collections.deque(kernels._windows(kernels.SIEVE_BUDGET), maxlen=2)[0]
-        assert hi - lo == kernels.WINDOW
-        peak = traced_peak(lambda: kernels._classify(lo, hi, base, n, np.dtype(np.uint8), 3))
-        assert peak <= 0.9 * kernels.WINDOW
-
     @pytest.mark.parametrize("block", [1, 7])
     def test_mark_blocks_match_oracles(self, oracle_1e5, monkeypatch, block):
-        # a block of 1 or 7 marks cuts y-rows at every mark, or mid-row, and
-        # the rows are taken 1 or 7 at a time, each block of them afresh
+        # a block of 1 or 7 marks cuts y-rows at every mark, or mid-row
         monkeypatch.setattr(kernels, "MARK_BLOCK", block)
-        monkeypatch.setattr(kernels, "ROW_BLOCK", block)
         limit = 2 * 10**4
         k = len(primes_upto(limit))
         for g, (want_primes, want_y, want_member) in oracle_1e5.items():
