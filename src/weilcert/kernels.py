@@ -204,7 +204,8 @@ def _odd_form_witnesses(
     counts += 1
     np.maximum(counts, 0, out=counts)
     # the marks of row r, counted across the y in order, are starts[r] up to
-    # ends[r]: one array, so the rows hold three arrays through the blocks
+    # ends[r], views of one array: a second would take a window near 10^9 at
+    # n = 23 past glibc's trim threshold (see _classify)
     edges = np.zeros(y_top + 1, dtype=np.int64)
     np.cumsum(counts, out=edges[1:])
     del counts
