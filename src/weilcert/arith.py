@@ -1,6 +1,7 @@
 """Exact integer arithmetic primitives shared by the whole toolkit.
 
-Primality of single integers, perfect squares, p-adic valuations, square
+Primality of single integers, the Sophie Germain dimension g that every
+command is given (`DimensionParam`), perfect squares, p-adic valuations, square
 roots modulo an odd prime and their Hensel lifts (the prime sieve lives in
 `kernels`). Nothing here factors an integer. The square root does not test
 its prime: `quadforms.represent_x2_ny2` and `weil.solve_general_p1m` test
@@ -14,6 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from dataclasses import dataclass
 
 # A014233: psi_k is the smallest odd composite that passes Miller-Rabin to
 # each of the first k prime bases, so those k bases decide every n < psi_k
@@ -82,6 +84,29 @@ def is_prime(n: int) -> bool:
         rng = random.Random(n)
         bases = [rng.randrange(2, n - 1) for _ in range(_MR_LARGE_ROUNDS)]
     return not any(_mr_composite_witness(n, a, d, r) for a in bases)
+
+
+def is_sophie_germain(g: int) -> bool:
+    """True iff g and 2g+1 are both prime."""
+    return is_prime(g) and is_prime(2 * g + 1)
+
+
+@dataclass(frozen=True)
+class DimensionParam:
+    """A validated Sophie Germain dimension g >= 3."""
+
+    g: int
+
+    def __post_init__(self):
+        if self.g < 3:
+            raise ValueError(f"dimension must be >= 3, got {self.g}")
+        if not is_sophie_germain(self.g):
+            raise ValueError(f"{self.g} is not a Sophie Germain prime")
+
+    @property
+    def n(self) -> int:
+        """The companion prime 2g+1."""
+        return 2 * self.g + 1
 
 
 def is_perfect_square(n: int) -> bool:

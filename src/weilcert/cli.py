@@ -6,6 +6,10 @@ Subcommands cover the whole toolkit: quadruple searches (`find`, `scan`,
 csv, json, or markdown; exit codes are 0 (success), 1 (check failure),
 2 (argument error), 3 (resource limit, such as the sieve budget or the
 class-number discriminant bound, or I/O failure).
+
+Each command imports the modules it runs when it runs: start-up and
+imports are most of a short command, so `density` does not compile `weil`
+nor `scan` compile `density`.
 """
 
 from __future__ import annotations
@@ -13,22 +17,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from typing import Iterator, TextIO
+from typing import TYPE_CHECKING, Iterator, TextIO
 
 import numpy as np
 
-from . import density as density_mod
 from . import report
 from .errors import ResourceLimitError
-from .quadforms import class_number
-from .weil import (
-    DimensionParam,
-    find_smallest,
-    run_certificate_checks,
-    scan_quadruples,
-    solve_general_p1m,
-    sophie_germain_list,
-)
+
+if TYPE_CHECKING:
+    from .density import DensitySeries
 
 DEFAULT_FIND_PMAX = 100_000
 DEFAULT_G_MAX = 509
@@ -53,6 +50,9 @@ def _parse_checkpoints(text: str) -> tuple[int, ...]:
 
 
 def cmd_find(args) -> int:
+    from .arith import DimensionParam
+    from .weil import find_smallest, solve_general_p1m
+
     g = DimensionParam(args.g)
     if args.p is not None and args.m is None:
         raise ValueError("--p requires --m (find searches the smallest p otherwise)")
@@ -76,12 +76,17 @@ def cmd_find(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .arith import DimensionParam
+    from .weil import scan_quadruples
+
     g = DimensionParam(args.g)
     _write_table(["p", "a", "s"], scan_quadruples(g.n, args.p_max), args.format, args.out)
     return 0
 
 
 def cmd_table2(args) -> int:
+    from .weil import find_smallest, sophie_germain_list
+
     if args.g_max < 5:
         raise ValueError(f"--g-max must be >= 5, got {args.g_max}")
     rows = []
@@ -98,6 +103,9 @@ def cmd_table2(args) -> int:
 
 
 def cmd_density(args) -> int:
+    from . import density as density_mod
+    from .arith import DimensionParam
+
     g = DimensionParam(args.g)
     checkpoints = (
         _parse_checkpoints(args.checkpoints)
@@ -121,7 +129,7 @@ def cmd_density(args) -> int:
     return 0
 
 
-def _write_records(series: density_mod.DensitySeries, fmt: str, fh: TextIO) -> None:
+def _write_records(series: DensitySeries, fmt: str, fh: TextIO) -> None:
     rows = (
         [
             rec.x,
@@ -138,7 +146,7 @@ def _write_records(series: density_mod.DensitySeries, fmt: str, fh: TextIO) -> N
     report.write_table(header, rows, fmt, fh)
 
 
-def _stream_rows(series: density_mod.DensitySeries) -> Iterator[report.Columns]:
+def _stream_rows(series: DensitySeries) -> Iterator[report.Columns]:
     """The columns p, f_num, f_den and f_decimal at every prime p of the
     series, with f(p) = members / (primes <= p) in lowest terms, one
     `report.CHUNK_ROWS` slice of a window at a time: int64 arrays, and
@@ -156,6 +164,10 @@ def _stream_rows(series: density_mod.DensitySeries) -> Iterator[report.Columns]:
 
 
 def cmd_limit(args) -> int:
+    from . import density as density_mod
+    from .arith import DimensionParam
+    from .quadforms import class_number
+
     g = DimensionParam(args.g)
     h = class_number(-8 * g.g - 4)
     lim = density_mod.asymptotic_limit(g)
@@ -166,12 +178,17 @@ def cmd_limit(args) -> int:
 
 
 def cmd_classnum(args) -> int:
+    from .quadforms import class_number
+
     rows = [[args.disc, class_number(args.disc)]]
     _write_table(["disc", "h"], rows, args.format, args.out)
     return 0
 
 
 def cmd_certify(args) -> int:
+    from .arith import DimensionParam
+    from .weil import run_certificate_checks
+
     g = DimensionParam(args.g)
     checks, cert = run_certificate_checks(g, args.p)
     if cert is None:
@@ -194,6 +211,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from . import density as density_mod
+    from .arith import DimensionParam
+
     g = DimensionParam(args.g)
     if args.x_max < 2:
         raise ValueError(f"--x-max must be >= 2, got {args.x_max}")

@@ -33,8 +33,8 @@ from typing import Iterator
 import numpy as np
 
 from . import kernels
+from .arith import DimensionParam
 from .quadforms import class_number
-from .weil import DimensionParam
 
 #: Checkpoints used by the convergence tables.
 DEFAULT_CHECKPOINTS = (100, 150, 200, 10**3, 10**4, 10**5, 10**6)

@@ -10,13 +10,13 @@ density stream builds no Python object per row or cell.
 
 from __future__ import annotations
 
-from decimal import Decimal
-from fractions import Fraction
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Cell = int | str
 
@@ -32,6 +32,8 @@ SVG_MAX_POINTS = 5000
 #: calls per column.
 CHUNK_ROWS = 1024
 _INT64_MAX = np.iinfo(np.int64).max
+#: Bits of the pieces integer_string converts whole.
+_LEAF_BITS = 128
 
 
 def _half_up(n, d):
@@ -58,8 +60,39 @@ def integer_string(v: int) -> str:
 
     Through decimal.Decimal, which is exact and, unlike int.__str__, is
     not subject to CPython's interpreter-wide int-to-str digit cap.
+    Decimal(v) of a large v takes time quadratic in its digits, so v is
+    split at powers of 2 down to _LEAF_BITS-bit pieces and rebuilt as
+    hi * 2**w + lo in Decimal arithmetic, whose products are
+    subquadratic, each power 2**w made once. The context cannot round:
+    its precision is the largest there is, and Inexact traps.
     """
-    return str(Decimal(v))
+    import decimal
+
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:
+        if w not in powers:
+            half = w >> 1
+            powers[w] = (
+                decimal.Decimal(1 << w)
+                if w <= _LEAF_BITS
+                else power(half) * power(w - half)
+            )
+        return powers[w]
+
+    def convert(n: int, w: int) -> decimal.Decimal:  # 0 <= n < 2**w
+        if w <= _LEAF_BITS:
+            return decimal.Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        return convert(hi, w - half) * power(half) + convert(n - (hi << half), half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(convert(abs(v), abs(v).bit_length()))
+    return "-" + digits if v < 0 else digits
 
 
 class FixedPoint(NamedTuple):
@@ -112,7 +145,9 @@ def _layout(header: Sequence[str], fmt: str) -> tuple[str, list[str], str, str, 
         head = ",".join(header) + "\n"
         return head, ["", *[","] * (k - 1), ""], "\n", "\n", head
     if fmt == "json":
-        keys = ["    " + _json_str(key) + ": " for key in header]
+        from json.encoder import encode_basestring_ascii as quote
+
+        keys = ["    " + quote(key) + ": " for key in header]
         around = ["  {\n" + keys[0], *[",\n" + key for key in keys[1:]], "\n  }"]
         return "[\n", around, ",\n", "\n]\n", "[]\n"
     if fmt == "markdown":
@@ -148,10 +183,13 @@ def _cells(values: Sequence[Cell], fmt: str) -> tuple[np.ndarray, np.ndarray]:
     left-aligned, with the mask of the bytes each cell keeps: an int (or
     numpy integer) through integer_string, a string as it is, or in JSON
     encoded as json.dumps does."""
-    as_json = fmt == "json"
+    if fmt == "json":
+        from json.encoder import encode_basestring_ascii as quote
+    else:
+        quote = None
     cells = [
         (
-            (_json_str(c) if as_json else c)
+            (quote(c) if quote else c)
             if isinstance(c, str)
             else integer_string(int(c))
         ).encode("utf-8", "surrogatepass")

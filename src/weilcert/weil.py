@@ -26,20 +26,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .arith import hensel_lift, is_perfect_square, is_prime, padic_valuation, sqrt_mod_prime
+from .arith import (
+    DimensionParam,
+    hensel_lift,
+    is_perfect_square,
+    is_prime,
+    padic_valuation,
+    sqrt_mod_prime,
+)
 from .quadforms import cornacchia, represent_x2_ny2
-
-
-def is_sophie_germain(g: int) -> bool:
-    """True iff g and 2g+1 are both prime."""
-    return is_prime(g) and is_prime(2 * g + 1)
 
 
 def sophie_germain_list(max_g: int) -> list[int]:
@@ -56,24 +57,6 @@ def sophie_germain_list(max_g: int) -> list[int]:
         qs = np.concatenate([primes for _, _, primes in itertools.islice(q_windows, 2)])
         found += gs[np.isin(2 * gs + 1, qs)].tolist()
     return found
-
-
-@dataclass(frozen=True)
-class DimensionParam:
-    """A validated Sophie Germain dimension g >= 3."""
-
-    g: int
-
-    def __post_init__(self):
-        if self.g < 3:
-            raise ValueError(f"dimension must be >= 3, got {self.g}")
-        if not is_sophie_germain(self.g):
-            raise ValueError(f"{self.g} is not a Sophie Germain prime")
-
-    @property
-    def n(self) -> int:
-        """The companion prime 2g+1."""
-        return 2 * self.g + 1
 
 
 class Certificate(NamedTuple):

@@ -5,9 +5,8 @@ import pytest
 
 import weilcert
 from weilcert import kernels
-from weilcert.arith import is_prime
+from weilcert.arith import DimensionParam, is_prime
 from weilcert.density import density_series
-from weilcert.weil import DimensionParam
 
 # Reference quadruples (g, p, a, s): smallest prime p per dimension g.
 TABLE2 = (

@@ -8,11 +8,11 @@ values are exact; decimal fields are compared at all 8 digits.
 import time
 from fractions import Fraction
 
-from weilcert.arith import sqrt_mod_prime
+from weilcert.arith import DimensionParam, sqrt_mod_prime
 from weilcert.cli import main
 from weilcert.quadforms import class_number, represent_x2_ny2
 from weilcert.report import decimal_string
-from weilcert.weil import DimensionParam, run_certificate_checks, solve_general_p1m
+from weilcert.weil import run_certificate_checks, solve_general_p1m
 
 import oracles
 from conftest import CHECKPOINTS, TABLE2, TABLE3, TABLE4

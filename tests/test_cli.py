@@ -16,8 +16,8 @@ import weilcert
 from weilcert import cli, density, kernels, quadforms, report
 from weilcert.cli import main
 from weilcert.density import density_series
+from weilcert.arith import DimensionParam
 from weilcert.report import FORMATS, decimal_string, fixed_point
-from weilcert.weil import DimensionParam
 import oracles
 from conftest import TABLE3, count_primality_tests, traced_peak
 

@@ -6,11 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weilcert import kernels
+from weilcert.arith import DimensionParam, is_prime
 from weilcert.density import asymptotic_limit, density_series, prime_count
 from weilcert.errors import ResourceLimitError
-from weilcert.quadforms import reduced_forms
+from weilcert.quadforms import reduced_forms, represent_x2_ny2
 from weilcert.report import decimal_string
-from weilcert.weil import DimensionParam, scan_quadruples, sophie_germain_list
+from weilcert.weil import scan_quadruples, sophie_germain_list
 from conftest import CHECKPOINTS, TABLE4, classified, sieved_primes
 from oracles import classify_prime, density_counts, form_values, primes_upto
 
@@ -202,16 +203,39 @@ class TestCountOnlyFold:
             assert self.fold_counts(g, checkpoints) == self.listed_counts(g, checkpoints)
 
 
+def slot_mark(v: int, n: int) -> int:
+    """The mark of the odd value v in a count-only window at n: 0 at a
+    composite, 3 at a prime x^2 + n*y^2 and 1 at any other prime."""
+    if not is_prime(v):
+        return 0
+    return 1 if represent_x2_ny2(v, n) is None else 3
+
+
 class TestPrimeCountTwoWays:
     """count_p of the pass against prime_count, which shares no code with the
     window sieve beyond check_sieve_limit."""
 
-    def test_every_window_edge_to_1e8(self):
+    def test_every_window_edge_to_1e8(self, monkeypatch):
+        # the same pass samples 1000 slots of its last window, where the form
+        # sieve runs at its largest x and y, against the single-prime tests
         width = kernels.WINDOW
         edges = (k * width + d for k in range(1, 10**8 // width + 1) for d in (-1, 0, 1))
         checkpoints = (*edges, 10**8)
+        windows, sample = kernels.classified_windows, {}
+
+        def sampled(limit, n, witnesses):
+            for first, arr in windows(limit, n, witnesses):
+                if first + 2 * len(arr) > limit:  # the last window
+                    picks = np.random.default_rng(0).choice(len(arr), 1000, replace=False)
+                    sample.update(zip((first + 2 * picks).tolist(), arr[picks].tolist()))
+                yield first, arr
+
+        monkeypatch.setattr(kernels, "classified_windows", sampled)
         records = density_series(G11, checkpoints).records
         assert [r.count_p for r in records] == [prime_count(x) for x in checkpoints]
+        assert len(sample) == 1000 and min(sample) > 10**8 - 2 * width
+        assert sample == {v: slot_mark(v, G11.n) for v in sample}
+        assert set(sample.values()) == {0, 1, 3}
 
     @pytest.mark.slow
     def test_pass_to_1e9(self):

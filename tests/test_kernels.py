@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weilcert import kernels
+from weilcert.arith import DimensionParam
 from weilcert.density import density_series
 from weilcert.quadforms import represent_x2_ny2
-from weilcert.weil import DimensionParam, scan_quadruples
+from weilcert.weil import scan_quadruples
 from weilcert.errors import ResourceLimitError
 from conftest import classified, traced_peak
 from oracles import (

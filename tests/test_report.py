@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from weilcert.report import (
     decimation,
     emit_svg,
     fixed_point,
+    integer_string,
     write_table,
 )
 
@@ -74,6 +76,29 @@ class TestDecimalString:
         for num, den in (([top + 1], [1]), ([-1], [3]), ([1], [0])):
             with pytest.raises(ValueError):
                 fixed_point(num, den)
+
+
+class TestIntegerString:
+    """The split conversion against str(Decimal(v)), which converts v whole."""
+
+    EDGES = [0, 1, 9, 10, 2**64, 2**127, 2**128 - 1, 2**128, 2**128 + 1, 2**129 - 1]
+
+    def test_small_and_leaf_edge(self):
+        for v in self.EDGES:
+            for signed in (v, -v):
+                assert integer_string(signed) == str(Decimal(signed))
+        assert integer_string(-(2**128)) == "-" + str(2**128)
+
+    def test_past_the_digit_cap(self):
+        # more digits than CPython's default int-to-str cap of 4300
+        for v in (10**4300, 10**4301 - 1, 7**6000 + 12345, -(3**20011), 62303**1229):
+            assert len(str(Decimal(v))) > 4300
+            assert integer_string(v) == str(Decimal(v))
+
+    @given(st.integers(-(2**20000), 2**20000))
+    @settings(max_examples=40, deadline=None)
+    def test_random_sizes(self, v):
+        assert integer_string(v) == str(Decimal(v))
 
 
 def written(header, rows, fmt):

@@ -242,3 +242,33 @@ def test_arith_imports_no_numpy():
     out = modules_loaded_by("weilcert.arith")
     assert "weilcert.arith" in out
     assert [m for m in out if m.split(".")[0] == "numpy"] == []
+
+
+def weilcert_modules_run_by(*argv: str) -> set[str]:
+    """The weilcert modules a fresh interpreter has loaded after running
+    the CLI command argv, its output discarded; no argv only imports cli."""
+    probe = (
+        "import contextlib, io, sys\n"
+        "import weilcert.cli\n"
+        f"argv = {list(argv)!r}\n"
+        "if argv:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = weilcert.cli.main(argv)\n"
+        "    assert rc == 0, rc\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('weilcert.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    return set(out.split())
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    # every command compiles what it imports from source when no bytecode
+    # is cached, so cli loads the modules of a command when it runs
+    assert weilcert_modules_run_by() == {"weilcert.cli", "weilcert.errors", "weilcert.report"}
+    for argv in (["density", "--g", "5"], ["plot", "--g", "11", "--x-max", "1000"]):
+        assert "weilcert.weil" not in weilcert_modules_run_by(*argv), argv
+    for argv in (["scan", "--g", "11", "--p-max", "1000"], ["table2", "--g-max", "50"]):
+        assert "weilcert.density" not in weilcert_modules_run_by(*argv), argv

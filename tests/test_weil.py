@@ -4,14 +4,13 @@ from fractions import Fraction
 import pytest
 
 from weilcert import kernels
+from weilcert.arith import DimensionParam, is_sophie_germain
 from weilcert.errors import ResourceLimitError
 from weilcert.quadforms import represent_x2_ny2
 from weilcert.weil import (
-    DimensionParam,
     cm_field_discriminant,
     endomorphism_degree,
     find_smallest,
-    is_sophie_germain,
     local_invariants,
     run_certificate_checks,
     scan_quadruples,
