@@ -6,7 +6,7 @@ quadratic-form class numbers, and the prime-density experiment with its
 exact rational limit.
 
 The package root re-exports nothing: import each name from the module
-that defines it, e.g. `from weilcert.weil import DimensionParam`.
+that defines it, e.g. `from weilcert.arith import DimensionParam`.
 """
 
 __version__ = "0.1.0"

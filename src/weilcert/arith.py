@@ -1,8 +1,8 @@
 """Exact integer arithmetic primitives shared by the whole toolkit.
 
-Primality of single integers, the Sophie Germain dimension g that every
-command is given (`DimensionParam`), perfect squares, p-adic valuations, square
-roots modulo an odd prime and their Hensel lifts (the prime sieve lives in
+Primality of single integers, the validated Sophie Germain dimension g
+(`DimensionParam`), perfect squares, p-adic valuations, square roots
+modulo an odd prime and their Hensel lifts (the prime sieve lives in
 `kernels`). Nothing here factors an integer. The square root does not test
 its prime: `quadforms.represent_x2_ny2` and `weil.solve_general_p1m` test
 p once, at their entry. Every operation here is exact: no floating point
