@@ -8,8 +8,9 @@ csv, json, or markdown; exit codes are 0 (success), 1 (check failure),
 class-number discriminant bound, or I/O failure).
 
 Each command imports the modules it runs when it runs: start-up and
-imports are most of a short command, so `density` does not compile `weil`
-nor `scan` compile `density`.
+imports are most of a short command, so `density` does not compile `weil`,
+`scan` does not compile `density`, and a command that builds no array loads
+no numpy.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import argparse
 import contextlib
 import sys
 from typing import TYPE_CHECKING, Iterator, TextIO
-
-import numpy as np
 
 from . import report
 from .errors import ResourceLimitError
@@ -80,7 +79,9 @@ def cmd_scan(args) -> int:
     from .weil import scan_quadruples
 
     g = DimensionParam(args.g)
-    _write_table(["p", "a", "s"], scan_quadruples(g.n, args.p_max), args.format, args.out)
+    chunks = scan_quadruples(g.n, args.p_max)
+    with _output(args.out) as fh:
+        report.write_columns(["p", "a", "s"], chunks, args.format, fh)
     return 0
 
 
@@ -124,12 +125,20 @@ def cmd_density(args) -> int:
                 raise
             with stream:
                 header = ["p", "f_num", "f_den", "f_decimal"]
-                report.write_table(header, _stream_rows(series), args.format, stream)
-        _write_records(series, args.format, out)
-    return 0
+                report.write_columns(header, _stream_rows(series), args.format, stream)
+        return _write_records(series, args.format, out)
 
 
-def _write_records(series: DensitySeries, fmt: str, fh: TextIO) -> None:
+def _write_records(series: DensitySeries, fmt: str, fh: TextIO) -> int:
+    """Write the checkpoint table, and return 0, if pi(x) at the last checkpoint
+    agrees with `density.prime_count`, which shares no code with the pass; 1 if not."""
+    from .density import prime_count
+
+    last = series.records[-1]
+    if last.count_p != (want := prime_count(last.x)):
+        counted = f"pi({last.x}) = {want}, the pass counted {last.count_p}"
+        print(f"check failed: {counted}", file=sys.stderr)
+        return 1
     rows = (
         [
             rec.x,
@@ -144,13 +153,16 @@ def _write_records(series: DensitySeries, fmt: str, fh: TextIO) -> None:
     )
     header = ["x", "count_pg", "count_p", "f_num", "f_den", "f_decimal", "diff_decimal"]
     report.write_table(header, rows, fmt, fh)
+    return 0
 
 
-def _stream_rows(series: DensitySeries) -> Iterator[report.Columns]:
+def _stream_rows(series: DensitySeries) -> Iterator[tuple]:
     """The columns p, f_num, f_den and f_decimal at every prime p of the
     series, with f(p) = members / (primes <= p) in lowest terms, one
     `report.CHUNK_ROWS` slice of a window at a time: int64 arrays, and
     f_decimal as the int64 pair of `report.fixed_point`."""
+    import numpy as np
+
     for primes, members, count in series:
         for start in range(0, len(primes), report.CHUNK_ROWS):
             num = members[start : start + report.CHUNK_ROWS]
@@ -158,19 +170,18 @@ def _stream_rows(series: DensitySeries) -> Iterator[report.Columns]:
             common = np.gcd(num, den)
             f_num, f_den = num // common, den // common
             p = primes[start : start + report.CHUNK_ROWS]
-            yield report.Columns((p, f_num, f_den, report.fixed_point(f_num, f_den)))
+            yield p, f_num, f_den, report.fixed_point(f_num, f_den)
             del num, p  # views that keep the window alive
         del primes, members  # before the next window is sieved
 
 
 def cmd_limit(args) -> int:
-    from . import density as density_mod
     from .arith import DimensionParam
-    from .quadforms import class_number
+    from .quadforms import asymptotic_limit, class_number
 
     g = DimensionParam(args.g)
     h = class_number(-8 * g.g - 4)
-    lim = density_mod.asymptotic_limit(g)
+    lim = asymptotic_limit(g)
     rows = [[g.g, h, lim.numerator, lim.denominator, report.decimal_string(lim)]]
     header = ["g", "h", "limit_num", "limit_den", "limit_decimal"]
     _write_table(header, rows, args.format, args.out)
@@ -211,6 +222,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    import numpy as np
+
     from . import density as density_mod
     from .arith import DimensionParam
 

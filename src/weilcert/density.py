@@ -17,7 +17,7 @@ compared with its limit
 
     1/(2*h(-8g-4)) * (1 - 1/g),
 
-where h is the quadratic-form class number.
+where h is the quadratic-form class number (`quadforms.asymptotic_limit`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import kernels
 from .arith import DimensionParam
-from .quadforms import class_number
+from .quadforms import asymptotic_limit
 
 #: Checkpoints used by the convergence tables.
 DEFAULT_CHECKPOINTS = (100, 150, 200, 10**3, 10**4, 10**5, 10**6)
@@ -147,12 +147,6 @@ class DensitySeries:
                 diff=self.limit - f,
             )
         )
-
-
-def asymptotic_limit(g: DimensionParam) -> Fraction:
-    """The exact limit of the counting function: (1/(2h(-8g-4)))*(1 - 1/g)."""
-    h = class_number(-8 * g.g - 4)
-    return Fraction(1, 2 * h) * (1 - Fraction(1, g.g))
 
 
 def density_series(

@@ -1,7 +1,7 @@
 """Binary quadratic form arithmetic.
 
-Reduced-form enumeration and class numbers h(D) for negative discriminants,
-plus Cornacchia's O(log p) solver for the norm equations x^2 + n*y^2 = p
+Class numbers h(D) of negative discriminants and the density limit, plus
+Cornacchia's O(log p) solver for the norm equations x^2 + n*y^2 = p
 (`represent_x2_ny2`) and a^2 + n*s^2 = 4p^k (`weil.solve_general_p1m`).
 """
 
@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .arith import is_prime, sqrt_mod_prime
+from .arith import DimensionParam, is_prime, sqrt_mod_prime
 from .errors import ResourceLimitError
 
 #: The largest |d| whose reduced forms are enumerated. The enumeration takes
@@ -91,6 +92,12 @@ def reduced_forms(d: int) -> list[QuadForm]:
 def class_number(d: int) -> int:
     """h(d): number of classes of primitive positive definite forms."""
     return len(reduced_forms(d))
+
+
+def asymptotic_limit(g: DimensionParam) -> Fraction:
+    """The exact limit of the density counting function: (1/(2h(-8g-4)))*(1 - 1/g)."""
+    h = class_number(-8 * g.g - 4)
+    return Fraction(1, 2 * h) * (1 - Fraction(1, g.g))
 
 
 def cornacchia(n: int, m: int, r: int, rhs: int) -> tuple[int, int] | None:

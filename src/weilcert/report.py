@@ -2,23 +2,20 @@
 tables, and the SVG scatter plot.
 
 Every numeric field is rendered from exact integers or rationals; binary
-floating point only ever appears in SVG coordinates. Tables are rendered
-a chunk of columns at a time, and a column of nonnegative int64 values
-becomes ASCII digits in numpy, so a table as long as the per-prime
-density stream builds no Python object per row or cell.
+floating point only ever appears in SVG coordinates. `write_table` writes
+Python rows in pure Python; `write_columns` writes chunks of int64 columns as
+ASCII digits made in numpy, which only it imports, so a table as long as the
+per-prime density stream builds no Python object per row or cell.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence, TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TextIO
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-Cell = int | str
+    import numpy as np
 
 FORMATS = ("csv", "json", "markdown")
 
@@ -31,7 +28,7 @@ SVG_MAX_POINTS = 5000
 #: peak. Each halving halves that and doubles the chunks, each a few numpy
 #: calls per column.
 CHUNK_ROWS = 1024
-_INT64_MAX = np.iinfo(np.int64).max
+_INT64_MAX = 2**63 - 1
 #: Bits of the pieces integer_string converts whole.
 _LEAF_BITS = 128
 
@@ -66,6 +63,8 @@ def integer_string(v: int) -> str:
     subquadratic, each power 2**w made once. The context cannot round:
     its precision is the largest there is, and Inexact traps.
     """
+    if -(1 << _LEAF_BITS) < v < 1 << _LEAF_BITS:  # far below the cap
+        return str(v)
     import decimal
 
     powers: dict[int, decimal.Decimal] = {}
@@ -111,21 +110,15 @@ def fixed_point(num: np.ndarray, den: np.ndarray) -> FixedPoint:
     Raises ValueError instead of wrapping when num * 10**DECIMAL_PLACES
     could exceed int64.
     """
+    import numpy as np
+
     places = DECIMAL_PLACES
     num = np.asarray(num, dtype=np.int64)
     den = np.asarray(den, dtype=np.int64)
     top = _INT64_MAX // 10**places
     if num.size and (num.min() < 0 or num.max() > top or den.min() < 1):
-        raise ValueError(
-            f"fixed_point needs 0 <= num <= {top} and den >= 1 "
-            "to stay exact in int64"
-        )
+        raise ValueError(f"fixed_point needs 0 <= num <= {top} and den >= 1 to stay exact")
     return FixedPoint(*np.divmod(_half_up(num, den), 10**places))
-
-
-class Columns(tuple):
-    """One chunk of a table given by columns of one length: int64 arrays,
-    FixedPoint pairs, or sequences of cells."""
 
 
 def _layout(header: Sequence[str], fmt: str) -> tuple[str, list[str], str, str, str]:
@@ -156,110 +149,51 @@ def _layout(header: Sequence[str], fmt: str) -> tuple[str, list[str], str, str, 
     raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
 
 
-def _literal(text: str) -> tuple[np.ndarray, None]:
-    """ASCII text as a part of every row, all kept."""
-    return np.frombuffer(text.encode("ascii"), np.uint8), None
+def write_table(
+    header: Sequence[str], rows: Iterable[Sequence], fmt: str, fh: TextIO
+) -> None:
+    """Write rows under a header to fh as csv, json, or markdown, each row
+    as it is read.
 
-
-def _digits(col: np.ndarray, width: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
-    """The decimal digits of a nonnegative int64 column as a (rows x w)
-    ASCII block, right-aligned, with the mask of the digits each number
-    keeps; with a width the numbers are zero-padded to it and keep all."""
-    w = width or len(str(int(col.max())))
-    block = np.empty((len(col), w), np.uint8)
-    keep = None if width else np.empty((len(col), w), bool)
-    for j in range(w - 1, -1, -1):
-        if keep is not None:
-            keep[:, j] = col > 0  # a digit left of the number's first is padding
-        col, block[:, j] = np.divmod(col, 10)
-    if keep is not None:
-        keep[:, -1] = True  # 0 is written "0"
-    block += ord("0")
-    return block, keep
-
-
-def _cells(values: Sequence[Cell], fmt: str) -> tuple[np.ndarray, np.ndarray]:
-    """Each value, one cell at a time, as a (rows x w) UTF-8 block,
-    left-aligned, with the mask of the bytes each cell keeps: an int (or
-    numpy integer) through integer_string, a string as it is, or in JSON
-    encoded as json.dumps does."""
+    Cells are ints or already-canonical strings; JSON keeps ints as
+    numbers and everything else as strings, so no float ever appears. An
+    int is written through integer_string, a string as it is, or in JSON
+    encoded as json.dumps does, between the layout's literals.
+    """
+    head, around, sep, tail, empty = _layout(header, fmt)
     if fmt == "json":
         from json.encoder import encode_basestring_ascii as quote
     else:
-        quote = None
-    cells = [
-        (
-            (quote(c) if quote else c)
-            if isinstance(c, str)
-            else integer_string(int(c))
-        ).encode("utf-8", "surrogatepass")
-        for c in values
-    ]
-    lengths = np.fromiter(map(len, cells), np.int64, len(cells))
-    w = max(int(lengths.max()), 1)
-    block = np.array(cells, dtype=f"S{w}").view(np.uint8).reshape(len(cells), w)
-    return block, np.arange(w) < lengths[:, None]
+        quote = str
+    written = False
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"a row of {len(row)} cells under a header of {len(header)}")
+        parts = [sep if written else head, around[0]]
+        for cell, after in zip(row, around[1:]):
+            parts += (quote(cell) if isinstance(cell, str) else integer_string(cell), after)
+        fh.write("".join(parts))
+        written = True
+    fh.write(tail if written else empty)
 
 
-def _column(col, fmt: str) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """The (block, mask) parts one column puts in each row."""
-    if isinstance(col, FixedPoint):
-        quote = [_literal('"')] if fmt == "json" else []
-        whole, frac = _digits(col.whole), _digits(col.frac, DECIMAL_PLACES)
-        return [*quote, whole, _literal("."), frac, *quote]
-    arr = np.asarray(col)
-    if arr.dtype.kind in "iu" and arr.min() >= 0 and arr.max() <= _INT64_MAX:
-        return [_digits(arr.astype(np.int64, copy=False))]
-    return [_cells(col, fmt)]
-
-
-def _render(parts: list[tuple[np.ndarray, np.ndarray | None]], rows: int) -> np.ndarray:
-    """The rows of the parts laid side by side: one (rows x width) block,
-    literal parts broadcast down it, of which the bytes the masks keep."""
-    widths = [block.shape[-1] for block, _ in parts]
-    out = np.empty((rows, sum(widths)), np.uint8)
-    keep = np.ones(out.shape, bool)
-    at = 0
-    for (block, mask), w in zip(parts, widths):
-        out[:, at : at + w] = block
-        if mask is not None:
-            keep[:, at : at + w] = mask
-        at += w
-    return out[keep]
-
-
-def _column_chunks(rows: Iterable[Sequence[Cell]]) -> Iterator[Columns]:
-    """rows read CHUNK_ROWS at a time, each chunk turned into columns."""
-    rows = iter(rows)
-    while chunk := list(islice(rows, CHUNK_ROWS)):
-        yield Columns(zip(*chunk, strict=True))
-
-
-def write_table(
-    header: Sequence[str],
-    rows: Iterable[Sequence[Cell]] | Iterable[Columns],
-    fmt: str,
-    fh: TextIO,
+def write_columns(
+    header: Sequence[str], chunks: Iterable[tuple], fmt: str, fh: TextIO
 ) -> None:
-    """Write rows under a header to fh as csv, json, or markdown.
-
-    Cells are ints or already-canonical strings; JSON keeps ints as
-    numbers and everything else as strings, so no float ever appears.
-    rows may be any iterable of rows, read CHUNK_ROWS rows at a time, or
-    of Columns chunks. Each chunk is rendered from its columns and
-    written before the next is read, so at most one chunk of text is
-    ever held: a column of nonnegative int64 values (and each half of a
-    FixedPoint) becomes digits through repeated divmod by 10 into one
-    uint8 block, every other column goes through _cells one cell at a time,
-    and the layout's literals are broadcast between them. One mask then
-    drops each cell's padding, and the chunk is written as one string.
+    """Write a table under a header to fh as csv, json, or markdown, from
+    tuples of columns of one length: nonnegative int64 arrays, or FixedPoint
+    pairs. Each chunk is rendered and written before the next is read: each
+    column (and each half of a FixedPoint) becomes digits through repeated
+    divmod by 10 into one uint8 block, the layout's ASCII literals are
+    broadcast between them, and one mask drops each number's padding.
     """
+    import numpy as np
+
+    def literal(text: str) -> tuple[np.ndarray, bool]:  # the same in every row
+        return np.frombuffer(text.encode("ascii"), np.uint8), True
+
     head, around, sep, tail, empty = _layout(header, fmt)
-    rows = iter(rows)
-    first = next(rows, None)
-    rows = () if first is None else chain([first], rows)
-    chunks = rows if isinstance(first, Columns) else _column_chunks(rows)
-    del first
+    quote = '"' if fmt == "json" else ""
     written = False
     for chunk in chunks:
         lengths = {len(c.whole if isinstance(c, FixedPoint) else c) for c in chunk}
@@ -271,17 +205,56 @@ def write_table(
         (n,) = lengths
         if not n:
             continue
-        parts = [_literal(sep + around[0])]
+        parts, before = [], sep + around[0]
         for col, after in zip(chunk, around[1:]):
-            parts += [*_column(col, fmt), _literal(after)]
-        text = _render(parts, n)
+            if isinstance(col, FixedPoint):
+                frac = _digits(col.frac, DECIMAL_PLACES)
+                parts += [literal(before + quote), _digits(col.whole), literal("."), frac]
+                before = quote + after
+            elif col.dtype != "int64" or col.min() < 0:
+                raise ValueError("write_columns takes nonnegative int64 columns")
+            else:
+                parts += [literal(before), _digits(col)]
+                before = after
+        parts.append(literal(before))
+        # the parts side by side, literals broadcast down the rows, and of
+        # them the bytes the masks keep
+        widths = [block.shape[-1] for block, _ in parts]
+        out = np.empty((n, sum(widths)), np.uint8)
+        keep = np.empty(out.shape, bool)
+        at = 0
+        for (block, mask), w in zip(parts, widths):
+            out[:, at : at + w] = block
+            keep[:, at : at + w] = mask
+            at += w
+        text = out[keep]
+        del out, keep  # before the text is copied to bytes and to str
         if not written:  # the table's first row follows head, not sep
             fh.write(head)
             text = text[len(sep) :]
             written = True
-        fh.write(text.tobytes().decode("utf-8", "surrogatepass"))
+        fh.write(text.tobytes().decode("ascii"))
         del chunk, col, parts, text  # columns may be views of a window of a pass
     fh.write(tail if written else empty)
+
+
+def _digits(col: np.ndarray, width: int = 0) -> tuple[np.ndarray, np.ndarray | bool]:
+    """The decimal digits of a nonnegative int64 column as a (rows x w)
+    ASCII block, right-aligned, with the mask of the digits each number
+    keeps; with a width they are zero-padded to it and the mask is True."""
+    import numpy as np
+
+    w = width or len(str(int(col.max())))
+    block = np.empty((len(col), w), np.uint8)
+    keep = True if width else np.empty((len(col), w), bool)
+    for j in range(w - 1, -1, -1):
+        if not width:
+            keep[:, j] = col > 0  # a digit left of the number's first is padding
+        col, block[:, j] = np.divmod(col, 10)
+    if not width:
+        keep[:, -1] = True  # 0 is written "0"
+    block += ord("0")
+    return block, keep
 
 
 def decimation(total: int) -> int:

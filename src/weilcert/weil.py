@@ -16,10 +16,10 @@ factors an integer: with g and 2g+1 prime, the CM discriminant is one exact
 division and a square test on a^2 - 4p, the splitting order is the first
 of four candidates, and the oracle reads the root valuations mod p^2.
 
-Quadruples and certificates are plain integers: `scan_quadruples` and
-`find_smallest` hand over (p, a, s) int tuples at n = 2g+1, and
-`run_certificate_checks` returns (checks, Certificate), a NamedTuple whose
-fields are certify's columns, in order.
+`scan_quadruples` hands over (p, a, s) at n = 2g+1 as int64 column chunks
+and `find_smallest` its first row as ints; only the pass's readers import
+numpy and `kernels`. `run_certificate_checks` returns (checks, Certificate),
+a NamedTuple whose fields are certify's columns, in order.
 """
 
 from __future__ import annotations
@@ -27,11 +27,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-import numpy as np
-
-from . import kernels
 from .arith import (
     DimensionParam,
     hensel_lift,
@@ -42,6 +39,9 @@ from .arith import (
 )
 from .quadforms import cornacchia, represent_x2_ny2
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def sophie_germain_list(max_g: int) -> list[int]:
     """All Sophie Germain primes <= max_g, ascending, one window at a time.
@@ -49,6 +49,10 @@ def sophie_germain_list(max_g: int) -> list[int]:
     The windows of g and of q = 2g+1 both start at 0 and have one width,
     so the q of g-window k lie in q-windows 2k and 2k+1.
     """
+    import numpy as np
+
+    from . import kernels
+
     if max_g < 2:
         return []
     q_windows = kernels.prime_windows(2 * max_g + 1)
@@ -85,33 +89,40 @@ class Certificate(NamedTuple):
     aut_order: int
 
 
-def scan_quadruples(n: int, p_max: int) -> Iterator[tuple[int, int, int]]:
+def scan_quadruples(n: int, p_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     """(p, a, s) = (p, 2x, 2y) for every prime p <= p_max passing (P1) and
-    (P2) at n = 2g+1, ascending p, one window at a time."""
+    (P2) at n = 2g+1, ascending p, as int64 columns of at most
+    `report.CHUNK_ROWS` rows, one window at a time."""
+    from . import kernels
+
     return _quadruples(kernels.classified_windows(p_max, n), n)
 
 
-def _quadruples(windows, n: int) -> Iterator[tuple[int, int, int]]:
+def _quadruples(windows, n: int) -> Iterator[tuple[np.ndarray, ...]]:
+    import numpy as np
+
+    from . import kernels, report
+
     if n == 1:  # 2 = 1^2 + 1*1^2, the one even prime, has no slot
-        yield 2, 2, 2
+        yield np.array([2]), np.array([2]), np.array([2])
     for first, y_of in windows:
         y_of[kernels.split_slots(first, n)] = 0  # the members are left
         slots = np.flatnonzero(y_of)
         ys = y_of[slots]
         del y_of  # before the rows are built
-        slots *= 2
-        slots += first
-        rows = zip(slots.tolist(), ys.tolist())
+        for at in range(0, len(slots), report.CHUNK_ROWS):
+            # new arrays, so no view keeps slots; y in int64, as n*y^2 wraps in uint16
+            y = ys[at : at + report.CHUNK_ROWS].astype(np.int64)
+            p = 2 * slots[at : at + report.CHUNK_ROWS] + first
+            yield p, 2 * kernels._isqrt(p - n * y * y), 2 * y
         del slots, ys  # before the next window is sieved
-        for p, yp in rows:
-            yield p, 2 * math.isqrt(p - n * yp * yp), 2 * yp
-        del rows  # a spent zip still holds its second list
 
 
 def find_smallest(n: int, p_max: int) -> tuple[int, int, int] | None:
-    """The first row of scan_quadruples(n, p_max), or None; the pass stops
-    at the first window that holds one."""
-    return next(scan_quadruples(n, p_max), None)
+    """The first row of scan_quadruples(n, p_max) as ints, or None; the pass
+    stops at the first window that holds one, at its first chunk of rows."""
+    chunk = next(scan_quadruples(n, p_max), None)
+    return None if chunk is None else tuple(int(col[0]) for col in chunk)
 
 
 def weil_polynomial(g: int, p: int, a: int) -> tuple[int, int]:
@@ -313,7 +324,6 @@ def solve_general_p1m(g: DimensionParam, p: int, m: int) -> tuple[int, int] | No
     if not 1 <= m <= (g.g - 1) // 2:
         raise ValueError(f"m must lie in [1, {(g.g - 1) // 2}], got {m}")
     n, k = g.n, g.g - 2 * m
-    pk = p**k
     if p == 2:  # needs -n = 1 mod 8; lift r^2 = -n mod 2^j one bit at a time
         if n % 8 != 7:
             return None
@@ -328,6 +338,7 @@ def solve_general_p1m(g: DimensionParam, p: int, m: int) -> tuple[int, int] | No
         if r is None:  # -n is not a nonzero square mod p (also p = n)
             return None
         r = hensel_lift(-n, p, k, r)
-        r += pk * (1 - r % 2)  # the odd one of r, r + p^k
+    pk = p**k  # only once p has passed, since p^k has about g digits
+    r += pk * (1 - r % 2)  # the odd one of r, r + p^k; r is odd for p = 2
     sol = cornacchia(n, 2 * pk, r, 4 * pk)  # 0 < r < 2p^k
     return sol if sol is not None and math.gcd(sol[0], p) == 1 else None

@@ -84,6 +84,12 @@ def classified(limit, n):
     return np.concatenate(primes), np.concatenate(ys), np.concatenate(members)
 
 
+def quadruple_rows(chunks):
+    """The (p, a, s) rows of `weil.scan_quadruples`' int64 column chunks,
+    as tuples of Python ints."""
+    return [row for chunk in chunks for row in zip(*(col.tolist() for col in chunk))]
+
+
 def sieved_primes(limit):
     """All primes <= limit: the windows of kernels.prime_windows joined."""
     return np.concatenate([primes for _, _, primes in kernels.prime_windows(limit)])

@@ -131,6 +131,14 @@ class TestFind:
             assert rc == 2 and out == ""
             assert err == f"error: modulus {p} is not an odd prime\n"
 
+    def test_general_equation_rejects_p_before_p_to_the_k(self, capsys):
+        # p^(g-2m) would have about 6 million digits here: p is tested first
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "find", "--g", "500333", "--p", "1000000000000", "--m", "1")
+        assert (rc, out) == (2, "")
+        assert err == "error: modulus 1000000000000 is not an odd prime\n"
+        assert time.perf_counter() - start < 1
+
     def test_m_requires_p(self, capsys):
         rc, _, err = run(capsys, "find", "--g", "5", "--m", "1")
         assert rc == 2
@@ -282,7 +290,7 @@ class TestDensity:
         monkeypatch.setattr(report, "fixed_point", spy)
         chunks = cli._stream_rows(density_series(DimensionParam(11), (10**6,)))
         chunk = next(chunks)
-        assert isinstance(chunk, report.Columns)
+        assert isinstance(chunk, tuple)
         p, f_num, f_den, f_decimal = chunk
         assert (p[0], f_num[0], f_den[0], *f_decimal.whole[:1], *f_decimal.frac[:1]) == (
             2, 0, 1, 0, 0,
@@ -354,6 +362,15 @@ class TestDensity:
         row = (tmp_path / "t.csv").read_text().splitlines()[1]
         assert row.split(",")[2] == "5761455"  # pi(10^8), OEIS A006880
         assert rss < 60
+
+    def test_prime_count_mismatch_exits_1(self, capsys, monkeypatch):
+        # pi(x) at the last checkpoint is checked against prime_count, which
+        # shares no code with the pass, before the table is written
+        count = density.prime_count
+        monkeypatch.setattr(density, "prime_count", lambda x: count(x) + 1)
+        rc, out, err = run(capsys, "density", "--g", "11", "--checkpoints", "100,1000")
+        assert (rc, out) == (1, "")
+        assert err == "check failed: pi(1000) = 169, the pass counted 168\n"
 
     def test_bad_checkpoints(self, capsys):
         for text in ("10,abc", ""):

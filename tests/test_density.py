@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from weilcert import kernels
 from weilcert.arith import DimensionParam, is_prime
-from weilcert.density import asymptotic_limit, density_series, prime_count
+from weilcert.density import density_series, prime_count
 from weilcert.errors import ResourceLimitError
-from weilcert.quadforms import reduced_forms, represent_x2_ny2
+from weilcert.quadforms import asymptotic_limit, reduced_forms, represent_x2_ny2
 from weilcert.report import decimal_string
 from weilcert.weil import scan_quadruples, sophie_germain_list
-from conftest import CHECKPOINTS, TABLE4, classified, sieved_primes
+from conftest import CHECKPOINTS, TABLE4, classified, quadruple_rows, sieved_primes
 from oracles import classify_prime, density_counts, form_values, primes_upto
 
 G5 = DimensionParam(5)
@@ -172,7 +172,7 @@ class TestCountOnlyFold:
         blocks = list(density_series(DimensionParam(g), (limit,)))
         primes = np.concatenate([b[0] for b in blocks])
         running = np.concatenate([b[1] for b in blocks])
-        members = [p for p, _, _ in scan_quadruples(n, limit)]
+        members = [p for p, _, _ in quadruple_rows(scan_quadruples(n, limit))]
         # the witnesses, with (P2) as p % n, not as a class of slots
         witnessed, y, _ = classified(limit, n)
         assert witnessed.tolist() == primes.tolist()

@@ -234,7 +234,9 @@ class TestWorkingSet:
         # the window is dropped
         limit = 8 * kernels.WINDOW - 1
         counted = []
-        peak = traced_peak(lambda: counted.append(sum(1 for _ in scan_quadruples(n, limit))))
+        peak = traced_peak(
+            lambda: counted.append(sum(len(p) for p, _, _ in scan_quadruples(n, limit)))
+        )
         series = density_series(DimensionParam((n - 1) // 2), (limit,))
         assert counted == [series.records[0].count_pg]
         assert peak <= 1.5 * kernels.WINDOW

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from weilcert.report import (
     CHUNK_ROWS,
     FORMATS,
-    Columns,
     FixedPoint,
     decimal_string,
     decimation,
     emit_svg,
     fixed_point,
     integer_string,
+    write_columns,
     write_table,
 )
 
@@ -32,9 +32,9 @@ CHUNK_BOUNDARY_ROWS = sorted(
 
 
 def decimal_strings(num, den):
-    """The f_decimal cells that write_table renders from fixed_point columns."""
+    """The f_decimal cells that write_columns renders from fixed_point columns."""
     fh = io.StringIO()
-    write_table(["d"], [Columns([fixed_point(num, den)])], "csv", fh)
+    write_columns(["d"], [(fixed_point(num, den),)], "csv", fh)
     return fh.getvalue().split("\n")[1:-1]
 
 
@@ -101,9 +101,9 @@ class TestIntegerString:
         assert integer_string(v) == str(Decimal(v))
 
 
-def written(header, rows, fmt):
+def written(header, rows, fmt, writer=write_table):
     fh = io.StringIO()
-    write_table(header, rows, fmt, fh)
+    writer(header, rows, fmt, fh)
     return fh.getvalue()
 
 
@@ -239,7 +239,7 @@ class TestWriteTable:
 INT64_EDGES = sorted(
     {0, 9, 10, 2**63 - 1} | {10**k + d for k in range(1, 19) for d in (-1, 0)}
 )
-# cells the kernel leaves to str: negative ints, ints beyond int64, strings
+# cells that are not nonnegative int64 values: negative ints, ints past int64, strings
 NOT_INT64 = st.one_of(
     st.integers(min_value=-(2**70), max_value=-1),
     st.integers(min_value=2**63, max_value=2**70),
@@ -253,7 +253,7 @@ def lines(text):
 
 
 def column_chunks(*columns):
-    """The columns cut into Columns chunks of CHUNK_ROWS rows."""
+    """The columns cut into chunks of CHUNK_ROWS rows."""
 
     def cut(c, i):
         if isinstance(c, FixedPoint):
@@ -261,13 +261,14 @@ def column_chunks(*columns):
         return c[i : i + CHUNK_ROWS]
 
     n = len(columns[0])
-    return [Columns([cut(c, i) for c in columns]) for i in range(0, n, CHUNK_ROWS)]
+    return [tuple(cut(c, i) for c in columns) for i in range(0, n, CHUNK_ROWS)]
 
 
 class TestColumnKernel:
-    """write_table's digit kernel, fed int64 columns as Columns chunks or
-    as rows of Python ints, against the joined_table reference (compared
-    line by line, so that a failure reports the first differing line)."""
+    """write_columns' digit kernel, fed int64 column chunks, and
+    write_table fed the same values as rows of Python ints, against the
+    joined_table reference (compared line by line, so that a failure
+    reports the first differing line)."""
 
     @pytest.mark.parametrize("n", ROW_COUNTS)
     @pytest.mark.parametrize("fmt", FORMATS)
@@ -283,7 +284,8 @@ class TestColumnKernel:
             for a, b, c, d in zip(up.tolist(), down.tolist(), num.tolist(), den.tolist())
         ]
         want = lines(joined_table(header, rows, fmt))
-        assert lines(written(header, column_chunks(up, down, frac), fmt)) == want
+        chunks = column_chunks(up, down, frac)
+        assert lines(written(header, chunks, fmt, write_columns)) == want
         pairs = [r[:2] for r in rows]
         want = lines(joined_table(header[:2], pairs, fmt))
         assert lines(written(header[:2], pairs, fmt)) == want
@@ -297,12 +299,11 @@ class TestColumnKernel:
     def test_mixed_with_other_cells(self, others, n, fmt):
         ints = np.resize(np.array(INT64_EDGES, dtype=np.int64), n)
         cells = (others * n)[:n]
-        negative = -ints - 1  # an int64 column the kernel hands to str
+        negative = -ints - 1
         header = ["i", "other", "neg"]
         rows = list(zip(ints.tolist(), cells, negative.tolist()))
         want = lines(joined_table(header, rows, fmt))
         assert lines(written(header, rows, fmt)) == want
-        assert lines(written(header, column_chunks(ints, cells, negative), fmt)) == want
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_lone_surrogates_pass_through(self, fmt):
@@ -311,13 +312,19 @@ class TestColumnKernel:
 
     def test_mismatched_columns(self):
         with pytest.raises(ValueError):
-            written(["a", "b"], [Columns([np.arange(3), np.arange(1)])], "csv")
+            written(["a", "b"], [(np.arange(3), np.arange(1))], "csv", write_columns)
         with pytest.raises(ValueError):
-            written(["a", "b"], [Columns([np.arange(3)])], "csv")
+            written(["a", "b"], [(np.arange(3),)], "csv", write_columns)
         with pytest.raises(ValueError):
             written(["a", "b"], [[1, 2], [3]], "csv")
         with pytest.raises(ValueError):
             written(["a", "b"], [[1, 2], [3, 4, 5]], "csv")
+
+    def test_columns_are_nonnegative_int64(self):
+        # a column that is not nonnegative int64 is refused, not written wrong
+        for col in (np.array([3, -1]), np.array([3, 1], dtype=np.uint16)):
+            with pytest.raises(ValueError, match="nonnegative int64"):
+                written(["a"], [(col,)], "csv", write_columns)
 
 
 def svg(*args):

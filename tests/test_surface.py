@@ -244,15 +244,15 @@ def test_arith_imports_no_numpy():
     assert [m for m in out if m.split(".")[0] == "numpy"] == []
 
 
-def weilcert_modules_run_by(*argv: str) -> set[str]:
-    """The weilcert modules a fresh interpreter has loaded after running
-    the CLI command argv, its output discarded."""
+def modules_run_by(*argv: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after running the CLI
+    command argv, its output discarded."""
     probe = (
         "import contextlib, io, sys\n"
         "import weilcert.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert weilcert.cli.main({list(argv)!r}) == 0\n"
-        "print(*sorted(m for m in sys.modules if m.startswith('weilcert.')))\n"
+        "print(*sorted(sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run(
@@ -268,7 +268,17 @@ def test_each_command_loads_only_the_modules_it_runs():
     assert [m for m in out if m.startswith("weilcert.")] == [
         "weilcert.cli", "weilcert.errors", "weilcert.report",
     ]
+    assert "numpy" not in out
     for argv in (["density", "--g", "5"], ["plot", "--g", "11", "--x-max", "1000"]):
-        assert "weilcert.weil" not in weilcert_modules_run_by(*argv), argv
+        assert "weilcert.weil" not in modules_run_by(*argv), argv
     for argv in (["scan", "--g", "11", "--p-max", "1000"], ["table2", "--g-max", "50"]):
-        assert "weilcert.density" not in weilcert_modules_run_by(*argv), argv
+        assert "weilcert.density" not in modules_run_by(*argv), argv
+    # the certificate chain and the Table 2 scalars are exact integer work
+    # that builds no array
+    for argv in (
+        ["certify", "--g", "11", "--p", "59"],
+        ["find", "--g", "5", "--p", "47", "--m", "1"],
+        ["limit", "--g", "11"],
+        ["classnum", "--disc", "-92"],
+    ):
+        assert not {"numpy", "weilcert.kernels"} & modules_run_by(*argv), argv

@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weilcert import kernels
 from weilcert.arith import DimensionParam, is_sophie_germain
 from weilcert.errors import ResourceLimitError
 from weilcert.quadforms import represent_x2_ny2
+from weilcert.report import CHUNK_ROWS
 from weilcert.weil import (
     cm_field_discriminant,
     endomorphism_degree,
@@ -17,10 +19,11 @@ from weilcert.weil import (
     solve_general_p1m,
     sophie_germain_list,
     splitting_order,
+    _quadruples,
     valuations_oracle,
     weil_polynomial,
 )
-from conftest import TABLE2, TABLE3, count_primality_tests
+from conftest import TABLE2, TABLE3, count_primality_tests, quadruple_rows
 from oracles import (
     brute_force_order,
     classify_prime,
@@ -119,7 +122,7 @@ class TestQuadruples:
         assert find_smallest(11, 43) is None
 
     def test_scan_table3(self):
-        assert list(scan_quadruples(23, 1117)) == list(TABLE3)
+        assert quadruple_rows(scan_quadruples(23, 1117)) == list(TABLE3)
 
     @pytest.mark.parametrize("width", [kernels.WINDOW, 1000])
     def test_scan_matches_per_prime(self, monkeypatch, width):
@@ -128,10 +131,27 @@ class TestQuadruples:
         primes = primes_upto(10**5)
         for g in (3, 5, 11, 23):
             want = [(p, *qs) for p in primes if (qs := weil_quadruple(p, g)) is not None]
-            got = list(scan_quadruples(2 * g + 1, 10**5))
-            assert got == want, g
-            assert {type(v) for row in got for v in row} == {int}
-            assert find_smallest(2 * g + 1, 10**5) == want[0], g
+            chunks = list(scan_quadruples(2 * g + 1, 10**5))
+            assert quadruple_rows(chunks) == want, g
+            for col in (col for chunk in chunks for col in chunk):
+                assert col.dtype == np.int64 and 0 < len(col) <= CHUNK_ROWS, g
+            first = find_smallest(2 * g + 1, 10**5)
+            assert first == want[0], g
+            assert {type(v) for v in first} == {int}
+
+    @pytest.mark.parametrize("n", [7, 23])
+    def test_scan_window_below_budget(self, n):
+        # the last window of a pass to the budget, with uint16 witnesses:
+        # n*y^2 wraps unless y is widened to int64 before a is computed
+        *_, (lo, hi, base) = kernels._windows(kernels.SIEVE_BUDGET)
+        dtype = np.min_scalar_type(math.isqrt(kernels.SIEVE_BUDGET // n))
+        assert dtype == np.uint16 and hi == kernels.SIEVE_BUDGET + 1
+        window = kernels._classify(lo, hi, base, n, dtype, None)
+        rows = quadruple_rows(_quadruples([window], n))
+        assert len(rows) > 5000
+        for p, a, s in rows:
+            rep = represent_x2_ny2(p, n)
+            assert p % n != 1 and (a, s) == (2 * rep.x, 2 * rep.y), p
 
     def test_table2_rows(self):
         for g, p, a, s in TABLE2:
@@ -250,7 +270,11 @@ class TestLocalInvariants:
     def test_oracle_matches_lift_to_p_g_plus_1(self):
         # every TABLE2 row, and every member p < 10^4 at g = 5, 11, 23
         cases = [(g, p) for g, p, _, _ in TABLE2]
-        cases += [(g, p) for g in (5, 11, 23) for p, _, _ in scan_quadruples(2 * g + 1, 10**4)]
+        cases += [
+            (g, p)
+            for g in (5, 11, 23)
+            for p, _, _ in quadruple_rows(scan_quadruples(2 * g + 1, 10**4))
+        ]
         for g, p in cases:
             a, s = weil_quadruple(p, g)
             assert valuations_oracle(g, p, a, s) == lifted_root_valuations(g, p, a, s), (g, p)
