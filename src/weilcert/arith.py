@@ -6,8 +6,8 @@ modulo an odd prime and their Hensel lifts (the prime sieve lives in
 `kernels`). Nothing here factors an integer. The square root does not test
 its prime: `quadforms.represent_x2_ny2` and `weil.solve_general_p1m` test
 p once, at their entry. Every operation here is exact: no floating point
-enters any arithmetic path. Rationals are `fractions.Fraction` throughout
-the package.
+enters any arithmetic path. Rationals are `fractions.Fraction`, and numbers
+of unbounded size Decimals built exactly by `weil`, throughout the package.
 """
 
 from __future__ import annotations

@@ -181,7 +181,7 @@ def cmd_limit(args) -> int:
 
     g = DimensionParam(args.g)
     h = class_number(-8 * g.g - 4)
-    lim = asymptotic_limit(g)
+    lim = asymptotic_limit(g, h)
     rows = [[g.g, h, lim.numerator, lim.denominator, report.decimal_string(lim)]]
     header = ["g", "h", "limit_num", "limit_den", "limit_decimal"]
     _write_table(header, rows, args.format, args.out)
@@ -212,7 +212,7 @@ def cmd_certify(args) -> int:
         print(f"certificate failed [{name}]: {detail}", file=sys.stderr)
         return 1
     header = [*cert._fields, *("check_" + n.replace("-", "_") for n, _, _ in checks)]
-    q, b = map(report.integer_string, (cert.q, cert.weil_b))  # weil_c is q
+    q, b = str(cert.q), str(cert.weil_b)  # weil_c is q
     row = [*cert._replace(q=q, weil_b=b, weil_c=q), *("pass" for _ in checks)]
     if args.format == "markdown":
         _write_table(["field", "value"], zip(header, row), "markdown", args.out)

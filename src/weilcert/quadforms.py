@@ -2,7 +2,8 @@
 
 Class numbers h(D) of negative discriminants and the density limit, plus
 Cornacchia's O(log p) solver for the norm equations x^2 + n*y^2 = p
-(`represent_x2_ny2`) and a^2 + n*s^2 = 4p^k (`weil.solve_general_p1m`).
+(`represent_x2_ny2`) and u^2 + n*v^2 = 4p^d, d | h(-n), whose solution
+`weil.solve_general_p1m` powers to 4p^k.
 """
 
 from __future__ import annotations
@@ -94,9 +95,10 @@ def class_number(d: int) -> int:
     return len(reduced_forms(d))
 
 
-def asymptotic_limit(g: DimensionParam) -> Fraction:
-    """The exact limit of the density counting function: (1/(2h(-8g-4)))*(1 - 1/g)."""
-    h = class_number(-8 * g.g - 4)
+def asymptotic_limit(g: DimensionParam, h: int | None = None) -> Fraction:
+    """The exact limit of the density counting function: (1/(2h))*(1 - 1/g),
+    h = h(-8g-4), enumerated here unless it is given."""
+    h = class_number(-8 * g.g - 4) if h is None else h
     return Fraction(1, 2 * h) * (1 - Fraction(1, g.g))
 
 

@@ -3,9 +3,9 @@ tables, and the SVG scatter plot.
 
 Every numeric field is rendered from exact integers or rationals; binary
 floating point only ever appears in SVG coordinates. `write_table` writes
-Python rows in pure Python; `write_columns` writes chunks of int64 columns as
-ASCII digits made in numpy, which only it imports, so a table as long as the
-per-prime density stream builds no Python object per row or cell.
+Python rows in pure Python, each number through str; `write_columns` writes
+chunks of int64 columns as ASCII digits made in numpy, which only it imports,
+so the per-prime density stream builds no Python object per row or cell.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ SVG_MAX_POINTS = 5000
 #: calls per column.
 CHUNK_ROWS = 1024
 _INT64_MAX = 2**63 - 1
-#: Bits of the pieces integer_string converts whole.
-_LEAF_BITS = 128
 
 
 def _half_up(n, d):
@@ -50,48 +48,6 @@ def decimal_string(q: Fraction) -> str:
     scaled = _half_up(abs(q.numerator), q.denominator)
     whole, frac = divmod(scaled, 10**DECIMAL_PLACES)
     return f"{sign}{whole}.{frac:0{DECIMAL_PLACES}d}"
-
-
-def integer_string(v: int) -> str:
-    """The decimal digits of an int of any size, with its sign.
-
-    Through decimal.Decimal, which is exact and, unlike int.__str__, is
-    not subject to CPython's interpreter-wide int-to-str digit cap.
-    Decimal(v) of a large v takes time quadratic in its digits, so v is
-    split at powers of 2 down to _LEAF_BITS-bit pieces and rebuilt as
-    hi * 2**w + lo in Decimal arithmetic, whose products are
-    subquadratic, each power 2**w made once. The context cannot round:
-    its precision is the largest there is, and Inexact traps.
-    """
-    if -(1 << _LEAF_BITS) < v < 1 << _LEAF_BITS:  # far below the cap
-        return str(v)
-    import decimal
-
-    powers: dict[int, decimal.Decimal] = {}
-
-    def power(w: int) -> decimal.Decimal:
-        if w not in powers:
-            half = w >> 1
-            powers[w] = (
-                decimal.Decimal(1 << w)
-                if w <= _LEAF_BITS
-                else power(half) * power(w - half)
-            )
-        return powers[w]
-
-    def convert(n: int, w: int) -> decimal.Decimal:  # 0 <= n < 2**w
-        if w <= _LEAF_BITS:
-            return decimal.Decimal(n)
-        half = w >> 1
-        hi = n >> half
-        return convert(hi, w - half) * power(half) + convert(n - (hi << half), half)
-
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        digits = str(convert(abs(v), abs(v).bit_length()))
-    return "-" + digits if v < 0 else digits
 
 
 class FixedPoint(NamedTuple):
@@ -155,23 +111,23 @@ def write_table(
     """Write rows under a header to fh as csv, json, or markdown, each row
     as it is read.
 
-    Cells are ints or already-canonical strings; JSON keeps ints as
-    numbers and everything else as strings, so no float ever appears. An
-    int is written through integer_string, a string as it is, or in JSON
-    encoded as json.dumps does, between the layout's literals.
+    Cells are integers (ints, or integral Decimals where they may pass the
+    int-to-str digit cap) or already-canonical strings; JSON keeps integers
+    as numbers and everything else as strings, so no float ever appears. A
+    cell is written through str, or a string in JSON encoded as json.dumps
+    does, between the layout's literals.
     """
     head, around, sep, tail, empty = _layout(header, fmt)
+    quote = str
     if fmt == "json":
         from json.encoder import encode_basestring_ascii as quote
-    else:
-        quote = str
     written = False
     for row in rows:
         if len(row) != len(header):
             raise ValueError(f"a row of {len(row)} cells under a header of {len(header)}")
         parts = [sep if written else head, around[0]]
         for cell, after in zip(row, around[1:]):
-            parts += (quote(cell) if isinstance(cell, str) else integer_string(cell), after)
+            parts += (quote(cell) if isinstance(cell, str) else str(cell), after)
         fh.write("".join(parts))
         written = True
     fh.write(tail if written else empty)

@@ -16,16 +16,17 @@ factors an integer: with g and 2g+1 prime, the CM discriminant is one exact
 division and a square test on a^2 - 4p, the splitting order is the first
 of four candidates, and the oracle reads the root valuations mod p^2.
 
-`scan_quadruples` hands over (p, a, s) at n = 2g+1 as int64 column chunks
-and `find_smallest` its first row as ints; only the pass's readers import
-numpy and `kernels`. `run_certificate_checks` returns (checks, Certificate),
-a NamedTuple whose fields are certify's columns, in order.
+`scan_quadruples` hands over (p, a, s) at n = 2g+1 as int64 chunks, `find_smallest`
+its first row as ints; only the pass's readers import numpy and `kernels`. The
+Certificate of `run_certificate_checks` holds certify's columns, in order; q, b and
+the (a, s) of `solve_general_p1m` are Decimals built exactly, held to `DIGIT_BUDGET`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
@@ -37,7 +38,8 @@ from .arith import (
     padic_valuation,
     sqrt_mod_prime,
 )
-from .quadforms import cornacchia, represent_x2_ny2
+from .errors import ResourceLimitError
+from .quadforms import class_number, cornacchia, represent_x2_ny2
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,9 +72,9 @@ class Certificate(NamedTuple):
     p: int
     a: int
     s: int
-    q: int
-    weil_b: int
-    weil_c: int
+    q: Decimal
+    weil_b: Decimal
+    weil_c: Decimal
     cm_discriminant: int
     splitting_order: int
     inv_low_place: str
@@ -125,9 +127,27 @@ def find_smallest(n: int, p_max: int) -> tuple[int, int, int] | None:
     return None if chunk is None else tuple(int(col[0]) for col in chunk)
 
 
-def weil_polynomial(g: int, p: int, a: int) -> tuple[int, int]:
-    """(b, c) of t^2 + b*t + c = t^2 + a*p^((g-1)/2)*t + p^g."""
-    return a * p ** ((g - 1) // 2), p**g
+#: The most digits of p^g (certify) or p^k (find --m): certify --g 500333 --p
+#: 72250000850001003167 (9.94e6 digits) takes 0.9 s and 88 MB on a 2-core Xeon.
+DIGIT_BUDGET = 10**7
+
+
+def _exact(p: int, e: int):
+    """A local context that cannot round (the largest precision and Emax, and
+    Inexact traps); ResourceLimitError instead if p^e may pass DIGIT_BUDGET."""
+    # p^e < 2^(e*L), L = p.bit_length(), has at most e*L*log10(2) + 1 digits
+    if (digits := e * p.bit_length() * 302 // 1000 + 1) > DIGIT_BUDGET:
+        raise ResourceLimitError(f"{p}^{e} may have {digits} digits, past {DIGIT_BUDGET}")
+    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX)
+    ctx.traps[Inexact] = True
+    return localcontext(ctx)
+
+
+def weil_polynomial(g: int, p: int, a: int) -> tuple[Decimal, Decimal]:
+    """(b, c) of t^2 + b*t + c = t^2 + a*p^((g-1)/2)*t + p^g, as Decimals."""
+    with _exact(p, g):
+        half = Decimal(p) ** ((g - 1) // 2)
+        return a * half, half * half * p
 
 
 def cm_field_discriminant(b: int, c: int, n: int) -> int | None:
@@ -225,10 +245,10 @@ def run_certificate_checks(
     fail on their own: "quadruple-equation" restates the check
     `Representation` makes of p = x^2 + (2g+1)*y^2 (with a = 2x, s = 2y,
     and 0 < x < p for the odd prime p); "automorphism-order" compares the
-    order 2(2g+1) of the roots of unity with its own definition 4g+2;
-    "dimension" and "invariant-sum-integral" follow from the identities
-    before them. They stay as certificate columns, restating the paper's
-    chain in full.
+    order 2(2g+1) of the roots of unity with its own definition 4g+2; and
+    "weil-modulus", "dimension" and "invariant-sum-integral" follow from the
+    identities before them. They stay as certificate columns, restating the
+    paper's chain in full.
     """
     g, n = dim.g, dim.n
     rep = represent_x2_ny2(p, n)
@@ -258,11 +278,10 @@ def run_certificate_checks(
         return checks, None
 
     b, c = weil_polynomial(g, p, a)
-    if not check("weil-modulus", b * b < 4 * c, "b^2 < 4c and c = q = p^g"):
-        return checks, None
-
     # b^2 - 4c = p^(g-1) * (a^2 - 4p), and p^(g-1) is an even power: both
-    # have one kernel, read from the small factor
+    # have one sign and one squarefree kernel, read from the small factor
+    if not check("weil-modulus", a * a < 4 * p, "b^2 < 4c and c = q = p^g"):
+        return checks, None
     disc = cm_field_discriminant(a, p, n)
     relation = "=" if disc == -n else "!="
     if not check("cm-discriminant", disc == -n, f"kernel(b^2 - 4c) {relation} {-n}"):
@@ -313,32 +332,54 @@ def run_certificate_checks(
     return checks, cert
 
 
-def solve_general_p1m(g: DimensionParam, p: int, m: int) -> tuple[int, int] | None:
-    """The solution a, s >= 1 of a^2 - 4*p^(g-2m) = -(2g+1)*s^2, gcd(a, p) = 1.
-
-    p is 2 or an odd prime, tested for primality once, here (ValueError
-    otherwise). (a + s*sqrt(-n))/2, n = 2g+1, has norm p^k, k = g-2m; with
-    units +-1, (a, s) is unique and a = r*s mod 2p^k, r an odd root of -n
-    mod 4p^k. None when there is no solution.
-    """
+def solve_general_p1m(g: DimensionParam, p: int, m: int) -> tuple[Decimal, Decimal] | None:
+    """The solution a, s >= 1 of a^2 - 4*p^(g-2m) = -(2g+1)*s^2, gcd(a, p) = 1, as
+    Decimals, or None; p is 2 or an odd prime, tested once, here (ValueError
+    otherwise), and p^k, k = g-2m, is held to DIGIT_BUDGET. With units +-1,
+    (a + s*sqrt(-n))/2, n = 2g+1, is +-alpha^(k/d) or its conjugate for alpha
+    of norm p^d generating P^d, P above p and d the order of its class: the
+    least d | gcd(k, h(-n)) with an alpha (Cohen, A Course in Computational
+    Algebraic Number Theory, 1.5)."""
     if not 1 <= m <= (g.g - 1) // 2:
         raise ValueError(f"m must lie in [1, {(g.g - 1) // 2}], got {m}")
     n, k = g.n, g.g - 2 * m
+    if p != 2 and (p < 3 or not is_prime(p)):
+        raise ValueError(f"modulus {p} is not an odd prime")
+    with _exact(p, k):  # before anything of the size of p^k is built
+        common = math.gcd(k, class_number(-n))
+        for d in range(1, common + 1):
+            if common % d == 0 and (alpha := _norm_element(n, p, d)) is not None:
+                return _power(*alpha, k // d, n)
+    return None
+
+
+def _norm_element(n: int, p: int, d: int) -> tuple[int, int] | None:
+    """The u, v >= 1 with u^2 + n*v^2 = 4p^d and gcd(u, p) = 1, or None, for p 2
+    or an odd prime: u = r*v mod 2p^d, r an odd root of -n mod 4p^d (Cornacchia)."""
     if p == 2:  # needs -n = 1 mod 8; lift r^2 = -n mod 2^j one bit at a time
         if n % 8 != 7:
             return None
         r = 1
-        for j in range(3, k + 2):
+        for j in range(3, d + 2):
             if (r * r + n) % 2 ** (j + 1):
                 r += 2 ** (j - 1)
-    elif p < 3 or not is_prime(p):
-        raise ValueError(f"modulus {p} is not an odd prime")
     else:
         r = sqrt_mod_prime(-n, p)
         if r is None:  # -n is not a nonzero square mod p (also p = n)
             return None
-        r = hensel_lift(-n, p, k, r)
-    pk = p**k  # only once p has passed, since p^k has about g digits
-    r += pk * (1 - r % 2)  # the odd one of r, r + p^k; r is odd for p = 2
-    sol = cornacchia(n, 2 * pk, r, 4 * pk)  # 0 < r < 2p^k
+        r = hensel_lift(-n, p, d, r)
+    pd = p**d
+    r += pd * (1 - r % 2)  # the odd one of r, r + p^d; r is odd for p = 2
+    sol = cornacchia(n, 2 * pd, r, 4 * pd)  # 0 < r < 2p^d
     return sol if sol is not None and math.gcd(sol[0], p) == 1 else None
+
+
+def _power(u: int, v: int, e: int, n: int) -> tuple[Decimal, Decimal]:
+    """(|a|, |s|) of alpha^e = (a + s*sqrt(-n))/2, alpha = (u + v*sqrt(-n))/2, by
+    squaring in the caller's exact context; as a = s and u = v mod 2, halves are exact."""
+    a, s = Decimal(u), Decimal(v)
+    for bit in bin(e)[3:]:
+        a, s = (a * a - n * s * s) / 2, a * s
+        if bit == "1":
+            a, s = (a * u - n * s * v) / 2, (a * v + s * u) / 2
+    return a.copy_abs(), s.copy_abs()

@@ -18,6 +18,7 @@ from weilcert.cli import main
 from weilcert.density import density_series
 from weilcert.arith import DimensionParam
 from weilcert.report import FORMATS, decimal_string, fixed_point
+from weilcert.weil import run_certificate_checks
 import oracles
 from conftest import TABLE3, count_primality_tests, traced_peak
 
@@ -432,6 +433,11 @@ WHOLE_OUTPUTS = {
         ["certify", "--g", "10061", "--p", "21023", "--out"],
         "4a36d90ab6a43e72ea45650ff64f5add23bb1d5d19e982b6b78bc7a466ea2237",
     ),
+    # a = 162613468855...: 21742 digits, past CPython's default int-to-str cap
+    "find-m-g10061": (
+        ["find", "--g", "10061", "--p", "21023", "--m", "1", "--out"],
+        "b3d13444c57f7b64f88efe43131c2906c6fd13e953acdd808ca6f18dac219e38",
+    ),
     "find-m-json": (
         ["find", "--g", "5", "--p", "47", "--m", "1", "--format", "json", "--out"],
         "488d6104f4af16e3e988b4f3c98b389bea9f2a7e7f22c52b67012221433c9a2c",
@@ -476,6 +482,15 @@ class TestScalarCommands:
         rc, out, _ = run(capsys, "limit", "--g", "5")
         assert rc == 0
         assert "5,3,2,15,0.13333333" in out
+
+    def test_limit_enumerates_once(self, capsys, monkeypatch):
+        # h(-8g-4) is enumerated once, for its column and for the limit
+        calls = []
+        forms = quadforms.reduced_forms
+        monkeypatch.setattr(quadforms, "reduced_forms", lambda d: calls.append(d) or forms(d))
+        rc, out, _ = run(capsys, "limit", "--g", "11")
+        assert (rc, out) == (0, "g,h,limit_num,limit_den,limit_decimal\n11,3,5,33,0.15151515\n")
+        assert calls == [-92]
 
     def test_classnum(self, capsys):
         rc, out, _ = run(capsys, "classnum", "--disc", "-92")
@@ -566,10 +581,11 @@ class TestCertify:
         assert int(q[-40:]) == pow(3359, 1229, 10**40)
 
     def test_renders_q_once(self, capsys, monkeypatch):
-        # q and weil_c are the same int p^g, rendered once for both columns
+        # q and weil_c are one Decimal p^g, rendered once for both columns
+        _, cert = run_certificate_checks(DimensionParam(5), 47)
+        assert cert.q is cert.weil_c and cert.q == 47**5
         rendered = []
-        render = report.integer_string
-        monkeypatch.setattr(report, "integer_string", lambda v: rendered.append(v) or render(v))
+        monkeypatch.setattr(cli, "str", lambda v: rendered.append(v) or str(v), raising=False)
         rc, out, _ = run(capsys, "certify", "--g", "5", "--p", "47")
         assert rc == 0
         assert rendered.count(47**5) == 1
@@ -580,6 +596,20 @@ class TestCertify:
         rc, _, err = run(capsys, "certify", "--g", "5", "--p", "15")
         assert rc == 2
         assert "not prime" in err
+
+
+def test_powers_past_the_digit_budget_exit_3(capsys):
+    # p = x^2 + 1000667 for x = 10^15 + 86 passes (P1) and (P2) at g = 500333,
+    # where p^g and p^(g-2) have about 1.5e7 digits: refused before either is built
+    p = "1000000000000172000000001008063"
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "certify", "--g", "500333", "--p", p)
+    assert (rc, out) == (3, "")
+    assert err == f"resource error: {p}^500333 may have 15110057 digits, past 10000000\n"
+    rc, out, err = run(capsys, "find", "--g", "500333", "--p", p, "--m", "1")
+    assert (rc, out) == (3, "")
+    assert err == f"resource error: {p}^500331 may have 15109997 digits, past 10000000\n"
+    assert time.perf_counter() - start < 1
 
 
 class TestPlotAndOutput:

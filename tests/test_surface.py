@@ -17,8 +17,8 @@ exponential, or float() itself: the package computes exactly, and an
 integer root goes through math.isqrt.
 
 No module calls sys.set_int_max_str_digits: the digit cap is the
-interpreter's, and an int of any size is written through
-report.integer_string, which it does not bind.
+interpreter's, and a number that may pass it is built as a Decimal, whose
+str it does not bind.
 """
 
 import ast

@@ -1,10 +1,13 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weilcert import kernels
+from weilcert import kernels, weil
 from weilcert.arith import DimensionParam, is_sophie_germain
 from weilcert.errors import ResourceLimitError
 from weilcert.quadforms import represent_x2_ny2
@@ -181,9 +184,10 @@ class TestWeilPolynomial:
 
 class TestCMDiscriminant:
     def test_examples(self):
-        assert cm_field_discriminant(*polynomial(5, 47), 11) == -11
-        assert cm_field_discriminant(*polynomial(11, 59), 23) == -23
-        assert cm_field_discriminant(*polynomial(173, 383), 347) == -347
+        # on b and c as ints, whose b^2 - 4c is exact
+        for g, p in ((5, 47), (11, 59), (173, 383)):
+            b, c = map(int, polynomial(g, p))
+            assert cm_field_discriminant(b, c, 2 * g + 1) == -2 * g - 1
         # b^2 - 4c = -44 = -11 * 2^2, so its kernel is -11 and not -23
         assert cm_field_discriminant(12, 47, 11) == -11
         assert cm_field_discriminant(12, 47, 23) is None
@@ -362,6 +366,22 @@ class TestCertify:
         assert (cert.oracle_val_plus, cert.oracle_val_minus) == (3, 2)
 
 
+class TestDigitBudget:
+    @given(st.integers(2, 10**40), st.integers(1, 100))
+    @settings(max_examples=200, deadline=None)
+    def test_refuses_only_past_a_bound_on_the_digits(self, p, e):
+        # the bound is at least the digits of p^e and at most twice them
+        digits = len(str(p**e))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(weil, "DIGIT_BUDGET", digits - 1)
+            with pytest.raises(ResourceLimitError) as exc:
+                weil._exact(p, e)
+            bound = int(re.search(r"may have (\d+) digits", str(exc.value))[1])
+            assert digits <= bound <= 2 * digits
+            patch.setattr(weil, "DIGIT_BUDGET", bound)
+            weil._exact(p, e)
+
+
 class TestGeneralEquation:
     def test_reduces_to_p1_at_top_m(self):
         for g_val, p, a, s in TABLE2:
@@ -405,6 +425,50 @@ class TestGeneralEquation:
                     assert solve_general_p1m(g, p, m) == want, (g_val, p, m)
                     cases += 1
         assert cases == 2295
+
+    def test_matches_direct_solve_at_k(self):
+        # the power of the element of norm p^d against the solve at the full
+        # exponent k, for every m at TABLE2's (g, p): 2523 cases
+        cases = 0
+        for g_val, p, _, _ in TABLE2:
+            g = DimensionParam(g_val)
+            for m in range(1, (g_val - 1) // 2 + 1):
+                want = weil._norm_element(g.n, p, g_val - 2 * m)
+                assert solve_general_p1m(g, p, m) == want, (g_val, p, m)
+                cases += 1
+        assert cases == 2523
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("g_val, p", [(1229, 3359), (10061, 21023)])
+    def test_matches_direct_solve_at_large_g(self, g_val, p):
+        # a has 2164 and 21742 digits
+        g = DimensionParam(g_val)
+        assert solve_general_p1m(g, p, 1) == weil._norm_element(g.n, p, g_val - 2)
+
+    def test_solves_only_at_the_exponent_of_the_class(self, monkeypatch):
+        # no root is lifted to p^k and no Euclid runs on 2p^k: at g = 30269,
+        # p = 62303 = x^2 + 60539*y^2 has d = 1; at g = 11 (h(-23) = 3),
+        # 4*3^3 = 4^2 + 23*2^2 gives p = 3 its d = 3 below k = 9
+        lifts, euclids = [], []
+        lift, euclid = weil.hensel_lift, weil.cornacchia
+
+        def logged_lift(a, p, k, t):
+            lifts.append(k)
+            return lift(a, p, k, t)
+
+        def logged_euclid(n, m, r, rhs):
+            euclids.append(rhs)
+            return euclid(n, m, r, rhs)
+
+        monkeypatch.setattr(weil, "hensel_lift", logged_lift)
+        monkeypatch.setattr(weil, "cornacchia", logged_euclid)
+        a, s = map(int, solve_general_p1m(DimensionParam(30269), 62303, 1))
+        assert a * a + 60539 * s * s == 4 * 62303**30267
+        assert (lifts, euclids) == ([1], [4 * 62303])
+        lifts.clear(), euclids.clear()
+        a, s = map(int, solve_general_p1m(G11, 3, 1))
+        assert a * a + 23 * s * s == 4 * 3**9
+        assert (lifts, euclids) == ([1, 3], [4 * 3, 4 * 3**3])
 
     def test_m_range_validated(self):
         with pytest.raises(ValueError):
