@@ -101,7 +101,8 @@ def test_5_certificate_suite(capsys):
         n = 2 * g + 1
         assert (cert.a, cert.s) == (a, s)
         assert cert.a**2 - 4 * p == -n * cert.s**2
-        assert cert.weil_b**2 < 4 * cert.weil_c and cert.weil_c == p**g == cert.q
+        b, c = int(cert.weil_b), int(cert.weil_c)  # exact, unlike Decimal's default context
+        assert b**2 < 4 * c and c == p**g == cert.q
         assert cert.cm_discriminant == -n
         assert cert.splitting_order == g
         lo = Fraction(cert.inv_low_num, cert.inv_low_den)

@@ -43,9 +43,10 @@ G11 = DimensionParam(11)
 
 
 def polynomial(g: int, p: int) -> tuple[int, int]:
-    """(b, c) from the a of the definition-direct oracle's quadruple."""
+    """(b, c) from the a of the definition-direct oracle's quadruple, as ints,
+    whose arithmetic is exact where the default decimal context would round."""
     a, _ = weil_quadruple(p, g)
-    return weil_polynomial(g, p, a)
+    return tuple(map(int, weil_polynomial(g, p, a)))
 
 
 class TestSophieGermain:
@@ -184,10 +185,9 @@ class TestWeilPolynomial:
 
 class TestCMDiscriminant:
     def test_examples(self):
-        # on b and c as ints, whose b^2 - 4c is exact
-        for g, p in ((5, 47), (11, 59), (173, 383)):
-            b, c = map(int, polynomial(g, p))
-            assert cm_field_discriminant(b, c, 2 * g + 1) == -2 * g - 1
+        assert cm_field_discriminant(*polynomial(5, 47), 11) == -11
+        assert cm_field_discriminant(*polynomial(11, 59), 23) == -23
+        assert cm_field_discriminant(*polynomial(173, 383), 347) == -347
         # b^2 - 4c = -44 = -11 * 2^2, so its kernel is -11 and not -23
         assert cm_field_discriminant(12, 47, 11) == -11
         assert cm_field_discriminant(12, 47, 23) is None
