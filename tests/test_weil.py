@@ -465,7 +465,8 @@ class TestGeneralEquation:
         a, s = map(int, solve_general_p1m(DimensionParam(30269), 62303, 1))
         assert a * a + 60539 * s * s == 4 * 62303**30267
         assert (lifts, euclids) == ([1], [4 * 62303])
-        lifts.clear(), euclids.clear()
+        lifts.clear()
+        euclids.clear()
         a, s = map(int, solve_general_p1m(G11, 3, 1))
         assert a * a + 23 * s * s == 4 * 3**9
         assert (lifts, euclids) == ([1, 3], [4 * 3, 4 * 3**3])
