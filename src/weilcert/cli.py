@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "p_max", 2) < 2:  # find, scan and table2 sieve up to it
+        if getattr(args, "p_max", 2) < 2:  # find, scan and table2 search up to it
             raise ValueError(f"--p-max must be >= 2, got {args.p_max}")
         return args.func(args)
     except ValueError as exc:

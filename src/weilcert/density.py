@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from . import kernels
-from .arith import DimensionParam
+from .arith import DimensionParam, check_sieve_limit
 from .quadforms import asymptotic_limit
 
 #: Checkpoints used by the convergence tables.
@@ -175,7 +175,7 @@ def prime_count(x: int) -> int:
     next prime's square. Every v // p of a value v = x // k is a value
     again: x // (k*p). Checks x as the prime sieve does, before any work.
     """
-    kernels.check_sieve_limit(x)
+    check_sieve_limit(x)
     r = math.isqrt(x)
     small = np.arange(-1, r, dtype=np.int64)  # small[v] = S(v), v <= r
     quot = x // np.arange(1, r + 1, dtype=np.int64)  # quot[k - 1] = x // k

@@ -1,22 +1,22 @@
 """The batch classification kernel: primes sieved and sorted by the paper's
 conditions (P1) p = x^2 + n*y^2 and (P2) p != 1 (mod n), with n = 2g+1.
 
-`classified_windows` is the one pass every command covering many primes
-reads (`density`, `plot`, `scan`, `find`, `table2`). It walks [0, limit]
-in fixed windows [lo, hi) of WINDOW integers and classifies each in odd
-slots: slot i of a window is the odd integer lo|1 + 2i. Each window is one
-array over its slots. With witnesses it holds the witness y of each (P1)
-prime and 0 at every other slot; without, one byte a slot, it holds 0 at
-the composites, 1 at the other primes and 3 at the (P1) ones, so the
-primes are its nonzero slots and the (P1) marks are left by `>>= 1`. The
-(P2) failures are one residue class of slots, `split_slots`. The pass
-builds no per-prime array: a reader that counts counts slots, and a
-reader that lists primes or members takes `np.flatnonzero` of the slots
-it lists. A window's working set is about 0.8 bytes per integer of the
-window without witnesses and 1.3 with uint16 witnesses, plus about 32
-bytes per form-sieve row y <= sqrt(hi/n): no array of the pass outlives
-its window, so a caller that drops each window before taking the next
-holds one at a time, and a caller that has what it needs stops early.
+`classified_windows` is the one pass every command that lists all primes up
+to a limit reads (`density`, `plot`, `scan`); `find` and `table2`, which
+want one prime per g, read no window. It walks [0, limit] in fixed windows
+[lo, hi) of WINDOW integers and classifies each in odd slots: slot i of a
+window is the odd integer lo|1 + 2i. Each window is one array over its
+slots. With witnesses it holds the witness y of each (P1) prime and 0 at
+every other slot; without, one byte a slot, it holds 0 at the composites, 1
+at the other primes and 3 at the (P1) ones, so the primes are its nonzero
+slots and the (P1) marks are left by `>>= 1`. The (P2) failures are one
+residue class of slots, `split_slots`. The pass builds no per-prime array:
+a reader that counts counts slots, and a reader that lists primes or
+members takes `np.flatnonzero` of the slots it lists. A window's working
+set is about 0.8 bytes per integer of the window without witnesses and 1.3
+with uint16 witnesses, plus about 32 bytes per form-sieve row
+y <= sqrt(hi/n): no array of the pass outlives its window, so a caller that
+drops each window before taking the next holds one at a time.
 
 Per window, two integer-only sieves run over the odd integers only (2 is
 the one even prime, and has no slot), both in the window's one array:
@@ -49,7 +49,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .arith import check_sieve_limit
 
 #: Integers per window. A window's working set peaks at about 0.8 bytes per
 #: integer (0.8 MB): 0.5 MB for its one array of 1-byte marks and one block
@@ -62,10 +62,6 @@ WINDOW = 1 << 20
 #: Form-sieve marks computed at once: 2^14 marks take 0.3 MB of int64
 #: temporaries, against 124,000 marks per window at n = 11.
 MARK_BLOCK = 1 << 14
-
-#: The largest limit a pass accepts. It bounds the time of a pass (about
-#: 2.7 s at n = 23 on a 2-core Xeon); the memory does not grow with the limit.
-SIEVE_BUDGET = 10**9
 
 # _COPRIME[i] is 1 iff the odd integer 2i + 1 is prime to 3*5*7*11*13,
 # which repeats with i every 15015; it is held twice over, so that any
@@ -81,24 +77,6 @@ for _p in _PRESIEVED:
 # times sqrt(m) or sqrt(m) + 1.
 _SEEDS = np.array(sorted({math.isqrt(math.isqrt(1 << j)) + 1 for j in range(125)}))
 _SEED_SQUARES = _SEEDS * _SEEDS
-
-
-def prime_windows(limit: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(lo, hi, primes) for each window [lo, hi) up to limit, ascending.
-
-    primes holds the window's primes as ascending int64. Checks limit
-    against SIEVE_BUDGET before any window is allocated.
-    """
-    check_sieve_limit(limit)
-    return itertools.starmap(_primes, _windows(limit))
-
-
-def check_sieve_limit(limit: int) -> None:
-    """Raise unless 2 <= limit <= SIEVE_BUDGET."""
-    if limit < 2:
-        raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    if limit > SIEVE_BUDGET:
-        raise ResourceLimitError(f"sieve limit {limit} exceeds budget {SIEVE_BUDGET}")
 
 
 def _windows(limit: int) -> Iterator[tuple[int, int, np.ndarray]]:

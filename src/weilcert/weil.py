@@ -16,15 +16,18 @@ factors an integer: with g and 2g+1 prime, the CM discriminant is one exact
 division and a square test on a^2 - 4p, the splitting order is the first
 of four candidates, and the oracle reads the root valuations mod p^2.
 
-`scan_quadruples` hands over (p, a, s) at n = 2g+1 as int64 chunks, `find_smallest`
-its first row as ints; only the pass's readers import numpy and `kernels`. The
-Certificate of `run_certificate_checks` holds certify's columns, in order; q, b and
-the (a, s) of `solve_general_p1m` are Decimals built exactly, held to `DIGIT_BUDGET`.
+`scan_quadruples` hands over (p, a, s) at n = 2g+1 as int64 chunks from the
+windowed pass; only it imports numpy and `kernels`. `find_smallest` finds its
+first row as ints from the form values in ascending order, and
+`sophie_germain_list` tests g and 2g+1 with `is_prime`, so `find` and `table2`
+sieve nothing. The Certificate of `run_certificate_checks` holds certify's
+columns, in order; q, b and the (a, s) of `solve_general_p1m` are Decimals built
+exactly, held to `DIGIT_BUDGET`.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import math
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
@@ -32,6 +35,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .arith import (
     DimensionParam,
+    check_sieve_limit,
     hensel_lift,
     is_perfect_square,
     is_prime,
@@ -46,23 +50,15 @@ if TYPE_CHECKING:
 
 
 def sophie_germain_list(max_g: int) -> list[int]:
-    """All Sophie Germain primes <= max_g, ascending, one window at a time.
-
-    The windows of g and of q = 2g+1 both start at 0 and have one width,
-    so the q of g-window k lie in q-windows 2k and 2k+1.
-    """
-    import numpy as np
-
-    from . import kernels
-
+    """All Sophie Germain primes <= max_g, ascending, with 2g+1 held to
+    SIEVE_BUDGET. Past 5, 3 divides 2g+1 when g = 1 (mod 3) and 5 divides it
+    when g = 2 (mod 5), so a prime g > 5 is 11, 23 or 29 (mod 30)."""
     if max_g < 2:
         return []
-    q_windows = kernels.prime_windows(2 * max_g + 1)
-    found = []
-    for _, _, gs in kernels.prime_windows(max_g):
-        qs = np.concatenate([primes for _, _, primes in itertools.islice(q_windows, 2)])
-        found += gs[np.isin(2 * gs + 1, qs)].tolist()
-    return found
+    check_sieve_limit(2 * max_g + 1)
+    wheel = (g + r for g in range(0, max_g + 1, 30) for r in (11, 23, 29))
+    found = [g for g in wheel if g <= max_g and is_prime(g) and is_prime(2 * g + 1)]
+    return [g for g in (2, 3, 5) if g <= max_g] + found
 
 
 class Certificate(NamedTuple):
@@ -121,10 +117,25 @@ def _quadruples(windows, n: int) -> Iterator[tuple[np.ndarray, ...]]:
 
 
 def find_smallest(n: int, p_max: int) -> tuple[int, int, int] | None:
-    """The first row of scan_quadruples(n, p_max) as ints, or None; the pass
-    stops at the first window that holds one, at its first chunk of rows."""
-    chunk = next(scan_quadruples(n, p_max), None)
-    return None if chunk is None else tuple(int(col[0]) for col in chunk)
+    """The first row of scan_quadruples(n, p_max) as ints, or None, for n >= 2.
+
+    The values x^2 + n*y^2 (x, y >= 1) come in ascending order from a heap
+    with one entry (value, x, y) per row y; row y + 1 joins when row y's
+    x = 1 entry is popped, as none of its values is smaller. The first value
+    that is odd, != 1 (mod n) and prime is p, with its one representation.
+    """
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    check_sieve_limit(p_max)
+    heap = [(1 + n, 1, 1)]
+    while heap[0][0] <= p_max:
+        p, x, y = heap[0]
+        if x == 1:
+            heapq.heappush(heap, (1 + n * (y + 1) ** 2, 1, y + 1))
+        heapq.heapreplace(heap, (p + 2 * x + 1, x + 1, y))
+        if p % 2 and p % n != 1 and is_prime(p):
+            return p, 2 * x, 2 * y
+    return None
 
 
 #: The most digits of p^g (certify) or p^k (find --m): certify --g 500333 --p
@@ -135,8 +146,8 @@ DIGIT_BUDGET = 10**7
 def _exact(p: int, e: int):
     """A local context that cannot round (the largest precision and Emax, and
     Inexact traps); ResourceLimitError instead if p^e may pass DIGIT_BUDGET."""
-    # p^e < 2^(e*L), L = p.bit_length(), has at most e*L*log10(2) + 1 digits
-    if (digits := e * p.bit_length() * 302 // 1000 + 1) > DIGIT_BUDGET:
+    # p^e <= 2^(e*L), L = (p - 1).bit_length(), has at most e*L*log10(2) + 1 digits
+    if (digits := e * (p - 1).bit_length() * 302 // 1000 + 1) > DIGIT_BUDGET:
         raise ResourceLimitError(f"{p}^{e} may have {digits} digits, past {DIGIT_BUDGET}")
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX)
     ctx.traps[Inexact] = True

@@ -1,10 +1,11 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import weilcert
-from weilcert import kernels
+from weilcert import arith, kernels
 from weilcert.arith import DimensionParam, is_prime
 from weilcert.density import density_series
 
@@ -66,13 +67,21 @@ def traced_peak(command):
         tracemalloc.stop()
 
 
+def prime_windows(limit):
+    """(lo, hi, primes) for each window [lo, hi) up to limit, ascending, from
+    the prime sieve of the pass: primes holds the window's primes as ascending
+    int64. Checks limit against the sieve budget before any window is sieved."""
+    arith.check_sieve_limit(limit)
+    return itertools.starmap(kernels._primes, kernels._windows(limit))
+
+
 def classified(limit, n):
     """The windows of one pass joined into whole per-prime (primes, y,
-    member) arrays: the primes of `kernels.prime_windows`, their witnesses
+    member) arrays: the primes of `prime_windows`, their witnesses
     and the (P1)-and-(P2) mask that clears `kernels.split_slots`, after 2,
     which has no slot and is 1 + n*1^2 for n = 1 only."""
     primes, ys, members = [np.array([2])], [], [np.array([n == 1])]
-    windows = zip(kernels.prime_windows(limit), kernels.classified_windows(limit, n))
+    windows = zip(prime_windows(limit), kernels.classified_windows(limit, n))
     for (_, _, odd), (first, rep) in windows:
         odd = odd[odd > 2]
         slots = (odd - first) // 2
@@ -91,8 +100,8 @@ def quadruple_rows(chunks):
 
 
 def sieved_primes(limit):
-    """All primes <= limit: the windows of kernels.prime_windows joined."""
-    return np.concatenate([primes for _, _, primes in kernels.prime_windows(limit)])
+    """All primes <= limit: the windows of prime_windows joined."""
+    return np.concatenate([primes for _, _, primes in prime_windows(limit)])
 
 
 @pytest.fixture(scope="session")

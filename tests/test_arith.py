@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from weilcert import arith, kernels
 from weilcert.arith import hensel_lift, is_perfect_square, is_prime, sqrt_mod_prime
 from weilcert.errors import ResourceLimitError
-from conftest import sieved_primes
+from conftest import prime_windows, sieved_primes
 from oracles import (
     brute_sqrt_roots,
     euler_criterion,
@@ -70,7 +70,7 @@ class TestIsPrime:
 
 
 class TestSieve:
-    """The package's one prime sieve, `kernels.prime_windows`, joined."""
+    """The prime sieve of the pass, `conftest.prime_windows`, joined."""
 
     def test_counts(self, sieve_1e6):
         assert len(sieve_1e6) == 78498  # = 3 * 26166
@@ -93,11 +93,11 @@ class TestSieve:
         assert got == [n for n in range(101) if trial_division_is_prime(n)]
 
     def test_budget(self, monkeypatch):
-        monkeypatch.setattr(kernels, "SIEVE_BUDGET", 10**6)
+        monkeypatch.setattr(arith, "SIEVE_BUDGET", 10**6)
         with pytest.raises(ResourceLimitError):
-            kernels.prime_windows(10**7)
+            prime_windows(10**7)
         with pytest.raises(ValueError):
-            kernels.prime_windows(1)
+            prime_windows(1)
 
     def test_count_beyond_limit(self):
         # the windows stop exactly at the limit, so a count past it must

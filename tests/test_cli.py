@@ -69,7 +69,7 @@ class TestFind:
         assert "7 is not a Sophie Germain prime" in err
 
     def test_p_max_past_old_sieve_budget(self, capsys):
-        # the pass stops in the first window, which holds p = 47
+        # the form values stop at p = 47, far below the limit
         rc, out, err = run(capsys, "find", "--g", "5", "--p-max", "300000000")
         assert (rc, out, err) == (0, "g,p,a,s\n5,47,12,2\n", "")
 
@@ -163,13 +163,19 @@ class TestScan:
         assert rows == want
 
     def test_sieved_primes_are_not_retested(self, capsys, monkeypatch):
-        # DimensionParam tests g and 2g+1; every p comes from the sieve
+        # DimensionParam tests g and 2g+1; every p of scan comes from the
+        # sieve, and find tests each odd form value != 1 (mod 59) once, in
+        # ascending order, up to its p
         calls = count_primality_tests(monkeypatch)
         rc, out, _ = run(capsys, "scan", "--g", "11", "--p-max", "100000")
         assert rc == 0 and len(out.splitlines()) == 1 + 1426
+        assert calls == [11, 23]
+        calls.clear()
         rc, out, _ = run(capsys, "find", "--g", "29")
         assert (rc, out) == (0, "g,p,a,s\n29,317,18,4\n")
-        assert calls == [11, 23, 29, 59]
+        values = (x * x + 59 * y * y for x in range(1, 17) for y in (1, 2))
+        tested = sorted(v for v in values if v <= 317 and v % 2 and v % 59 != 1)
+        assert calls == [29, 59, *tested] and tested[-1] == 317
 
     def test_scan_peak_is_the_pass(self, capsys, tmp_path):
         # writing a window's rows adds at most a tenth of the pass's own
@@ -182,11 +188,21 @@ class TestScan:
         assert traced_peak(lambda: main(argv)) <= 1.10 * bare
 
     def test_table2_does_not_retest_g(self, capsys, monkeypatch):
-        # every g and 2g+1 comes from the Sophie Germain sieve
-        calls = count_primality_tests(monkeypatch)
+        # every g and 2g+1 comes from the Sophie Germain list, tested there
+        # once: table2 validates no g again as a DimensionParam
+        built = []
+        validate = DimensionParam.__post_init__
+
+        def counted(dim):
+            built.append(dim.g)
+            validate(dim)
+
+        monkeypatch.setattr(DimensionParam, "__post_init__", counted)
         rc, out, _ = run(capsys, "table2")
         assert rc == 0 and len(out.splitlines()) == 1 + 24
-        assert calls == []
+        assert built == []
+        assert run(capsys, "find", "--g", "509")[0] == 0
+        assert built == [509]  # the patch reaches the command
 
 
 class TestPMax:
@@ -198,6 +214,25 @@ class TestPMax:
         assert rc == 2
         assert out == ""
         assert "--p-max must be >= 2, got 1" in err
+
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["find", "--g", "5", "--p-max", "1000000001"],
+            ["table2", "--p-max", "1000000001"],
+            # 2g+1 = 1000000001
+            ["table2", "--g-max", "500000000"],
+        ],
+    )
+    def test_past_the_budget_exits_3(self, capsys, command):
+        # the limit, or the 2g+1 of the Sophie Germain list, is refused before
+        # any search
+        start = time.perf_counter()
+        rc, out, err = run(capsys, *command)
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (3, "")
+        assert err == "resource error: sieve limit 1000000001 exceeds budget 1000000000\n"
 
 
 class TestTable2:
@@ -243,8 +278,9 @@ class TestDensity:
         assert lines[-1].startswith("97,")
 
     def test_series_sieves_and_classifies_once(self, capsys, tmp_path, monkeypatch):
-        # one pass over the windows per command (per g for table2): a second
-        # pass, or a window sieved twice, changes the counts
+        # one pass over the windows per command that lists every prime, and
+        # none for find and table2: a second pass, or a window sieved twice,
+        # changes the counts
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -257,26 +293,25 @@ class TestDensity:
             monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
         monkeypatch.setattr(kernels, "WINDOW", 400)
         commands = (
-            # 1000 spans three windows of 400, and find stops in the first
+            # 1000 spans three windows of 400
             (["density", "--g", "11", "--checkpoints", "1000",
               "--series", str(tmp_path / "series.csv")], 1, 1, 3),
             (["scan", "--g", "11", "--p-max", "1000"], 1, 1, 3),
-            (["find", "--g", "11"], 1, 1, 1),
+            (["find", "--g", "11"], 0, 0, 0),
             (["plot", "--g", "11", "--x-max", "1000", "--out", str(tmp_path / "f.svg")],
              1, 1, 3),
-            # one pass per g in 5, 11, 23, 29, plus the g and the 2g+1 of the
-            # Sophie Germain list
-            (["table2", "--g-max", "29"], 4, 6, 4),
+            # the smallest p of each g and the Sophie Germain list sieve nothing
+            (["table2", "--g-max", "29"], 0, 0, 0),
         )
         for argv, passes, prime_passes, windows in commands:
             calls.clear()
             rc, _, _ = run(capsys, *argv)
             assert rc == 0, argv
-            assert calls == {
-                "classified_windows": passes,
-                "_windows": prime_passes,
-                "_odd_form_witnesses": windows,
-            }, argv
+            assert calls == collections.Counter(
+                classified_windows=passes,
+                _windows=prime_passes,
+                _odd_form_witnesses=windows,
+            ), argv
 
     def test_stream_rows_one_chunk_at_a_time(self, monkeypatch):
         # the per-prime columns are built per CHUNK_ROWS slice, not for the

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weilcert import kernels
+from weilcert import arith, kernels
 from weilcert.arith import DimensionParam, is_prime
 from weilcert.density import density_series, prime_count
 from weilcert.errors import ResourceLimitError
 from weilcert.quadforms import asymptotic_limit, reduced_forms, represent_x2_ny2
 from weilcert.report import decimal_string
 from weilcert.weil import scan_quadruples, sophie_germain_list
-from conftest import CHECKPOINTS, TABLE4, classified, quadruple_rows, sieved_primes
+from conftest import (
+    CHECKPOINTS, TABLE4, classified, prime_windows, quadruple_rows, sieved_primes,
+)
 from oracles import classify_prime, density_counts, form_values, primes_upto
 
 G5 = DimensionParam(5)
@@ -80,7 +82,7 @@ class TestSeries:
             density_series(G11, (200, 100))
         with pytest.raises(ValueError):
             density_series(G11, (1, 100))
-        monkeypatch.setattr(kernels, "SIEVE_BUDGET", 10**4)
+        monkeypatch.setattr(arith, "SIEVE_BUDGET", 10**4)
         with pytest.raises(ResourceLimitError):
             density_series(G11, (10**6,))
 
@@ -146,7 +148,7 @@ class TestWindows:
         ]
         with pytest.raises(ValueError, match="sieve limit must be >= 2, got 1"):
             prime_count(1)
-        budget = kernels.SIEVE_BUDGET
+        budget = arith.SIEVE_BUDGET
         with pytest.raises(ResourceLimitError, match=f"limit {budget + 1} exceeds budget"):
             prime_count(budget + 1)
         # checked before any work: the arrays for 10^30 would not fit
@@ -280,7 +282,7 @@ def class_sum_gap(g: DimensionParam, checkpoints: tuple[int, ...]) -> list[int]:
         if (f.a, f.b, f.c) != (1, 0, n)
     ]
     gap = np.zeros(len(checkpoints), dtype=np.int64)
-    for lo, hi, primes in kernels.prime_windows(checkpoints[-1]):
+    for lo, hi, primes in prime_windows(checkpoints[-1]):
         odd = primes[(primes != 2) & (primes != n)]
         below = np.searchsorted(odd, checkpoints, side="right")
 

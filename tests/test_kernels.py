@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weilcert import kernels
+from weilcert import arith, kernels
 from weilcert.arith import DimensionParam
 from weilcert.density import density_series
 from weilcert.quadforms import represent_x2_ny2
 from weilcert.weil import scan_quadruples
 from weilcert.errors import ResourceLimitError
-from conftest import classified, traced_peak
+from conftest import classified, prime_windows, traced_peak
 from oracles import (
     classify_prime,
     early_break_rep_exists,
@@ -80,7 +80,7 @@ class TestBackends:
         with pytest.raises(ValueError):
             kernels.classified_windows(1, 23)
         with pytest.raises(ValueError):
-            kernels.prime_windows(1)
+            prime_windows(1)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
@@ -129,7 +129,7 @@ class TestFormWitnesses:
         # each window finds its own least x for every y: windows at the
         # budget, and windows whose first odd value is a form value
         # k^2 + n*y^2 (least x k) or whose lower edge is one past it (k + 1)
-        top = kernels.SIEVE_BUDGET
+        top = arith.SIEVE_BUDGET
         for n in (7, 23):
             starts = [top - 40, top - 41]
             for y in (1, 2, 1000, math.isqrt(top // n) - 2):
@@ -175,19 +175,19 @@ class TestFormWitnesses:
         assert classified(1000, 23)[1].dtype == np.uint8
         assert classified(10**5, 1)[1].dtype == np.uint16
         # y < sqrt(limit / n) <= sqrt(budget) keeps uint16 up to the budget
-        assert math.isqrt(kernels.SIEVE_BUDGET) < 2**16
+        assert math.isqrt(arith.SIEVE_BUDGET) < 2**16
 
     def test_over_budget_raises_before_allocating(self, monkeypatch):
         # a limit equal to the budget is accepted
-        monkeypatch.setattr(kernels, "SIEVE_BUDGET", 10**4)
+        monkeypatch.setattr(arith, "SIEVE_BUDGET", 10**4)
         assert len(list(kernels.classified_windows(10**4, 23))) == 1
-        monkeypatch.setattr(kernels, "SIEVE_BUDGET", 10**6)
+        monkeypatch.setattr(arith, "SIEVE_BUDGET", 10**6)
 
         def over_budget():
             with pytest.raises(ResourceLimitError):
                 kernels.classified_windows(10**6 + 1, 23)
             with pytest.raises(ResourceLimitError):
-                kernels.prime_windows(10**6 + 1)
+                prime_windows(10**6 + 1)
 
         assert traced_peak(over_budget) < 64 * 1024  # a window would take 0.5 MB or more
 
@@ -201,7 +201,7 @@ class TestIsqrt:
         got = kernels._isqrt(np.array(values, dtype=np.int64))
         assert got.tolist() == [math.isqrt(v) for v in values]
 
-    @given(st.lists(st.integers(0, kernels.SIEVE_BUDGET), min_size=1, max_size=50))
+    @given(st.lists(st.integers(0, arith.SIEVE_BUDGET), min_size=1, max_size=50))
     def test_up_to_the_budget(self, values):
         got = kernels._isqrt(np.array(values, dtype=np.int64))
         assert got.tolist() == [math.isqrt(v) for v in values]
@@ -308,10 +308,10 @@ class TestWindowEdges:
 
     def test_window_count(self, monkeypatch):
         monkeypatch.setattr(kernels, "WINDOW", 1000)
-        bounds = [(lo, hi) for lo, hi, _ in kernels.prime_windows(10**4)]
+        bounds = [(lo, hi) for lo, hi, _ in prime_windows(10**4)]
         assert bounds == [(lo, lo + 1000) for lo in range(0, 10**4, 1000)] + [(10**4, 10**4 + 1)]
 
     def test_pi_1e8(self):
         # OEIS A006880: pi(10^8) = 5761455
-        windows = kernels.prime_windows(10**8)
+        windows = prime_windows(10**8)
         assert sum(len(primes) for _, _, primes in windows) == 5_761_455

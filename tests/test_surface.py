@@ -273,10 +273,12 @@ def test_each_command_loads_only_the_modules_it_runs():
         assert "weilcert.weil" not in modules_run_by(*argv), argv
     for argv in (["scan", "--g", "11", "--p-max", "1000"], ["table2", "--g-max", "50"]):
         assert "weilcert.density" not in modules_run_by(*argv), argv
-    # the certificate chain and the Table 2 scalars are exact integer work
-    # that builds no array
+    # the certificate chain, the smallest p of find and table2, and the Table 2
+    # scalars are exact integer work that builds no array
     for argv in (
         ["certify", "--g", "11", "--p", "59"],
+        ["find", "--g", "5"],
+        ["table2", "--g-max", "50"],
         ["find", "--g", "5", "--p", "47", "--m", "1"],
         ["limit", "--g", "11"],
         ["classnum", "--disc", "-92"],

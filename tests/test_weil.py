@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilcert import kernels, weil
+from weilcert import arith, kernels, weil
 from weilcert.arith import DimensionParam, is_sophie_germain
 from weilcert.errors import ResourceLimitError
 from weilcert.quadforms import represent_x2_ny2
@@ -57,18 +57,16 @@ class TestSophieGermain:
         assert big[-2:] == [491, 509]
         assert big == [row[0] for row in TABLE2]
 
-    @pytest.mark.parametrize("width", [3, 64, 1000])
-    def test_list_across_windows(self, monkeypatch, width):
-        # g-window k pairs with the 2g+1 of q-windows 2k and 2k+1
+    def test_list_matches_trial_division(self):
+        # the wheel of 11, 23 and 29 (mod 30) after 2, 3 and 5, cut at max_g
         want = [
             g for g in range(10**4 + 1)
             if trial_division_is_prime(g) and trial_division_is_prime(2 * g + 1)
         ]
-        monkeypatch.setattr(kernels, "WINDOW", width)
         for max_g in (2, 3, 4, 5, 10**4, 10**4 - 1, 9923):
             assert sophie_germain_list(max_g) == [g for g in want if g <= max_g]
         with pytest.raises(ResourceLimitError):  # 2g+1 past the sieve budget
-            sophie_germain_list(kernels.SIEVE_BUDGET // 2)
+            sophie_germain_list(arith.SIEVE_BUDGET // 2)
 
     def test_predicate(self):
         assert not is_sophie_germain(7)  # 15 = 3*5
@@ -125,6 +123,37 @@ class TestQuadruples:
         assert find_smallest(1019, 10**4) == (1163, 24, 2)
         assert find_smallest(11, 43) is None
 
+    def test_find_smallest_matches_the_pass(self):
+        # the first row of the windowed pass, for every Sophie Germain
+        # g <= 10^4 (g = 3 included), at its p and just below it
+        gs = [g for g in sophie_germain_list(10**4) if g >= 3]
+        assert len(gs) == 189
+        for g in gs:
+            n = 2 * g + 1
+            p = find_smallest(n, 10**6)[0]
+            for p_max in (p - 1, p):
+                first = next(scan_quadruples(n, p_max), None)
+                want = None if first is None else tuple(int(col[0]) for col in first)
+                assert find_smallest(n, p_max) == want, (g, p_max)
+            assert find_smallest(n, p - 1) is None, g
+
+    def test_find_smallest_rejects_n_below_2(self):
+        # x^2 + 1*y^2 has two representations of each odd prime, and 2 = 1 + 1
+        with pytest.raises(ValueError, match="n must be >= 2, got 1"):
+            find_smallest(1, 100)
+
+    @pytest.mark.slow
+    def test_smallest_p_for_every_g_to_1e6(self):
+        # the paper's construction past TABLE2: every Sophie Germain g in
+        # [5, 10^6] has a smallest p, checked by the single-prime solve
+        gs = [g for g in sophie_germain_list(10**6) if g >= 5]
+        assert len(gs) == 7744
+        for g in gs:
+            n = 2 * g + 1
+            p, a, s = find_smallest(n, 10**8)
+            rep = represent_x2_ny2(p, n)  # raises unless p is prime
+            assert p % n != 1 and (a, s) == (2 * rep.x, 2 * rep.y), g
+
     def test_scan_table3(self):
         assert quadruple_rows(scan_quadruples(23, 1117)) == list(TABLE3)
 
@@ -147,9 +176,9 @@ class TestQuadruples:
     def test_scan_window_below_budget(self, n):
         # the last window of a pass to the budget, with uint16 witnesses:
         # n*y^2 wraps unless y is widened to int64 before a is computed
-        *_, (lo, hi, base) = kernels._windows(kernels.SIEVE_BUDGET)
-        dtype = np.min_scalar_type(math.isqrt(kernels.SIEVE_BUDGET // n))
-        assert dtype == np.uint16 and hi == kernels.SIEVE_BUDGET + 1
+        *_, (lo, hi, base) = kernels._windows(arith.SIEVE_BUDGET)
+        dtype = np.min_scalar_type(math.isqrt(arith.SIEVE_BUDGET // n))
+        assert dtype == np.uint16 and hi == arith.SIEVE_BUDGET + 1
         window = kernels._classify(lo, hi, base, n, dtype, None)
         rows = quadruple_rows(_quadruples([window], n))
         assert len(rows) > 5000
