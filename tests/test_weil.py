@@ -57,12 +57,15 @@ class TestSophieGermain:
         assert big[-2:] == [491, 509]
         assert big == [row[0] for row in TABLE2]
 
-    def test_list_matches_trial_division(self):
-        # the wheel of 11, 23 and 29 (mod 30) after 2, 3 and 5, cut at max_g
+    @pytest.mark.parametrize("width", [3, 64, 1000])
+    def test_list_across_windows(self, monkeypatch, width):
+        # the wheel of 11, 23 and 29 (mod 30) after 2, 3 and 5, cut at max_g;
+        # the list reads no sieve window, so the window width changes nothing
         want = [
             g for g in range(10**4 + 1)
             if trial_division_is_prime(g) and trial_division_is_prime(2 * g + 1)
         ]
+        monkeypatch.setattr(kernels, "WINDOW", width)
         for max_g in (2, 3, 4, 5, 10**4, 10**4 - 1, 9923):
             assert sophie_germain_list(max_g) == [g for g in want if g <= max_g]
         with pytest.raises(ResourceLimitError):  # 2g+1 past the sieve budget
