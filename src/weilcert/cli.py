@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="SVG scatter of the counting function")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--x-max", type=int, default=DEFAULT_PLOT_XMAX)
-    common(p)
+    p.add_argument("--out", default=None, help="write output to this path")
     p.set_defaults(func=cmd_plot)
 
     return parser

@@ -80,7 +80,7 @@ class DensitySeries:
         self._records: list[DensityRecord] = []
         self._checkpoints = checkpoints
         # primes, (P1) primes and those of them = 1 (mod n), below the
-        # windows counted so far: 2 has no slot, and is x^2 + n*y^2 for no n > 1
+        # windows counted so far: 2 has no slot, and is no x^2 + n*y^2
         self._counts = np.array([1, 0, 0], dtype=np.int64)
         self._windows = kernels.classified_windows(checkpoints[-1], g.n, witnesses=False)
 

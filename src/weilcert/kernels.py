@@ -36,8 +36,9 @@ the one even prime, and has no slot), both in the window's one array:
   the odd base primes from 17 up to sqrt(limit), sieved once by the same
   window sieve, then zero their odd multiples in the window.
 
-For a prime p and n >= 2 the representation with x, y >= 1 is unique, so
-the stored y is the witness `quadforms.represent_x2_ny2` finds.
+The pass takes odd n >= 3 only, as n = 2g+1 for a prime g. For a prime p
+the representation with x, y >= 1 is then unique, so the stored y is the
+witness `quadforms.represent_x2_ny2` finds.
 """
 
 from __future__ import annotations
@@ -83,28 +84,18 @@ def _windows(limit: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """(lo, hi, base) for each window [lo, hi) up to limit: base holds the
     primes p >= 17 with p^2 < hi, all a window's prime sieve needs."""
     root = math.isqrt(limit)
-    # the base primes from 17 to root, from one window sieved by every odd
-    # c >= 17 up to sqrt(root): an odd composite c crosses off only composites
+    # the base primes from 17 to root, from the odd integers 17..root crossed
+    # off by every odd c >= 17 up to sqrt(root): an odd composite c crosses
+    # off only composites
     trial = np.arange(17, math.isqrt(root) + 1, 2, dtype=np.int64)
-    _, _, base = _primes(0, root + 1, trial)
-    base = base[np.searchsorted(base, 17) :]
+    flags = np.ones(_slot_count(17, root + 1), dtype=bool)
+    _cross_off(17, root + 1, trial, flags)
+    base = 2 * np.flatnonzero(flags) + 17
+    del flags
     squares = base * base
     for lo in range(0, limit + 1, WINDOW):
         hi = min(lo + WINDOW, limit + 1)
         yield lo, hi, base[: np.searchsorted(squares, hi)]
-
-
-def _primes(lo: int, hi: int, base: np.ndarray) -> tuple[int, int, np.ndarray]:
-    """(lo, hi, primes): the primes of [lo, hi) as ascending int64."""
-    flags = np.ones(_slot_count(lo, hi), dtype=bool)
-    _cross_off(lo, hi, base, flags)
-    primes = np.flatnonzero(flags)
-    del flags
-    primes *= 2
-    primes += lo | 1
-    if lo <= 2 < hi:
-        primes = np.concatenate(([2], primes))
-    return lo, hi, primes
 
 
 def _slot_count(lo: int, hi: int) -> int:
@@ -220,13 +211,13 @@ def classified_windows(
     0 at the composites, 1 at the other primes and 3 at the (P1) primes, so
     the primes are its nonzero slots and `arr >>= 1` leaves the (P1) marks. The
     (P1) primes at `split_slots(first, n)` fail (P2); the others are the
-    members. 2, the one even prime, has no slot: it is x^2 + n*y^2 for
-    n = 1 only, and passes (P2) there. Arguments are checked when called,
-    before any window is sieved. Convert with `.tolist()` before
-    big-integer arithmetic: numpy int64 wraps silently.
+    members. 2, the one even prime, has no slot, and is no x^2 + n*y^2.
+    n must be odd and >= 3. Arguments are checked when called, before any
+    window is sieved. Convert with `.tolist()` before big-integer
+    arithmetic: numpy int64 wraps silently.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"n must be odd and >= 3, got {n}")
     check_sieve_limit(limit)
     if witnesses:
         dtype, mark = np.min_scalar_type(math.isqrt(limit // n)), None
@@ -239,12 +230,9 @@ def classified_windows(
 
 def split_slots(first: int, n: int) -> slice:
     """The slots of a window from the odd integer first whose values are
-    = 1 (mod n), so p % n == 1: first + 2i = 1 (mod n) iff i = (1 - first)/2
-    modulo n, or modulo n/2 for even n. No slot for n = 1."""
-    if n == 1:
-        return slice(0, 0)
-    step = n if n % 2 else n // 2
-    return slice((1 - first) // 2 % step, None, step)
+    = 1 (mod n), so p % n == 1: for odd n, first + 2i = 1 (mod n) iff
+    i = (1 - first)/2 modulo n."""
+    return slice((1 - first) // 2 % n, None, n)
 
 
 def _classify(

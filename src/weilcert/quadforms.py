@@ -29,10 +29,6 @@ class QuadForm:
     c: int
 
     @property
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    @property
     def is_primitive(self) -> bool:
         return math.gcd(math.gcd(self.a, self.b), self.c) == 1
 

@@ -19,8 +19,8 @@ of four candidates, and the oracle reads the root valuations mod p^2.
 `scan_quadruples` hands over (p, a, s) at n = 2g+1 as int64 chunks from the
 windowed pass; only it imports numpy and `kernels`. `find_smallest` finds its
 first row as ints from the form values in ascending order, and
-`sophie_germain_list` tests g and 2g+1 with `is_prime`, so `find` and `table2`
-sieve nothing. The Certificate of `run_certificate_checks` holds certify's
+`sophie_germain_list` tests g and 2g+1 with `is_sophie_germain`, so `find` and
+`table2` sieve nothing. The Certificate of `run_certificate_checks` holds certify's
 columns, in order; q, b and the (a, s) of `solve_general_p1m` are Decimals built
 exactly, held to `DIGIT_BUDGET`.
 """
@@ -39,6 +39,7 @@ from .arith import (
     hensel_lift,
     is_perfect_square,
     is_prime,
+    is_sophie_germain,
     padic_valuation,
     sqrt_mod_prime,
 )
@@ -57,7 +58,7 @@ def sophie_germain_list(max_g: int) -> list[int]:
         return []
     check_sieve_limit(2 * max_g + 1)
     wheel = (g + r for g in range(0, max_g + 1, 30) for r in (11, 23, 29))
-    found = [g for g in wheel if g <= max_g and is_prime(g) and is_prime(2 * g + 1)]
+    found = [g for g in wheel if g <= max_g and is_sophie_germain(g)]
     return [g for g in (2, 3, 5) if g <= max_g] + found
 
 
@@ -101,8 +102,6 @@ def _quadruples(windows, n: int) -> Iterator[tuple[np.ndarray, ...]]:
 
     from . import kernels, report
 
-    if n == 1:  # 2 = 1^2 + 1*1^2, the one even prime, has no slot
-        yield np.array([2]), np.array([2]), np.array([2])
     for first, y_of in windows:
         y_of[kernels.split_slots(first, n)] = 0  # the members are left
         slots = np.flatnonzero(y_of)

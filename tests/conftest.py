@@ -1,11 +1,10 @@
-import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import weilcert
-from weilcert import arith, kernels
+from weilcert import kernels
 from weilcert.arith import DimensionParam, is_prime
 from weilcert.density import density_series
 
@@ -68,28 +67,36 @@ def traced_peak(command):
 
 
 def prime_windows(limit):
-    """(lo, hi, primes) for each window [lo, hi) up to limit, ascending, from
-    the prime sieve of the pass: primes holds the window's primes as ascending
-    int64. Checks limit against the sieve budget before any window is sieved."""
-    arith.check_sieve_limit(limit)
-    return itertools.starmap(kernels._primes, kernels._windows(limit))
+    """(first, primes) for each window of the pass to limit, ascending: the
+    odd integer of its slot 0, and its primes as ascending int64, read off
+    the nonzero slots of `kernels.classified_windows` without witnesses,
+    with 2 in the first window. The primes do not depend on n, so any odd
+    n >= 3 serves. Checks limit against the sieve budget before any window
+    is sieved."""
+    windows = kernels.classified_windows(limit, 3, witnesses=False)
+    return ((first, window_primes(first, arr)) for first, arr in windows)
+
+
+def window_primes(first, arr):
+    """The primes of a window from its slots, and 2 if it is the first."""
+    primes = 2 * np.flatnonzero(arr) + first
+    return np.concatenate(([2], primes)) if first == 1 else primes
 
 
 def classified(limit, n):
     """The windows of one pass joined into whole per-prime (primes, y,
     member) arrays: the primes of `prime_windows`, their witnesses
     and the (P1)-and-(P2) mask that clears `kernels.split_slots`, after 2,
-    which has no slot and is 1 + n*1^2 for n = 1 only."""
-    primes, ys, members = [np.array([2])], [], [np.array([n == 1])]
+    which has no slot and is no x^2 + n*y^2."""
+    primes, ys, members = [], [], [np.array([False])]
     windows = zip(prime_windows(limit), kernels.classified_windows(limit, n))
-    for (_, _, odd), (first, rep) in windows:
-        odd = odd[odd > 2]
-        slots = (odd - first) // 2
+    for (_, window), (first, rep) in windows:
+        slots = (window[window > 2] - first) // 2
         ys.append(rep[slots])
         rep[kernels.split_slots(first, n)] = 0
         members.append(rep[slots] != 0)
-        primes.append(odd)
-    ys.insert(0, np.array([n == 1], dtype=ys[0].dtype))
+        primes.append(window)
+    ys.insert(0, np.zeros(1, dtype=ys[0].dtype))
     return np.concatenate(primes), np.concatenate(ys), np.concatenate(members)
 
 
@@ -101,7 +108,7 @@ def quadruple_rows(chunks):
 
 def sieved_primes(limit):
     """All primes <= limit: the windows of prime_windows joined."""
-    return np.concatenate([primes for _, _, primes in prime_windows(limit)])
+    return np.concatenate([primes for _, primes in prime_windows(limit)])
 
 
 @pytest.fixture(scope="session")

@@ -707,3 +707,7 @@ class TestPlotAndOutput:
         with pytest.raises(SystemExit) as exc:
             main(["nonsense"])
         assert exc.value.code == 2
+        # plot writes SVG only, and takes no --format
+        with pytest.raises(SystemExit) as exc:
+            main(["plot", "--g", "11", "--format", "json"])
+        assert exc.value.code == 2

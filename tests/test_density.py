@@ -143,8 +143,9 @@ class TestWindows:
 
     def test_prime_count(self):
         # from 10^7 on: OEIS A006880
-        assert [prime_count(x) for x in (2, 3, 100, 10**4, 10**6, 10**7, 10**8, 10**9)] == [
-            1, 2, 25, 1229, 78498, 664_579, 5_761_455, 50_847_534
+        xs = (2, 3, 100, 10**4, 10**6, 10**7, 8 * 2**20 - 1, 10**8, 10**9)
+        assert [prime_count(x) for x in xs] == [
+            1, 2, 25, 1229, 78498, 664_579, 564_163, 5_761_455, 50_847_534
         ]
         with pytest.raises(ValueError, match="sieve limit must be >= 2, got 1"):
             prime_count(1)
@@ -282,8 +283,9 @@ def class_sum_gap(g: DimensionParam, checkpoints: tuple[int, ...]) -> list[int]:
         if (f.a, f.b, f.c) != (1, 0, n)
     ]
     gap = np.zeros(len(checkpoints), dtype=np.int64)
-    for lo, hi, primes in prime_windows(checkpoints[-1]):
+    for first, primes in prime_windows(checkpoints[-1]):
         odd = primes[(primes != 2) & (primes != n)]
+        top = int(odd[-1]) + 1 if len(odd) else first  # past the last odd prime
         below = np.searchsorted(odd, checkpoints, side="right")
 
         def counted(flags):
@@ -291,7 +293,7 @@ def class_sum_gap(g: DimensionParam, checkpoints: tuple[int, ...]) -> list[int]:
             return np.concatenate(([0], np.cumsum(flags)))[below]
 
         for f, weight in others:
-            gap += weight * counted(form_values(f.a, f.b, f.c, lo, hi)[odd - lo])
+            gap += weight * counted(form_values(f.a, f.b, f.c, first, top)[odd - first])
         gap -= 2 * counted(np.isin(odd % n, squares))
     records = density_series(g, checkpoints).records
     gap += [2 * (r.count_pg + r.count_split_all) for r in records]

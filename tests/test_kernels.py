@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from weilcert import arith, kernels
 from weilcert.arith import DimensionParam
-from weilcert.density import density_series
+from weilcert.density import density_series, prime_count
 from weilcert.quadforms import represent_x2_ny2
 from weilcert.weil import scan_quadruples
 from weilcert.errors import ResourceLimitError
@@ -83,8 +83,14 @@ class TestBackends:
             prime_windows(1)
 
     def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            kernels.classified_windows(100, 0)
+        # the pass takes odd n >= 3 only, as n = 2g + 1 for a prime g, and
+        # raises at the call, before a window is allocated
+        def bad_n():
+            for n in (0, 1, 2, 4, 24):
+                with pytest.raises(ValueError, match=f"odd and >= 3, got {n}"):
+                    kernels.classified_windows(10**6, n)
+
+        assert traced_peak(bad_n) < 64 * 1024  # a window would take 0.5 MB or more
 
 
 class TestClassifiedPrimes:
@@ -153,11 +159,6 @@ class TestFormWitnesses:
         assert primes[-1] == 23
         assert not y.any() and not member.any()
 
-    def test_n1_p2(self):
-        # 2 = 1^2 + 1*1^2, the one even value the pass classifies
-        primes, y, member = classified(2, 1)
-        assert (primes.tolist(), y.tolist(), member.tolist()) == ([2], [1], [True])
-
     def test_limit_is_a_form_value(self):
         # 59 = 6^2 + 23*1^2 sits exactly at the limit, and at either edge
         # of a window; below it the odd form values are 27 and 39
@@ -173,7 +174,7 @@ class TestFormWitnesses:
 
     def test_dtype_from_largest_y(self):
         assert classified(1000, 23)[1].dtype == np.uint8
-        assert classified(10**5, 1)[1].dtype == np.uint16
+        assert classified(2 * 10**5, 3)[1].dtype == np.uint16  # y up to 258
         # y < sqrt(limit / n) <= sqrt(budget) keeps uint16 up to the budget
         assert math.isqrt(arith.SIEVE_BUDGET) < 2**16
 
@@ -221,7 +222,7 @@ class TestWorkingSet:
     def test_traced_peak_of_eight_windows(self, n):
         series = density_series(DimensionParam((n - 1) // 2), (8 * kernels.WINDOW - 1,))
         peak = traced_peak(lambda: series.records)
-        assert series.records[0].count_p == 564_163  # pi(8 * 2^20 - 1)
+        assert series.records[0].count_p == prime_count(8 * kernels.WINDOW - 1)
         # half a byte of marks per integer, the composites crossed off in
         # the same array, and one block of form-sieve temporaries: the
         # counts are read off the slots, with no per-prime array
@@ -259,9 +260,9 @@ class TestPreSieve:
     keep the class the form sieve gave them, wherever the window edges fall."""
 
     @pytest.mark.parametrize("width", [64, 8, 5])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_small_primes_keep_their_class(self, monkeypatch, width, n):
-        # for example 11 = 2^2 + 7*1^2 at n = 7, and 13 = 2^2 + 3^2 at n = 1
+        # for example 11 = 2^2 + 7*1^2 at n = 7, and 13 = 1^2 + 3*2^2 at n = 3
         monkeypatch.setattr(kernels, "WINDOW", width)
         for witnesses in (True, False):
             got = {}
@@ -272,8 +273,6 @@ class TestPreSieve:
                 marked = early_break_rep_exists(p, n)
                 if not witnesses:
                     assert got[p] == (3 if marked else 1), (n, width, p)
-                elif n == 1:  # the witness is not unique
-                    assert (got[p] != 0) == marked, (width, p)
                 else:
                     rep = represent_x2_ny2(p, n)
                     assert got[p] == (0 if rep is None else rep.y), (n, width, p)
@@ -308,10 +307,12 @@ class TestWindowEdges:
 
     def test_window_count(self, monkeypatch):
         monkeypatch.setattr(kernels, "WINDOW", 1000)
-        bounds = [(lo, hi) for lo, hi, _ in prime_windows(10**4)]
-        assert bounds == [(lo, lo + 1000) for lo in range(0, 10**4, 1000)] + [(10**4, 10**4 + 1)]
+        # [lo, lo + 1000) has 500 odd slots from lo + 1, and [10^4, 10^4 + 1) none
+        windows = kernels.classified_windows(10**4, 3, witnesses=False)
+        bounds = [(first, len(arr)) for first, arr in windows]
+        assert bounds == [(lo + 1, 500) for lo in range(0, 10**4, 1000)] + [(10**4 + 1, 0)]
 
     def test_pi_1e8(self):
         # OEIS A006880: pi(10^8) = 5761455
         windows = prime_windows(10**8)
-        assert sum(len(primes) for _, _, primes in windows) == 5_761_455
+        assert sum(len(primes) for _, primes in windows) == 5_761_455

@@ -54,7 +54,7 @@ class TestClassNumber:
             if d % 4 not in (0, 1):
                 continue
             for f in reduced_forms(d):
-                assert f.discriminant == d
+                assert f.b * f.b - 4 * f.a * f.c == d
                 assert f.is_primitive
                 assert is_reduced_form(f.a, f.b, f.c)  # reduced and positive definite
 

@@ -16,18 +16,24 @@ No module calls a function that returns a float root, logarithm or
 exponential, or float() itself: the package computes exactly, and an
 integer root goes through math.isqrt.
 
+Every flag of a command is read by that command: a flag that is parsed
+and never read is an option that does nothing.
+
 No module calls sys.set_int_max_str_digits: the digit cap is the
 interpreter's, and a number that may pass it is built as a Decimal, whose
 str it does not bind.
 """
 
+import argparse
 import ast
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import weilcert
+from weilcert import cli
 
 SRC = Path(weilcert.__file__).resolve().parent
 
@@ -284,3 +290,26 @@ def test_each_command_loads_only_the_modules_it_runs():
         ["classnum", "--disc", "-92"],
     ):
         assert not {"numpy", "weilcert.kernels"} & modules_run_by(*argv), argv
+
+
+def args_read(func) -> set[str]:
+    """The attributes read off `args` in the source of func."""
+    tree = ast.parse(inspect.getsource(func))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+
+
+def test_every_flag_is_read_by_its_command():
+    (commands,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    read_by_main = args_read(cli.main)  # p_max, checked for every command that has it
+    for name, parser in commands.choices.items():
+        func = parser.get_default("func")
+        dests = {a.dest for a in parser._actions} - {"help", "func"}
+        assert dests - args_read(func) - read_by_main == set(), name
