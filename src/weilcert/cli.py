@@ -11,12 +11,19 @@ Each command imports the modules it runs when it runs: start-up and
 imports are most of a short command, so `density` does not compile `weil`,
 `scan` does not compile `density`, and a command that builds no array loads
 no numpy.
+
+When `main` is the process entry (called with no argv, as by
+`python -m weilcert.cli` and the `weilcert` script), it freezes the heap as
+it returns or raises, so the interpreter's final cyclic collection skips
+the objects of numpy and the stdlib; stdout is still flushed at exit, and
+every output file is closed before.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import sys
 from typing import TYPE_CHECKING, Iterator, TextIO
 
@@ -324,7 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        return _run(build_parser().parse_args(argv))
+    finally:
+        if argv is None:  # the process entry: exit then skips collecting the heap
+            gc.freeze()
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         if getattr(args, "p_max", 2) < 2:  # find, scan and table2 search up to it
             raise ValueError(f"--p-max must be >= 2, got {args.p_max}")

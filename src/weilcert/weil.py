@@ -116,15 +116,15 @@ def _quadruples(windows, n: int) -> Iterator[tuple[np.ndarray, ...]]:
 
 
 def find_smallest(n: int, p_max: int) -> tuple[int, int, int] | None:
-    """The first row of scan_quadruples(n, p_max) as ints, or None, for n >= 2.
+    """The first row of scan_quadruples(n, p_max) as ints, or None, for odd n >= 3.
 
     The values x^2 + n*y^2 (x, y >= 1) come in ascending order from a heap
     with one entry (value, x, y) per row y; row y + 1 joins when row y's
     x = 1 entry is popped, as none of its values is smaller. The first value
     that is odd, != 1 (mod n) and prime is p, with its one representation.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"n must be odd and >= 3, got {n}")
     check_sieve_limit(p_max)
     heap = [(1 + n, 1, 1)]
     while heap[0][0] <= p_max:

@@ -1,4 +1,5 @@
 import collections
+import gc
 import hashlib
 import json
 import math
@@ -711,3 +712,53 @@ class TestPlotAndOutput:
         with pytest.raises(SystemExit) as exc:
             main(["plot", "--g", "11", "--format", "json"])
         assert exc.value.code == 2
+
+
+class TestExitPath:
+    """main() with no argv is the process entry, and freezes the heap as it
+    returns or raises; main(argv) leaves the caller's heap as it was."""
+
+    @staticmethod
+    def child(tmp_path, *args):
+        src = str(Path(weilcert.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, *args], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=300,
+        )
+
+    def test_in_process_calls_freeze_nothing(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert run(capsys, "classnum", "--disc", "-92")[0] == 0
+        assert gc.get_freeze_count() == frozen
+        assert run(capsys, "find", "--g", "4")[0] == 2  # DimensionParam's ValueError
+        assert gc.get_freeze_count() == frozen
+        with pytest.raises(SystemExit) as exc:
+            main(["nonsense"])
+        assert exc.value.code == 2
+        assert gc.get_freeze_count() == frozen
+
+    def test_process_entry_freezes(self, tmp_path):
+        # the atexit hook runs after main has returned and sys.exit has
+        # raised, in interpreter finalization
+        probe = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['weilcert', *sys.argv[1:]]\n"
+            "runpy.run_module('weilcert.cli', run_name='__main__', alter_sys=True)\n"
+        )
+        child = self.child(tmp_path, "-c", probe, "scan", "--g", "11", "--p-max", "1000000")
+        assert child.returncode == 0, child.stderr
+        lines = child.stdout.splitlines()
+        assert (lines[0], len(lines), lines[-1]) == ("p,a,s", 11_849, "frozen True")
+
+    def test_process_writes_what_main_writes(self, capsys, tmp_path):
+        # the stream and the table are whole when the frozen process exits
+        argv = ["density", "--g", "5", "--format", "json"]
+        child = self.child(
+            tmp_path, "-m", "weilcert.cli", *argv, "--series", "S.json", "--out", "D.json"
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (0, "", "")
+        series, table = tmp_path / "series.json", tmp_path / "table.json"
+        assert run(capsys, *argv, "--series", str(series), "--out", str(table)) == (0, "", "")
+        assert (tmp_path / "S.json").read_bytes() == series.read_bytes()
+        assert (tmp_path / "D.json").read_bytes() == table.read_bytes()

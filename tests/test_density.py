@@ -214,6 +214,31 @@ def slot_mark(v: int, n: int) -> int:
     return 1 if represent_x2_ny2(v, n) is None else 3
 
 
+def sample_last_window(monkeypatch) -> dict[int, int]:
+    """The marks of 1000 random slots of the last window of the next pass,
+    by value, in the dict returned: kernels.classified_windows is patched to
+    sample that window before it hands it on."""
+    windows, sample = kernels.classified_windows, {}
+
+    def sampled(limit, n, witnesses):
+        for first, arr in windows(limit, n, witnesses):
+            if first + 2 * len(arr) > limit:  # the last window
+                picks = np.random.default_rng(0).choice(len(arr), 1000, replace=False)
+                sample.update(zip((first + 2 * picks).tolist(), arr[picks].tolist()))
+            yield first, arr
+
+    monkeypatch.setattr(kernels, "classified_windows", sampled)
+    return sample
+
+
+def check_sample(sample: dict[int, int], limit: int, n: int) -> None:
+    """The sample is 1000 slots of the last window below limit, each with
+    slot_mark's mark, and holds all three marks."""
+    assert len(sample) == 1000 and min(sample) > limit - 2 * kernels.WINDOW
+    assert sample == {v: slot_mark(v, n) for v in sample}
+    assert set(sample.values()) == {0, 1, 3}
+
+
 class TestPrimeCountTwoWays:
     """count_p of the pass against prime_count, which shares no code with the
     window sieve beyond check_sieve_limit."""
@@ -224,27 +249,18 @@ class TestPrimeCountTwoWays:
         width = kernels.WINDOW
         edges = (k * width + d for k in range(1, 10**8 // width + 1) for d in (-1, 0, 1))
         checkpoints = (*edges, 10**8)
-        windows, sample = kernels.classified_windows, {}
-
-        def sampled(limit, n, witnesses):
-            for first, arr in windows(limit, n, witnesses):
-                if first + 2 * len(arr) > limit:  # the last window
-                    picks = np.random.default_rng(0).choice(len(arr), 1000, replace=False)
-                    sample.update(zip((first + 2 * picks).tolist(), arr[picks].tolist()))
-                yield first, arr
-
-        monkeypatch.setattr(kernels, "classified_windows", sampled)
+        sample = sample_last_window(monkeypatch)
         records = density_series(G11, checkpoints).records
         assert [r.count_p for r in records] == [prime_count(x) for x in checkpoints]
-        assert len(sample) == 1000 and min(sample) > 10**8 - 2 * width
-        assert sample == {v: slot_mark(v, G11.n) for v in sample}
-        assert set(sample.values()) == {0, 1, 3}
+        check_sample(sample, 10**8, G11.n)
 
     @pytest.mark.slow
-    def test_pass_to_1e9(self):
+    def test_pass_to_1e9(self, monkeypatch):
+        sample = sample_last_window(monkeypatch)
         (record,) = density_series(G11, (10**9,)).records
         assert record.count_p == 50_847_534 == prime_count(10**9)
         assert record.count_pg == 7_703_727
+        check_sample(sample, 10**9, G11.n)
 
 
 class TestPrimeCount:

@@ -22,6 +22,11 @@ and never read is an option that does nothing.
 No module calls sys.set_int_max_str_digits: the digit cap is the
 interpreter's, and a number that may pass it is built as a Decimal, whose
 str it does not bind.
+
+gc.freeze is called in cli.main alone, and no module calls gc.disable or
+os._exit: the process entry skips the final collection over a frozen heap
+and nothing more, so no start-up or exit change trades collection in a
+run, or the flushing of streams and atexit handlers, for time.
 """
 
 import argparse
@@ -222,6 +227,63 @@ def test_scan_flags_int_str_cap_calls():
     ]
 
 
+EXIT_CALLS = {"gc.freeze", "gc.disable", "os._exit"}
+
+
+def exit_calls(sources: dict[str, str]) -> list[str]:
+    """module.function name for each call of a name in EXIT_CALLS, where
+    function is the top-level definition the call is in (or <module>). A
+    call is matched as module.name, through any `import ... as` alias, or by
+    a name bound with `from module import name`."""
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        bound = {}  # local name -> dotted name it stands for
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound |= {a.asname or a.name: a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                bound |= {a.asname or a.name: f"{node.module}.{a.name}" for a in node.names}
+        for top in tree.body:
+            where = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                    name = f"{bound.get(func.value.id, func.value.id)}.{func.attr}"
+                elif isinstance(func, ast.Name):
+                    name = bound.get(func.id, func.id)
+                else:
+                    continue
+                if name in EXIT_CALLS:
+                    found.append(f"{module}.{where} {name}")
+    return sorted(found)
+
+
+def test_heap_frozen_only_on_the_exit_path():
+    assert exit_calls(package_sources()) == ["cli.main gc.freeze"]
+
+
+def test_scan_flags_exit_calls():
+    a = (
+        "import gc\nimport os as _os\n"
+        "def main():\n    try:\n        return 0\n    finally:\n        gc.freeze()\n"
+        "def run():\n    gc.collect()\n    _os._exit(0)  # gc.disable()\n"
+        "gc.disable()\n"
+    )
+    b = (
+        "from gc import disable, freeze as f\n"
+        "class C:\n    def stop(self):\n        f()\n"
+        "def go(disable=None):\n    disable()\n"
+    )
+    # a parameter that shadows an imported name still reads as the import
+    assert exit_calls({"a": a, "b": b}) == [
+        "a.<module> gc.disable", "a.main gc.freeze", "a.run os._exit",
+        "b.C gc.freeze", "b.go gc.disable",
+    ]
+
+
 def modules_loaded_by(module: str) -> list[str]:
     """The modules a fresh interpreter loads to import the given one."""
     probe = (
@@ -308,7 +370,7 @@ def test_every_flag_is_read_by_its_command():
     (commands,) = [
         a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     ]
-    read_by_main = args_read(cli.main)  # p_max, checked for every command that has it
+    read_by_main = args_read(cli._run)  # p_max, checked for every command that has it
     for name, parser in commands.choices.items():
         func = parser.get_default("func")
         dests = {a.dest for a in parser._actions} - {"help", "func"}

@@ -142,8 +142,16 @@ class TestQuadruples:
 
     def test_find_smallest_rejects_n_below_2(self):
         # x^2 + 1*y^2 has two representations of each odd prime, and 2 = 1 + 1
-        with pytest.raises(ValueError, match="n must be >= 2, got 1"):
+        with pytest.raises(ValueError, match="n must be odd and >= 3, got 1"):
             find_smallest(1, 100)
+
+    @pytest.mark.parametrize("n", [2, 4, 24])
+    def test_find_smallest_rejects_even_n(self, n):
+        # as scan_quadruples does: n = 2g + 1 is odd
+        with pytest.raises(ValueError, match=f"n must be odd and >= 3, got {n}"):
+            find_smallest(n, 100)
+        with pytest.raises(ValueError, match=f"n must be odd and >= 3, got {n}"):
+            next(scan_quadruples(n, 100))
 
     @pytest.mark.slow
     def test_smallest_p_for_every_g_to_1e6(self):
