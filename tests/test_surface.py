@@ -147,6 +147,7 @@ def unpassed_defaults(sources: dict[str, str]) -> list[str]:
 # Called by name or as an attribute (np.sqrt, math.log10), each yields a float.
 FLOAT_CALLS = {"sqrt", "cbrt", "float", "log", "log2", "log10", "exp"}
 CAP_CALLS = {"set_int_max_str_digits"}
+EXIT_CALLS = {"freeze", "disable", "_exit"}  # gc.freeze, gc.disable, os._exit
 
 
 def calls_to(names: set[str], sources: dict[str, str]) -> list[str]:
@@ -227,61 +228,10 @@ def test_scan_flags_int_str_cap_calls():
     ]
 
 
-EXIT_CALLS = {"gc.freeze", "gc.disable", "os._exit"}
-
-
-def exit_calls(sources: dict[str, str]) -> list[str]:
-    """module.function name for each call of a name in EXIT_CALLS, where
-    function is the top-level definition the call is in (or <module>). A
-    call is matched as module.name, through any `import ... as` alias, or by
-    a name bound with `from module import name`."""
-    found = []
-    for module, text in sources.items():
-        tree = ast.parse(text)
-        bound = {}  # local name -> dotted name it stands for
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                bound |= {a.asname or a.name: a.name for a in node.names}
-            elif isinstance(node, ast.ImportFrom):
-                bound |= {a.asname or a.name: f"{node.module}.{a.name}" for a in node.names}
-        for top in tree.body:
-            where = getattr(top, "name", "<module>")
-            for node in ast.walk(top):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-                    name = f"{bound.get(func.value.id, func.value.id)}.{func.attr}"
-                elif isinstance(func, ast.Name):
-                    name = bound.get(func.id, func.id)
-                else:
-                    continue
-                if name in EXIT_CALLS:
-                    found.append(f"{module}.{where} {name}")
-    return sorted(found)
-
-
 def test_heap_frozen_only_on_the_exit_path():
-    assert exit_calls(package_sources()) == ["cli.main gc.freeze"]
-
-
-def test_scan_flags_exit_calls():
-    a = (
-        "import gc\nimport os as _os\n"
-        "def main():\n    try:\n        return 0\n    finally:\n        gc.freeze()\n"
-        "def run():\n    gc.collect()\n    _os._exit(0)  # gc.disable()\n"
-        "gc.disable()\n"
-    )
-    b = (
-        "from gc import disable, freeze as f\n"
-        "class C:\n    def stop(self):\n        f()\n"
-        "def go(disable=None):\n    disable()\n"
-    )
-    # a parameter that shadows an imported name still reads as the import
-    assert exit_calls({"a": a, "b": b}) == [
-        "a.<module> gc.disable", "a.main gc.freeze", "a.run os._exit",
-        "b.C gc.freeze", "b.go gc.disable",
-    ]
+    lines, first = inspect.getsourcelines(cli.main)
+    (line,) = [first + i for i, text in enumerate(lines) if "gc.freeze()" in text]
+    assert calls_to(EXIT_CALLS, package_sources()) == [f"cli:{line} freeze"]
 
 
 def modules_loaded_by(module: str) -> list[str]:
