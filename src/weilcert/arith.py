@@ -1,21 +1,21 @@
 """Exact integer arithmetic primitives shared by the whole toolkit.
 
-Primality of single integers, the validated Sophie Germain dimension g
-(`DimensionParam`), perfect squares, p-adic valuations, square roots
-modulo an odd prime and their Hensel lifts, and the bound on every search
-limit, `SIEVE_BUDGET` (the prime sieve lives in `kernels`). Nothing here
-factors an integer. The square root does not test its prime:
+Primality of single integers below psi_13 ~ 3.3e24, the validated Sophie
+Germain dimension g (`DimensionParam`), perfect squares, p-adic valuations,
+square roots modulo an odd prime and their Hensel lifts, and the bound on
+every search limit, `SIEVE_BUDGET` (the prime sieve lives in `kernels`).
+Nothing here factors an integer. The square root does not test its prime:
 `quadforms.represent_x2_ny2` and `weil.solve_general_p1m` test p once, at
-their entry. Every operation here is exact: no floating point enters any
-arithmetic path. Rationals are `fractions.Fraction`, and numbers of
-unbounded size Decimals built exactly by `weil`, throughout the package.
+their entry. Every operation here is exact and certain: no floating point
+or random draw enters any arithmetic path. Rationals are
+`fractions.Fraction`, and numbers of unbounded size Decimals built exactly
+by `weil`, throughout the package.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import random
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
@@ -28,7 +28,7 @@ SIEVE_BUDGET = 10**9
 # each of the first k prime bases, so those k bases decide every n < psi_k
 # (Jaeschke 1993; Sorenson and Webster 2017 for k = 12, 13). is_prime uses
 # the fewest bases that n allows: 2 and 3 below 1373653, all 13 primes up
-# to 41 below psi_13 ~ 3.3e24.
+# to 41 below psi_13 ~ 3.3e24, and refuses n >= psi_13.
 _MR_PSI = (
     2_047,
     1_373_653,
@@ -44,11 +44,6 @@ _MR_PSI = (
     318_665_857_834_031_151_167_461,
     3_317_044_064_679_887_385_961_981,
 )
-
-# Above the deterministic bound: fixed-round strong-probable-prime test,
-# bases drawn from an RNG seeded by the input (deterministic per input).
-# A composite survives with probability < 4**-64.
-_MR_LARGE_ROUNDS = 64
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -66,12 +61,17 @@ def _mr_composite_witness(n: int, a: int, d: int, r: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Primality test, deterministic for n < 3.3e24.
+    """Whether n is prime, decided with certainty by Miller-Rabin on the
+    fewest prime bases that decide n.
 
-    Larger inputs get a 64-round strong-probable-prime test whose bases
-    come from an RNG seeded by n, so results are reproducible and a
-    composite escapes with probability below 4**-64.
+    Raises ResourceLimitError for n >= psi_13 ~ 3.3e24, before any work:
+    no fixed set of bases is known to decide n there, and a certificate
+    rests on no probable prime.
     """
+    if n >= _MR_PSI[-1]:  # named by its bits: a --p may have up to 4300 digits
+        raise ResourceLimitError(
+            f"n of {n.bit_length()} bits reaches the primality bound psi_13 = {_MR_PSI[-1]}"
+        )
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -85,12 +85,7 @@ def is_prime(n: int) -> bool:
         d //= 2
         r += 1
     k = bisect.bisect_right(_MR_PSI, n)  # psi_1 .. psi_k are <= n
-    if k < len(_MR_PSI):
-        bases = _SMALL_PRIMES[: k + 1]
-    else:
-        rng = random.Random(n)
-        bases = [rng.randrange(2, n - 1) for _ in range(_MR_LARGE_ROUNDS)]
-    return not any(_mr_composite_witness(n, a, d, r) for a in bases)
+    return not any(_mr_composite_witness(n, a, d, r) for a in _SMALL_PRIMES[: k + 1])
 
 
 def check_sieve_limit(limit: int) -> None:

@@ -5,7 +5,7 @@ Subcommands cover the whole toolkit: quadruple searches (`find`, `scan`,
 (`limit`, `classnum`), and certificate verification (`certify`). Output is
 csv, json, or markdown; exit codes are 0 (success), 1 (check failure),
 2 (argument error), 3 (resource limit, such as the sieve budget or the
-class-number discriminant bound, or I/O failure).
+discriminant, digit or primality bound, or I/O failure).
 
 Each command imports the modules it runs when it runs: start-up and
 imports are most of a short command, so `density` does not compile `weil`,
@@ -165,9 +165,9 @@ def _write_records(series: DensitySeries, fmt: str, fh: TextIO) -> int:
 
 def _stream_rows(series: DensitySeries) -> Iterator[tuple]:
     """The columns p, f_num, f_den and f_decimal at every prime p of the
-    series, with f(p) = members / (primes <= p) in lowest terms, one
-    `report.CHUNK_ROWS` slice of a window at a time: int64 arrays, and
-    f_decimal as the int64 pair of `report.fixed_point`."""
+    series, with f(p) = members / (primes <= p) in lowest terms, in
+    `report.CHUNK_ROWS` slices of each `density.BLOCK_SLOTS`-slot block:
+    int64 arrays, and f_decimal as the int64 pair of `report.fixed_point`."""
     import numpy as np
 
     for primes, members, count in series:

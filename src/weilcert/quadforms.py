@@ -117,8 +117,8 @@ def cornacchia(n: int, m: int, r: int, rhs: int) -> tuple[int, int] | None:
 def represent_x2_ny2(p: int, n: int) -> Representation | None:
     """The p = x^2 + n*y^2 (x, y >= 1) of a prime p, if any; unique for n >= 2.
 
-    p is tested for primality once, here, and raises ValueError if it is
-    not prime.
+    p is tested for primality once, here: ValueError if it is not prime,
+    ResourceLimitError if p >= psi_13, where `is_prime` decides nothing.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")

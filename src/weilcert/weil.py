@@ -250,9 +250,10 @@ def run_certificate_checks(
     ones); certificate is None unless every identity passed.
 
     p is tested for primality once, by `represent_x2_ny2` before the
-    first identity, and raises ValueError if it is not prime; nothing
-    after it re-tests p. Three kinds of check only restate earlier work and cannot
-    fail on their own: "quadruple-equation" restates the check
+    first identity, and raises ValueError if it is not prime
+    (ResourceLimitError if p >= psi_13, where `is_prime` decides nothing);
+    nothing after it re-tests p. Three kinds of check only restate earlier
+    work and cannot fail on their own: "quadruple-equation" restates the check
     `Representation` makes of p = x^2 + (2g+1)*y^2 (with a = 2x, s = 2y,
     and 0 < x < p for the odd prime p); "automorphism-order" compares the
     order 2(2g+1) of the roots of unity with its own definition 4g+2; and
@@ -345,15 +346,15 @@ def run_certificate_checks(
 def solve_general_p1m(g: DimensionParam, p: int, m: int) -> tuple[Decimal, Decimal] | None:
     """The solution a, s >= 1 of a^2 - 4*p^(g-2m) = -(2g+1)*s^2, gcd(a, p) = 1, as
     Decimals, or None; p is 2 or an odd prime, tested once, here (ValueError
-    otherwise), and p^k, k = g-2m, is held to DIGIT_BUDGET. With units +-1,
-    (a + s*sqrt(-n))/2, n = 2g+1, is +-alpha^(k/d) or its conjugate for alpha
-    of norm p^d generating P^d, P above p and d the order of its class: the
-    least d | gcd(k, h(-n)) with an alpha (Cohen, A Course in Computational
-    Algebraic Number Theory, 1.5)."""
+    otherwise, ResourceLimitError from psi_13 on), and p^k, k = g-2m, is held
+    to DIGIT_BUDGET. With units +-1, (a + s*sqrt(-n))/2, n = 2g+1, is
+    +-alpha^(k/d) or its conjugate for alpha of norm p^d generating P^d, P
+    above p and d the order of its class: the least d | gcd(k, h(-n)) with an
+    alpha (Cohen, A Course in Computational Algebraic Number Theory, 1.5)."""
     if not 1 <= m <= (g.g - 1) // 2:
         raise ValueError(f"m must lie in [1, {(g.g - 1) // 2}], got {m}")
     n, k = g.n, g.g - 2 * m
-    if p != 2 and (p < 3 or not is_prime(p)):
+    if not is_prime(p):
         raise ValueError(f"modulus {p} is not an odd prime")
     with _exact(p, k):  # before anything of the size of p^k is built
         common = math.gcd(k, class_number(-n))

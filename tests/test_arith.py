@@ -55,18 +55,21 @@ class TestIsPrime:
         # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to every
         # prime base up to 37, so 41 must be a base from psi_12 on
         assert 399165290221 * 798330580441 == PSI[11]
-        for k, psi in enumerate(PSI, 1):
+        for k, psi in enumerate(PSI[:12], 1):  # psi_13 is refused
             assert not is_prime(psi), (k, psi)
 
     def test_accepts_prime_below_each_psi(self):
         for k, (p, psi) in enumerate(zip(PRIME_BELOW_PSI, PSI), 1):
             assert p < psi and is_prime(p), (k, p)
 
-    def test_large_path(self):
+    def test_refuses_from_psi_13(self):
+        # no fixed bases decide n >= psi_13: prime or not, n is refused
         m89 = 2**89 - 1  # Mersenne prime, above the deterministic bound
-        assert is_prime(m89)
-        assert not is_prime(m89 * m89)
-        assert not is_prime(m89 * (2**61 - 1))
+        bound = f"the primality bound psi_13 = {PSI[12]}$"
+        for n in (m89, m89 * m89, m89 * (2**61 - 1), PSI[12]):
+            message = f"^n of {n.bit_length()} bits reaches {bound}"
+            with pytest.raises(ResourceLimitError, match=message):
+                is_prime(n)
 
 
 class TestSieve:

@@ -635,16 +635,36 @@ class TestCertify:
 
 
 def test_powers_past_the_digit_budget_exit_3(capsys):
-    # p = x^2 + 1000667 for x = 10^15 + 86 passes (P1) and (P2) at g = 500333,
-    # where p^g and p^(g-2) have about 1.5e7 digits: refused before either is built
-    p = "1000000000000172000000001008063"
+    # p = x^2 + 1000667 for x = 10^11 + 20 passes (P1) and (P2) at g = 500333,
+    # where p^g and p^(g-2) have about 1.1e7 digits: refused before either is built
+    p = "10000000004000001001067"
     start = time.perf_counter()
     rc, out, err = run(capsys, "certify", "--g", "500333", "--p", p)
     assert (rc, out) == (3, "")
-    assert err == f"resource error: {p}^500333 may have 15110057 digits, past 10000000\n"
+    assert err == f"resource error: {p}^500333 may have 11181442 digits, past 10000000\n"
     rc, out, err = run(capsys, "find", "--g", "500333", "--p", p, "--m", "1")
     assert (rc, out) == (3, "")
-    assert err == f"resource error: {p}^500331 may have 15109997 digits, past 10000000\n"
+    assert err == f"resource error: {p}^500331 may have 11181398 digits, past 10000000\n"
+    assert time.perf_counter() - start < 1
+
+
+def test_primality_past_psi_13_exit_3(capsys):
+    # 2^89 - 1 is prime, but no fixed bases decide primality from psi_13 on,
+    # and a certificate rests on no probable prime: refused, named by its bits
+    m89 = str(2**89 - 1)
+    psi_13 = 3317044064679887385961981
+    refused = f"resource error: n of 89 bits reaches the primality bound psi_13 = {psi_13}\n"
+    start = time.perf_counter()
+    for argv in (
+        ["certify", "--g", "5", "--p", m89],
+        ["find", "--g", "5", "--p", m89, "--m", "1"],
+        ["limit", "--g", m89],
+    ):
+        assert run(capsys, *argv) == (3, "", refused), argv
+    p = str(10**4299 + 1)  # the most digits int() reads
+    rc, out, err = run(capsys, "certify", "--g", "5", "--p", p)
+    assert (rc, out) == (3, "")
+    assert err.startswith("resource error: n of 14281 bits reaches the primality bound")
     assert time.perf_counter() - start < 1
 
 

@@ -87,9 +87,9 @@ class TestRepresent:
         # p is tested once, at the entry, not again by the square root
         # on the way; counted through every module that binds is_prime
         calls = count_primality_tests(monkeypatch)
-        p = 710556311324541868785229746989
+        p = 3240556311332730130531321
         r = represent_x2_ny2(p, 23)
-        assert (r.x, r.y) == (600000000000039, 123456789012346)
+        assert (r.x, r.y) == (1700000000003, 123456789012)
         assert calls == [p]
         calls.clear()
         assert represent_x2_ny2(61, 23) is None
@@ -119,20 +119,21 @@ class TestRepresent:
                 else:
                     assert (got.x, got.y) == want, (p, n)
 
-    def test_30_digit_prime(self):
-        p = 710556311324541868785229746989  # 600000000000039^2 + 23*123456789012346^2
+    def test_25_digit_prime(self):
+        p = 3240556311332730130531321  # 1700000000003^2 + 23*123456789012^2, just below psi_13
         start = time.perf_counter()
         r = represent_x2_ny2(p, 23)
         assert time.perf_counter() - start < 0.1
-        assert (r.x, r.y) == (600000000000039, 123456789012346)
+        assert (r.x, r.y) == (1700000000003, 123456789012)
 
     @given(
         st.sampled_from((7, 11, 23, 47, 59)),
-        st.integers(1, 10**12),
-        st.integers(1, 10**12),
+        st.integers(1, 10**11),
+        st.integers(1, 10**11),
     )
     def test_returns_the_drawn_pair(self, n, x, y):
-        # the first prime x^2 + n*y^2 at or past the drawn x, same y
+        # the first prime x^2 + n*y^2 at or past the drawn x, same y; x, y <= 10^11
+        # keep it near 6e23, below psi_13 ~ 3.3e24, where is_prime decides
         x += (x + y + 1) % 2  # x + y odd, so x^2 + n*y^2 is odd
         while not is_prime(x * x + n * y * y):
             x += 2

@@ -19,6 +19,9 @@ integer root goes through math.isqrt.
 Every flag of a command is read by that command: a flag that is parsed
 and never read is an option that does nothing.
 
+No module imports random: every result is decided with certainty, so
+nothing draws a random number.
+
 No module calls sys.set_int_max_str_digits: the digit cap is the
 interpreter's, and a number that may pass it is built as a Decimal, whose
 str it does not bind.
@@ -225,6 +228,35 @@ def test_scan_flags_int_str_cap_calls():
     )
     assert calls_to(CAP_CALLS, {"a": a, "b": b}) == [
         "a:3 set_int_max_str_digits", "b:3 set_int_max_str_digits",
+    ]
+
+
+def imports_of(names: set[str], sources: dict[str, str]) -> list[str]:
+    """module:line name for each import of a top-level module in names,
+    given the source text of each module by name."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported = [node.module]
+            else:
+                continue
+            hits = [m for m in imported if m.split(".")[0] in names]
+            found += [f"{module}:{node.lineno} {m}" for m in hits]
+    return sorted(found)
+
+
+def test_no_module_imports_random():
+    assert imports_of({"random"}, package_sources()) == []
+
+
+def test_scan_flags_random_imports():
+    a = "import math, random as rng\ndef f():\n    from random import randrange\n"
+    b = "from . import random\nfrom .random import draw\nimport randomness\n"
+    assert imports_of({"random"}, {"a": a, "b": b}) == [
+        "a:1 random", "a:3 random",
     ]
 
 
