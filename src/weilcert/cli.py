@@ -16,7 +16,8 @@ When `main` is the process entry (called with no argv, as by
 `python -m weilcert.cli` and the `weilcert` script), it freezes the heap as
 it returns or raises, so the interpreter's final cyclic collection skips
 the objects of numpy and the stdlib; stdout is still flushed at exit, and
-every output file is closed before.
+every output file is closed before. It also sets the BLAS thread counts
+that the environment leaves unset to 1 before numpy loads.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import os
 import sys
 from typing import TYPE_CHECKING, Iterator, TextIO
 
@@ -331,6 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:  # no command multiplies matrices: numpy's BLAS starts no idle threads
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(var, "1")
     try:
         return _run(build_parser().parse_args(argv))
     finally:

@@ -245,9 +245,12 @@ def run_certificate_checks(
     splitting-order tests hold only for prime g and 2g+1; no other g
     reaches the chain.
 
-    checks lists (identity, ok, detail) for every identity run, in order,
-    stopping at the first failure (later identities depend on earlier
-    ones); certificate is None unless every identity passed.
+    checks lists (identity, ok, detail) in the chain's order, up to and
+    including the first that fails; certificate is None unless every
+    identity passed. (P2) and then (P1) gate the chain: past them p =
+    x^2 + (2g+1)*y^2 is a prime with 0 < x < sqrt(p), so p does not divide
+    a = 2x, p != 2g+1 and a^2 - 4p < 0, and every value of the chain is
+    computed once, before any identity is read.
 
     p is tested for primality once, by `represent_x2_ny2` before the
     first identity, and raises ValueError if it is not prime
@@ -263,74 +266,49 @@ def run_certificate_checks(
     """
     g, n = dim.g, dim.n
     rep = represent_x2_ny2(p, n)
-    checks: list[tuple[str, bool, str]] = []
-
-    def check(name: str, ok: bool, detail: str) -> bool:
-        checks.append((name, ok, detail))
-        return ok
-
-    if not check("p2-congruence", p % n != 1, f"p mod {n} = {p % n}"):
-        return checks, None
-    if not check(
-        "p1-representation",
-        rep is not None,
-        f"no p = x^2 + {n}*y^2 with p != {n}"
-        if rep is None
-        else f"p = {rep.x}^2 + {n}*{rep.y}^2",
-    ):
+    checks = [("p2-congruence", p % n != 1, f"p mod {n} = {p % n}")]
+    if p % n != 1:
+        detail = f"no p = x^2 + {n}*y^2 with p != {n}"
+        if rep is not None:
+            detail = f"p = {rep.x}^2 + {n}*{rep.y}^2"
+        checks.append(("p1-representation", rep is not None, detail))
+    if p % n == 1 or rep is None:
         return checks, None
 
     a, s = 2 * rep.x, 2 * rep.y
-    if not check(
-        "quadruple-equation",
-        a**2 - 4 * p == -n * s**2 and math.gcd(a, p) == 1,
-        f"{a}^2 - 4*{p} = -{n}*{s}^2, gcd({a}, {p}) = 1",
-    ):
-        return checks, None
-
     b, c = weil_polynomial(g, p, a)
     # b^2 - 4c = p^(g-1) * (a^2 - 4p), and p^(g-1) is an even power: both
     # have one sign and one squarefree kernel, read from the small factor
-    if not check("weil-modulus", a * a < 4 * p, "b^2 < 4c and c = q = p^g"):
-        return checks, None
     disc = cm_field_discriminant(a, p, n)
-    relation = "=" if disc == -n else "!="
-    if not check("cm-discriminant", disc == -n, f"kernel(b^2 - 4c) {relation} {-n}"):
-        return checks, None
-
     order = splitting_order(g, p)
-    if not check("splitting-order", order == g, f"ord(p mod {n}) = {order}"):
-        return checks, None
-
     invs = local_invariants(g, p, a)
     vals = valuations_oracle(g, p, a, s)
     formula_ok = (
         sorted(vals) == [(g - 1) // 2, (g + 1) // 2]
         and tuple(sorted(Fraction(v, g) for v in vals)) == invs
     )
-    if not check(
-        "invariant-formula-vs-oracle",
-        formula_ok,
-        f"closed form {invs[0]}, {invs[1]} vs oracle valuations {vals}",
-    ):
-        return checks, None
-    if not check(
-        "invariant-sum-integral",
-        (invs[0] + invs[1]).denominator == 1,
-        f"{invs[0]} + {invs[1]} = {invs[0] + invs[1]}",
-    ):
-        return checks, None
-
     d = endomorphism_degree(invs)
     e = 2  # the center is imaginary quadratic
-    if not check("degree-identity", d == g and d * e == 2 * g, f"d = {d}, e = {e}"):
-        return checks, None
     dimension = d * e // 2
-    if not check("dimension", dimension == g, f"d*e/2 = {dimension}"):
-        return checks, None
     aut = 2 * n
-    if not check("automorphism-order", aut == 4 * g + 2, f"4g+2 = {aut}"):
-        return checks, None
+    checks += [
+        ("quadruple-equation", a**2 - 4 * p == -n * s**2 and math.gcd(a, p) == 1,
+         f"{a}^2 - 4*{p} = -{n}*{s}^2, gcd({a}, {p}) = 1"),
+        ("weil-modulus", a * a < 4 * p, "b^2 < 4c and c = q = p^g"),
+        ("cm-discriminant", disc == -n,
+         f"kernel(b^2 - 4c) {'=' if disc == -n else '!='} {-n}"),
+        ("splitting-order", order == g, f"ord(p mod {n}) = {order}"),
+        ("invariant-formula-vs-oracle", formula_ok,
+         f"closed form {invs[0]}, {invs[1]} vs oracle valuations {vals}"),
+        ("invariant-sum-integral", (invs[0] + invs[1]).denominator == 1,
+         f"{invs[0]} + {invs[1]} = {invs[0] + invs[1]}"),
+        ("degree-identity", d == g and d * e == 2 * g, f"d = {d}, e = {e}"),
+        ("dimension", dimension == g, f"d*e/2 = {dimension}"),
+        ("automorphism-order", aut == 4 * g + 2, f"4g+2 = {aut}"),
+    ]
+    for i, (_, ok, _) in enumerate(checks):
+        if not ok:
+            return checks[: i + 1], None
 
     # place with the lower valuation gets the smaller invariant
     low, high = ("+t", "-t") if vals[0] < vals[1] else ("-t", "+t")

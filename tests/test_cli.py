@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import weilcert
-from weilcert import cli, density, kernels, quadforms, report
+from weilcert import cli, density, kernels, quadforms, report, weil
 from weilcert.cli import main
 from weilcert.density import density_series
 from weilcert.arith import DimensionParam
@@ -628,6 +628,27 @@ class TestCertify:
         cols = dict(zip(*(line.split(",") for line in out.strip().split("\n"))))
         assert cols["q"] == cols["weil_c"] == str(47**5)
 
+    @pytest.mark.parametrize("name, fault, rows, identity, detail", [
+        ("splitting_order", lambda g, p: 2 * g, 6, "splitting-order", "ord(p mod 11) = 10"),
+        ("endomorphism_degree", lambda invs: invs[0].denominator + 1, 9,
+         "degree-identity", "d = 6, e = 2"),
+    ])
+    def test_failure_past_p1(self, capsys, monkeypatch, name, fault, rows, identity, detail):
+        # no prime p fails past (P1), so a fault is injected: the checks end
+        # at the first identity that fails, and certify's table with them
+        monkeypatch.setattr(weil, name, fault)
+        checks, cert = run_certificate_checks(DimensionParam(5), 47)
+        assert cert is None and len(checks) == rows
+        assert checks[-1] == (identity, False, detail)
+        assert all(ok for _, ok, _ in checks[:-1])
+        rc, out, err = run(capsys, "certify", "--g", "5", "--p", "47")
+        assert (rc, err) == (1, f"certificate failed [{identity}]: {detail}\n")
+        table = [line.split(",") for line in out.splitlines()]
+        assert len(table) == 1 + rows and all(len(row) == 3 for row in table)
+        equation = "12^2 - 4*47 = -11*2^2; gcd(12; 47) = 1"  # its commas as ;
+        assert table[3] == ["quadruple-equation", "pass", equation]
+        assert table[-1] == [identity, "fail", detail.replace(",", ";")]
+
     def test_composite_p_is_argument_error(self, capsys):
         rc, _, err = run(capsys, "certify", "--g", "5", "--p", "15")
         assert rc == 2
@@ -770,6 +791,22 @@ class TestExitPath:
         assert child.returncode == 0, child.stderr
         lines = child.stdout.splitlines()
         assert (lines[0], len(lines), lines[-1]) == ("p,a,s", 11_849, "frozen True")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+    def test_process_entry_starts_no_blas_threads(self, capsys, monkeypatch, tmp_path):
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        probe = (
+            "import os, sys\n"
+            "from weilcert import cli\n"
+            "sys.argv = ['weilcert', 'density', '--g', '5']\n"
+            "print(cli.main(), len(os.listdir('/proc/self/task')))\n"
+        )
+        for var in blas:
+            monkeypatch.delenv(var, raising=False)
+        child = self.child(tmp_path, "-c", probe)
+        assert child.stdout.splitlines()[-1] == "0 1", child.stderr
+        assert run(capsys, "limit", "--g", "5")[0] == 0
+        assert not set(blas) & set(os.environ)  # main(argv) leaves them unset
 
     def test_process_writes_what_main_writes(self, capsys, tmp_path):
         # the stream and the table are whole when the frozen process exits

@@ -214,26 +214,31 @@ def slot_mark(v: int, n: int) -> int:
     return 1 if represent_x2_ny2(v, n) is None else 3
 
 
-def sample_last_window(monkeypatch) -> dict[int, int]:
-    """The marks of 1000 random slots of the last window of the next pass,
-    by value, in the dict returned: kernels.classified_windows is patched to
-    sample that window before it hands it on."""
-    windows, sample = kernels.classified_windows, {}
+def sample_last_window(monkeypatch) -> dict:
+    """The last window of the next pass, in the dict returned: its first
+    value, its count of primes (nonzero slots) and the marks of 1000 random
+    slots, by value. kernels.classified_windows is patched to read that
+    window before it hands it on."""
+    windows, last = kernels.classified_windows, {}
 
     def sampled(limit, n, witnesses):
         for first, arr in windows(limit, n, witnesses):
             if first + 2 * len(arr) > limit:  # the last window
                 picks = np.random.default_rng(0).choice(len(arr), 1000, replace=False)
-                sample.update(zip((first + 2 * picks).tolist(), arr[picks].tolist()))
+                marks = dict(zip((first + 2 * picks).tolist(), arr[picks].tolist()))
+                last.update(first=first, primes=np.count_nonzero(arr), marks=marks)
             yield first, arr
 
     monkeypatch.setattr(kernels, "classified_windows", sampled)
-    return sample
+    return last
 
 
-def check_sample(sample: dict[int, int], limit: int, n: int) -> None:
-    """The sample is 1000 slots of the last window below limit, each with
-    slot_mark's mark, and holds all three marks."""
+def check_sample(last: dict, limit: int, n: int) -> None:
+    """The last window below limit holds the primes from its first value up
+    to limit, and its sample is 1000 slots, each with slot_mark's mark, that
+    hold all three marks."""
+    assert last["primes"] == prime_count(limit) - prime_count(last["first"] - 2)
+    sample = last["marks"]
     assert len(sample) == 1000 and min(sample) > limit - 2 * kernels.WINDOW
     assert sample == {v: slot_mark(v, n) for v in sample}
     assert set(sample.values()) == {0, 1, 3}
@@ -244,23 +249,24 @@ class TestPrimeCountTwoWays:
     window sieve beyond check_sieve_limit."""
 
     def test_every_window_edge_to_1e8(self, monkeypatch):
-        # the same pass samples 1000 slots of its last window, where the form
-        # sieve runs at its largest x and y, against the single-prime tests
+        # the same pass counts the primes of its last window, and samples 1000
+        # of its slots, where the form sieve runs at its largest x and y,
+        # against the single-prime tests
         width = kernels.WINDOW
         edges = (k * width + d for k in range(1, 10**8 // width + 1) for d in (-1, 0, 1))
         checkpoints = (*edges, 10**8)
-        sample = sample_last_window(monkeypatch)
+        last = sample_last_window(monkeypatch)
         records = density_series(G11, checkpoints).records
         assert [r.count_p for r in records] == [prime_count(x) for x in checkpoints]
-        check_sample(sample, 10**8, G11.n)
+        check_sample(last, 10**8, G11.n)
 
     @pytest.mark.slow
     def test_pass_to_1e9(self, monkeypatch):
-        sample = sample_last_window(monkeypatch)
+        last = sample_last_window(monkeypatch)
         (record,) = density_series(G11, (10**9,)).records
         assert record.count_p == 50_847_534 == prime_count(10**9)
         assert record.count_pg == 7_703_727
-        check_sample(sample, 10**9, G11.n)
+        check_sample(last, 10**9, G11.n)
 
 
 class TestPrimeCount:
