@@ -136,9 +136,6 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
     a %= p
     if pow(a, (p - 1) // 2, p) != 1:  # the Euler criterion
         return None
-    if p % 4 == 3:
-        t = pow(a, (p + 1) // 4, p)
-        return min(t, p - t)
     # write p - 1 = q * 2^s with q odd
     q, s = p - 1, 0
     while q % 2 == 0:

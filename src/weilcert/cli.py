@@ -166,22 +166,16 @@ def _write_records(series: DensitySeries, fmt: str, fh: TextIO) -> int:
 
 
 def _stream_rows(series: DensitySeries) -> Iterator[tuple]:
-    """The columns p, f_num, f_den and f_decimal at every prime p of the
-    series, with f(p) = members / (primes <= p) in lowest terms, in
-    `report.CHUNK_ROWS` slices of each `density.BLOCK_SLOTS`-slot block:
-    int64 arrays, and f_decimal as the int64 pair of `report.fixed_point`."""
+    """The columns p, f_num, f_den and f_decimal of each chunk of the series,
+    with f(p) = members / (primes <= p) in lowest terms: int64 arrays, and
+    f_decimal as the int64 pair of `report.fixed_point`."""
     import numpy as np
 
     for primes, members, count in series:
-        for start in range(0, len(primes), report.CHUNK_ROWS):
-            num = members[start : start + report.CHUNK_ROWS]
-            den = np.arange(count + start + 1, count + start + len(num) + 1)
-            common = np.gcd(num, den)
-            f_num, f_den = num // common, den // common
-            p = primes[start : start + report.CHUNK_ROWS]
-            yield p, f_num, f_den, report.fixed_point(f_num, f_den)
-            del num, p  # views that keep the window alive
-        del primes, members  # before the next window is sieved
+        den = np.arange(count + 1, count + len(members) + 1)
+        common = np.gcd(members, den)
+        f_num, f_den = members // common, den // common
+        yield primes, f_num, f_den, report.fixed_point(f_num, f_den)
 
 
 def cmd_limit(args) -> int:

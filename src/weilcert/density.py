@@ -7,9 +7,9 @@ p = 1 (mod 2g+1): the representable primes failing the congruence form
 the target set, those satisfying it are exactly the primes splitting
 completely one field higher up. `DensitySeries` counts the slots of each
 window into the checkpoint records, with running pi, representable and
-split counts and no per-prime array, and lists the primes of a window a
-block at a time, with their running member counts, to whoever reads the
-pass: `density --series` streams every prime from it and `plot` keeps
+split counts and no per-prime array, and lists the primes in whole chunks
+of `report.CHUNK_ROWS`, with their running member counts, to whoever reads
+the pass: `density --series` streams every prime from it and `plot` keeps
 every step-th one. Nothing is held for the whole range, so memory does
 not grow with the checkpoint. The counting function
 f(x) = |members <= x| / pi(x) is tracked as an exact rational and
@@ -35,14 +35,15 @@ import numpy as np
 from . import kernels
 from .arith import DimensionParam, check_sieve_limit
 from .quadforms import asymptotic_limit
+from .report import CHUNK_ROWS
 
 #: Checkpoints used by the convergence tables.
 DEFAULT_CHECKPOINTS = (100, 150, 200, 10**3, 10**4, 10**5, 10**6)
 
 #: Odd slots per block of the per-prime view, a multiple of 8. The view
-#: holds a window's slots as bits, and one block's primes as int64: at most
-#: 6542 (pi(65535)), so a reader that renders them `report.CHUNK_ROWS` at a
-#: time stays below the pass's own peak.
+#: holds a window's slots as bits and a block's primes as int64, at most
+#: 6542 (pi(65535)) beside the rows it holds back, and hands them out
+#: `CHUNK_ROWS` at a time, so the reader stays below the pass's own peak.
 BLOCK_SLOTS = 1 << 15
 
 
@@ -65,11 +66,11 @@ class DensityRecord:
 class DensitySeries:
     """One sieve-and-classify pass up to the last checkpoint, read once.
 
-    Iterating yields one (primes, members, count) per block of at most
-    BLOCK_SLOTS odd slots of a window: the block's primes in
-    ascending order, the running member count at each of them (target
-    primes among all primes <= p) and the number of primes below the
-    block, so f(primes[i]) = members[i] / (count + i + 1). `records`, the
+    Iterating yields (primes, members, count) chunks of CHUNK_ROWS rows,
+    and a last one of at most that: the primes in ascending order from 2,
+    the running member count at each of them (target primes among all
+    primes <= p) and the number of primes below the chunk, so
+    f(primes[i]) = members[i] / (count + i + 1). `records`, the
     exact counts at each checkpoint, runs whatever part of the pass the
     iteration has not, and builds no per-prime array.
     """
@@ -85,7 +86,8 @@ class DensitySeries:
         self._windows = kernels.classified_windows(checkpoints[-1], g.n, witnesses=False)
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-        count = members = 0
+        # the rows held back, at least one: first 2, which is no member
+        primes, members, count = np.array([2], np.int64), np.zeros(1, np.int64), 0
         for first, arr in self._windows:
             # one bit a slot while the reader has the window's primes
             prime_bits = np.packbits(arr)
@@ -97,17 +99,22 @@ class DensitySeries:
                 block = slice(at, at + BLOCK_SLOTS // 8)
                 slots = np.flatnonzero(np.unpackbits(prime_bits[block]))
                 running = np.cumsum(np.unpackbits(member_bits[block])[slots], dtype=np.int64)
-                running += members
+                running += members[-1]
+                members = np.concatenate((members, running))
+                del running  # the block's arrays go as soon as they are copied
                 slots *= 2
                 slots += first + 16 * at
-                if first == 1 and at == 0:  # 2, below every odd prime
-                    slots = np.concatenate(([2], slots))
-                    running = np.concatenate(([members], running))
-                yield slots, running, count
-                count += len(slots)
-                if len(running):
-                    members = int(running[-1])
+                primes = np.concatenate((primes, slots))
+                del slots
+                whole = (len(primes) - 1) // CHUNK_ROWS * CHUNK_ROWS
+                # copies: a view would keep the block's rows while the next is read
+                for start in range(0, whole, CHUNK_ROWS):
+                    rows = slice(start, start + CHUNK_ROWS)
+                    yield primes[rows].copy(), members[rows].copy(), count
+                    count += CHUNK_ROWS
+                primes, members = primes[whole:].copy(), members[whole:].copy()
             del prime_bits, member_bits  # before the next window is sieved
+        yield primes, members, count
 
     @property
     def records(self) -> tuple[DensityRecord, ...]:

@@ -338,6 +338,20 @@ class TestDensity:
         assert all(len(c[0]) <= report.CHUNK_ROWS for c in chunks)
         assert sum(sizes) == 78498  # pi(10^6), one fixed_point per chunk
 
+    def test_stream_rows_whole_chunks(self, monkeypatch):
+        # one fixed_point per chunk of the series: 77 for the 78,498 primes
+        # to 10^6, every one but the last of CHUNK_ROWS rows
+        sizes = []
+
+        def spy(num, den):
+            sizes.append(len(num))
+            return fixed_point(num, den)
+
+        monkeypatch.setattr(report, "fixed_point", spy)
+        chunks = cli._stream_rows(density_series(DimensionParam(5), (10**6,)))
+        collections.deque(chunks, maxlen=0)
+        assert sizes == [report.CHUNK_ROWS] * 76 + [674]
+
     def test_series_peak_is_the_pass(self, capsys, tmp_path):
         # writing the per-prime stream adds at most a tenth of the pass's
         # own working set: one render chunk, and no window array the fold

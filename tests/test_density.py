@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from weilcert.arith import DimensionParam, is_prime
 from weilcert.density import density_series, prime_count
 from weilcert.errors import ResourceLimitError
 from weilcert.quadforms import asymptotic_limit, reduced_forms, represent_x2_ny2
-from weilcert.report import decimal_string
+from weilcert.report import CHUNK_ROWS, decimal_string
 from weilcert.weil import scan_quadruples, sophie_germain_list
 from conftest import (
     CHECKPOINTS, TABLE4, classified, prime_windows, quadruple_rows, sieved_primes,
@@ -105,12 +106,24 @@ class TestClassificationConsistency:
         windows = list(series)
         primes = np.concatenate([w[0] for w in windows])
         counts = np.concatenate([w[1] for w in windows])
-        assert [w[2] for w in windows] == [0]  # one window, no prime below it
+        assert [w[2] for w in windows] == [0, 1024]  # the primes below each chunk
         assert len(primes) == len(counts) == 1229
         assert int(counts[-1]) == 175 == series.records[0].count_pg
         # running count is nondecreasing and steps by at most one
         steps = np.diff(counts)
         assert steps.min() >= 0 and steps.max() <= 1
+
+
+@pytest.fixture(scope="module")
+def oracle_1e5():
+    """The primes to 10^5 and, for g = 5 and 11, the running count of the
+    target primes at each, one prime at a time."""
+    plist = primes_upto(10**5)
+    counts = {}
+    for g in (5, 11):
+        kinds = (classify_prime(p, g) == "pg" for p in plist)
+        counts[g] = list(itertools.accumulate(kinds, initial=0))[1:]
+    return plist, counts
 
 
 class TestWindows:
@@ -140,6 +153,22 @@ class TestWindows:
             count += len(primes)
         assert count == 1229
         assert series.records[0].count_pg == members
+
+    @pytest.mark.parametrize("width", [kernels.WINDOW, 1000, 64])
+    def test_whole_chunks_across_windows(self, monkeypatch, width, oracle_1e5):
+        # whole CHUNK_ROWS chunks, whatever the window and block edges, and
+        # only the last one shorter; 2 is the first row of the first
+        monkeypatch.setattr(kernels, "WINDOW", width)
+        plist, counts = oracle_1e5
+        for g in (G5, G11):
+            chunks = list(density_series(g, (10**5,)))
+            sizes = [len(primes) for primes, _, _ in chunks]
+            assert sizes[:-1] == [CHUNK_ROWS] * (len(chunks) - 1), (g.g, width)
+            assert 0 < sizes[-1] <= CHUNK_ROWS
+            assert [c for _, _, c in chunks] == list(range(0, len(plist), CHUNK_ROWS))
+            assert (chunks[0][0][0], chunks[0][1][0]) == (2, 0)
+            assert np.concatenate([c[0] for c in chunks]).tolist() == plist
+            assert np.concatenate([c[1] for c in chunks]).tolist() == counts[g.g]
 
     def test_prime_count(self):
         # from 10^7 on: OEIS A006880
@@ -327,15 +356,23 @@ class TestClassSumIdentity:
     per-prime oracles: the represented primes, weighted over the classes of
     forms of discriminant -4n, are the primes that are squares mod n."""
 
+    @staticmethod
+    def checkpoints(limit: int, step: int) -> tuple[int, ...]:
+        """Every step up to limit, and both sides of each window edge."""
+        edges = range(kernels.WINDOW, limit, kernels.WINDOW)
+        return tuple(
+            sorted({*range(step, limit + 1, step), *(e + d for e in edges for d in (-1, 0, 1))})
+        )
+
     @pytest.mark.parametrize("g", [5, 11, 23])
     def test_to_1e7(self, g):
-        limit = 10**7
-        # every 10^5, and both sides of each window edge
-        edges = range(kernels.WINDOW, limit, kernels.WINDOW)
-        checkpoints = sorted(
-            {*range(10**5, limit + 1, 10**5), *(e + d for e in edges for d in (-1, 0, 1))}
-        )
-        assert class_sum_gap(DimensionParam(g), tuple(checkpoints)) == [0] * len(checkpoints)
+        checkpoints = self.checkpoints(10**7, 10**5)
+        assert class_sum_gap(DimensionParam(g), checkpoints) == [0] * len(checkpoints)
+
+    @pytest.mark.slow
+    def test_to_1e9(self):
+        checkpoints = self.checkpoints(10**9, 10**7)
+        assert class_sum_gap(G11, checkpoints) == [0] * len(checkpoints)
 
     def test_tiny_windows(self, monkeypatch):
         monkeypatch.setattr(kernels, "WINDOW", 1000)

@@ -30,6 +30,11 @@ gc.freeze is called in cli.main alone, and no module calls gc.disable or
 os._exit: the process entry skips the final collection over a frozen heap
 and nothing more, so no start-up or exit change trades collection in a
 run, or the flushing of streams and atexit handlers, for time.
+
+Only report, density and weil read report.CHUNK_ROWS: the modules that cut
+a stream into chunks. A reader of a stream that cuts it again decides the
+chunk size a second time, and makes short chunks at every edge of the
+first cut.
 """
 
 import argparse
@@ -264,6 +269,26 @@ def test_heap_frozen_only_on_the_exit_path():
     lines, first = inspect.getsourcelines(cli.main)
     (line,) = [first + i for i, text in enumerate(lines) if "gc.freeze()" in text]
     assert calls_to(EXIT_CALLS, package_sources()) == [f"cli:{line} freeze"]
+
+
+def modules_reading(name: str, sources: dict[str, str]) -> list[str]:
+    """The modules that read name, as a variable or as an attribute, given
+    the source text of each module by name."""
+    return sorted(m for m, text in sources.items() if name in used_names(ast.parse(text)))
+
+
+def test_only_the_stream_makers_read_chunk_rows():
+    readers = modules_reading("CHUNK_ROWS", package_sources())
+    assert set(readers) <= {"report", "density", "weil"}, readers
+
+
+def test_scan_flags_chunk_rows_readers():
+    a = "CHUNK_ROWS = 4\n"
+    b = "from a import CHUNK_ROWS\ndef cut(xs):\n    return xs[:CHUNK_ROWS]\n"
+    c = "import a\nrows = a.CHUNK_ROWS\n"
+    d = "from a import CHUNK_ROWS as unused  # CHUNK_ROWS\nname = 'CHUNK_ROWS'\n"
+    sources = {"a": a, "b": b, "c": c, "d": d}
+    assert modules_reading("CHUNK_ROWS", sources) == ["b", "c"]
 
 
 def modules_loaded_by(module: str) -> list[str]:
